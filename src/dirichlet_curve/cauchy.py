@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
+from .exact import Cauchy1DLaw, cdf
 from .measures import (
     Cauchy1D,
     EmpiricalSample,
@@ -34,7 +35,6 @@ from .measures import (
     ScaledProduct,
     describe,
     draw_measure,
-    satisfies_ft,
 )
 from .stickbreak import TruncationPolicy, stick_mean_draws
 
@@ -157,17 +157,10 @@ def draw_spectral_cauchy(spec: SpectralCauchy, n: int, gen: Generator) -> np.nda
 
 def sample_cauchy_rd(spec: SpectralCauchy, n: int, rng: RngStream) -> EmpiricalSample:
     """n i.i.d. draws of the spectral Cauchy law, reproducible given the stream."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    draws = draw_spectral_cauchy(spec, n, rng.generator())
-    return EmpiricalSample(
-        dimension=spec.dimension,
-        draws=draws,
-        provenance={
-            "measure": f"SpectralCauchy(atoms={len(spec.intensities)})",
-            "sampler": "spectral_stable",
-            "seed": f"{rng.seed}/{rng.stream_id}",
-        },
+    return EmpiricalSample.generate(
+        lambda m, gen: draw_spectral_cauchy(spec, m, gen),
+        n, rng, spec.dimension, f"SpectralCauchy(atoms={len(spec.intensities)})",
+        "spectral_stable",
     )
 
 
@@ -192,7 +185,7 @@ def trefoil_median(theta) -> np.ndarray | float:
 
 def cauchy_cdf(x, w: complex) -> np.ndarray:
     """CDF of the Cauchy law with upper-half-plane parameter w = location + i*scale."""
-    return 0.5 + np.arctan((np.asarray(x, dtype=float) - w.real) / w.imag) / np.pi
+    return cdf(Cauchy1DLaw(w), x)
 
 
 def verify_yamato(
@@ -224,8 +217,6 @@ def verify_mult_invariance(
     """
     from .stats import ks_two_sample
 
-    if not satisfies_ft(radial):
-        raise ValueError("radial measure must integrate log(1 + |x|)")
     policy = TruncationPolicy.tail(1e-12, "absorb_into_fresh_atom")
     gen = rng.generator()
     scaled = ScaledProduct(radial=radial, direction=Cauchy1D(0.0, 1.0))

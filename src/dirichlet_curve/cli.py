@@ -672,23 +672,20 @@ def _build_config(args) -> ExperimentConfig:
         )
     elif mode is not None:
         raise ConfigError(f"unknown policy.mode {mode!r}")
-    try:
-        return ExperimentConfig(
-            experiment=experiment,
-            seed=int(seed),
-            n=int(args.n if args.n is not None else raw.get("n", 10**5)),
-            ts=ts,
-            measure=raw.get("measure"),
-            policy=policy,
-            out_dir=args.out if args.out is not None else raw.get("out", "."),
-            confidence=float(
-                args.confidence
-                if args.confidence is not None
-                else raw.get("confidence", 0.999)
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(
+        experiment=experiment,
+        seed=int(seed),
+        n=int(args.n if args.n is not None else raw.get("n", 10**5)),
+        ts=ts,
+        measure=raw.get("measure"),
+        policy=policy,
+        out_dir=args.out if args.out is not None else raw.get("out", "."),
+        confidence=float(
+            args.confidence
+            if args.confidence is not None
+            else raw.get("confidence", 0.999)
+        ),
+    )
 
 
 def main(argv=None) -> int:
@@ -713,7 +710,7 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = _build_config(args)
-    except (ConfigError, KeyError, OSError) as exc:
+    except (ConfigError, KeyError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -17,16 +17,6 @@ import numpy as np
 from scipy import integrate
 from scipy.special import betainc, betaln
 
-from .measures import (
-    Beta,
-    BetaPrime,
-    Cauchy1D,
-    DiscreteAtoms,
-    GoverningMeasure,
-    Uniform01,
-    UniformCircle,
-)
-
 __all__ = [
     "BetaLaw",
     "BetaPrimeLaw",
@@ -195,65 +185,15 @@ def dk_law() -> DensityLaw:
     return DensityLaw(dk_density, (0.0, 1.0))
 
 
-def _is_standard_basis(points: np.ndarray) -> Optional[np.ndarray]:
-    """If the atom rows are exactly the standard basis of R^k, return the
-    permutation sending row i to basis index; else None."""
-    k, d = points.shape
-    if k != d or k < 2:
-        return None
-    idx = np.full(k, -1, dtype=int)
-    for i, row in enumerate(points):
-        j = int(np.argmax(row))
-        e = np.zeros(d)
-        e[j] = 1.0
-        if not np.array_equal(row, e):
-            return None
-        idx[i] = j
-    if len(set(idx.tolist())) != k:
-        return None
-    return idx
-
-
-def curve_of(measure: GoverningMeasure, t: float) -> Optional[ExactLaw]:
+def curve_of(measure, t: float) -> Optional[ExactLaw]:
     """Closed-form law of the Dirichlet mean at intensity t, when known.
 
-    Returns None when no closed form is implemented for (measure, t).
+    Returns None when no closed form is implemented for (measure, t); each
+    family states its own in its `curve_law` method.
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    if isinstance(measure, DiscreteAtoms):
-        if len(measure.weights) == 1:
-            return PointMass(measure.points[0])
-        if measure.dimension == 1:
-            vals = measure.points[:, 0]
-            if len(vals) == 2 and set(vals.tolist()) == {0.0, 1.0}:
-                p = float(measure.weights[vals == 1.0][0])
-                return BetaLaw(t * p, t * (1.0 - p))
-        basis = _is_standard_basis(measure.points)
-        if basis is not None:
-            alphas = np.empty(len(basis))
-            alphas[basis] = t * measure.weights
-            return DirichletLaw(tuple(alphas))
-        return None
-    if isinstance(measure, Beta):
-        if measure.a == 0.5 and measure.b == 0.5:
-            return BetaLaw(t + 0.5, t + 0.5)
-        if measure.a == 1.0 and measure.b == 1.0 and t == 1.0:
-            return dk_law()
-        return None
-    if isinstance(measure, Uniform01):
-        if t == 1.0:
-            return dk_law()
-        return None
-    if isinstance(measure, BetaPrime):
-        if measure.a == 0.5 and measure.b == 0.5:
-            return BetaPrimeLaw(t + 0.5, 0.5)
-        return None
-    if isinstance(measure, UniformCircle):
-        return RadialCircleLaw(t)
-    if isinstance(measure, Cauchy1D):
-        return Cauchy1DLaw(measure.w)
-    return None
+    return measure.curve_law(t)
 
 
 def cdf(law: ExactLaw, x) -> np.ndarray:
@@ -449,24 +389,13 @@ def p_q_polynomials(m, t: float):
     return pv, qv
 
 
-def _log_potential(alpha, x: float, tol: float) -> float:
-    """g(x) = -integral of log|x - w| alpha(dw) with singularity-aware quadrature.
+def beta_log_potential(a: float, b: float, x: float, tol: float) -> float:
+    """-integral of log|x - w| beta(a, b)(dw) with singularity-aware quadrature.
 
-    For beta-type densities the algebraic endpoint factors and the log factor
-    at w = x are folded into quadrature weight functions, so the remaining
-    integrand passed to the integrator is smooth.
+    The algebraic endpoint factors and the log factor at w = x are folded into
+    quadrature weight functions, so the remaining integrand passed to the
+    integrator is smooth.
     """
-    if isinstance(alpha, DiscreteAtoms):
-        vals = alpha.points[:, 0]
-        if np.any(np.abs(vals - x) < 1e-300):
-            raise ValueError("log potential diverges at an atom")
-        return -float(np.dot(alpha.weights, np.log(np.abs(x - vals))))
-    if isinstance(alpha, Uniform01):
-        a, b = 1.0, 1.0
-    elif isinstance(alpha, Beta):
-        a, b = alpha.a, alpha.b
-    else:
-        raise TypeError(f"no log potential for {type(alpha).__name__}")
     norm = math.exp(-betaln(a, b))
     total = 0.0
     if x > 0.0:
@@ -498,17 +427,6 @@ def _log_potential(alpha, x: float, tol: float) -> float:
     return -total
 
 
-def _upper_tail(alpha, x: float) -> float:
-    """alpha((x, inf)) for the one-dimensional families supported here."""
-    if isinstance(alpha, DiscreteAtoms):
-        return float(alpha.weights[alpha.points[:, 0] > x].sum())
-    if isinstance(alpha, Uniform01):
-        return 1.0 - min(max(x, 0.0), 1.0)
-    if isinstance(alpha, Beta):
-        return 1.0 - float(betainc(alpha.a, alpha.b, min(max(x, 0.0), 1.0)))
-    raise TypeError(f"no tail function for {type(alpha).__name__}")
-
-
 def cr_density(alpha, x: float, quadrature_tol: float = 1e-10) -> float:
     """Density of the Dirichlet mean at unit intensity, via the sine/potential form.
 
@@ -517,6 +435,6 @@ def cr_density(alpha, x: float, quadrature_tol: float = 1e-10) -> float:
     for x interior to the support of the mean's law, with alpha continuous
     near x (atoms exactly at x make the potential diverge).
     """
-    g = _log_potential(alpha, float(x), quadrature_tol)
-    tail = _upper_tail(alpha, float(x))
+    g = alpha.log_potential(float(x), quadrature_tol)
+    tail = alpha.upper_tail(float(x))
     return math.sin(math.pi * tail) * math.exp(g) / math.pi

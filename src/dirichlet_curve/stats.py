@@ -11,14 +11,14 @@ full test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import betaln, kolmogorov
 from scipy.stats import norm
 
-from .measures import EmpiricalSample, GoverningMeasure, RngStream, describe
+from .measures import EmpiricalSample, GoverningMeasure, RngStream
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, stick_mean_draws
 from .measures import draw_measure
 

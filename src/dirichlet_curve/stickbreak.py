@@ -242,19 +242,10 @@ def sample_dirichlet_mean(
     rng: RngStream = RngStream(0),
 ) -> EmpiricalSample:
     """n approximate draws of the Dirichlet mean X_t = sum W_n B_n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    draws = stick_mean_draws(measure, t, n, policy, rng.generator())
-    return EmpiricalSample(
-        dimension=dimension_of(measure),
-        draws=draws,
-        provenance={
-            "measure": describe(measure),
-            "t": repr(float(t)),
-            "sampler": "stick_breaking",
-            "seed": f"{rng.seed}/{rng.stream_id}",
-            "truncation": policy.label(),
-        },
+    return EmpiricalSample.generate(
+        lambda m, gen: stick_mean_draws(measure, t, m, policy, gen),
+        n, rng, dimension_of(measure), describe(measure), "stick_breaking",
+        t=t, truncation=policy.label(),
     )
 
 
@@ -289,20 +280,12 @@ def sample_fixed_point(
     rng: RngStream = RngStream(0),
 ) -> EmpiricalSample:
     """n draws by backward iteration of the distributional fixed point X ~ (1-Y)X + YB."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if depth is None:
         depth = default_fixed_point_depth(t)
-    draws = fixed_point_draws(measure, t, n, depth, rng.generator())
-    return EmpiricalSample(
-        dimension=dimension_of(measure),
-        draws=draws,
-        provenance={
-            "measure": describe(measure),
-            "t": repr(float(t)),
-            "sampler": f"fixed_point(depth={depth})",
-            "seed": f"{rng.seed}/{rng.stream_id}",
-        },
+    return EmpiricalSample.generate(
+        lambda m, gen: fixed_point_draws(measure, t, m, depth, gen),
+        n, rng, dimension_of(measure), describe(measure), f"fixed_point(depth={depth})",
+        t=t,
     )
 
 
@@ -356,18 +339,9 @@ def sample_mean_dyadic(
     rng: RngStream = RngStream(0),
 ) -> EmpiricalSample:
     """n draws of M = sum_j W_j B_j with dyadic Dirichlet weights at level k."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    draws = dyadic_mean_draws(measure, t, k, n, rng.generator())
-    return EmpiricalSample(
-        dimension=dimension_of(measure),
-        draws=draws,
-        provenance={
-            "measure": describe(measure),
-            "t": repr(float(t)),
-            "sampler": f"dyadic(k={k})",
-            "seed": f"{rng.seed}/{rng.stream_id}",
-        },
+    return EmpiricalSample.generate(
+        lambda m, gen: dyadic_mean_draws(measure, t, k, m, gen),
+        n, rng, dimension_of(measure), describe(measure), f"dyadic(k={k})", t=t,
     )
 
 
@@ -381,8 +355,6 @@ def sample_james_aggregation(
 
     (Y_0..Y_J) ~ Dirichlet(t_0, ..., t_J) independent of X_j ~ mu(t_j alpha_j).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if not parts:
         raise ValueError("parts must be nonempty")
     ts = np.array([float(t) for t, _ in parts])
@@ -392,20 +364,16 @@ def sample_james_aggregation(
     if len(dims) != 1:
         raise ValueError("all parts must share one dimension")
     d = dims.pop()
-    gen = rng.generator()
-    y = gen.dirichlet(ts, size=n) if len(parts) > 1 else np.ones((n, 1))
-    acc = np.zeros((n, d))
-    for j, (tj, measure) in enumerate(parts):
-        x = stick_mean_draws(measure, tj, n, policy, gen)
-        acc += y[:, j : j + 1] * x
+
+    def draw(n, gen):
+        y = gen.dirichlet(ts, size=n) if len(parts) > 1 else np.ones((n, 1))
+        acc = np.zeros((n, d))
+        for j, (tj, measure) in enumerate(parts):
+            x = stick_mean_draws(measure, tj, n, policy, gen)
+            acc += y[:, j : j + 1] * x
+        return acc
+
     label = " + ".join(f"{tj!r}*[{describe(m)}]" for tj, m in parts)
-    return EmpiricalSample(
-        dimension=d,
-        draws=acc,
-        provenance={
-            "measure": label,
-            "sampler": "james_aggregation",
-            "seed": f"{rng.seed}/{rng.stream_id}",
-            "truncation": policy.label(),
-        },
+    return EmpiricalSample.generate(
+        draw, n, rng, d, label, "james_aggregation", truncation=policy.label()
     )

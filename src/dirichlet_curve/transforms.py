@@ -18,15 +18,6 @@ from numpy.random import Generator
 from scipy import integrate
 from scipy.special import betaln
 
-from .measures import (
-    Beta,
-    BetaPrime,
-    Cauchy1D,
-    DiscreteAtoms,
-    EmpiricalSample,
-    GoverningMeasure,
-    Uniform01,
-)
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, stick_mean_draws
 
 __all__ = [
@@ -60,12 +51,6 @@ def _as_upper(z) -> complex:
     return UpperHalfPoint(complex(z)).z
 
 
-def _beta_params(alpha) -> tuple:
-    if isinstance(alpha, Uniform01):
-        return 1.0, 1.0
-    return alpha.a, alpha.b
-
-
 def _quad_complex(f, lo, hi, tol, **kw) -> complex:
     re, _ = integrate.quad(lambda w: f(w).real, lo, hi, epsabs=tol, epsrel=tol,
                            limit=200, **kw)
@@ -74,19 +59,17 @@ def _quad_complex(f, lo, hi, tol, **kw) -> complex:
     return complex(re, im)
 
 
-def _beta_integral(alpha, f, tol) -> complex:
-    """integral of f(w) against a beta-type density, with the algebraic
+def beta_integral(a: float, b: float, f, tol) -> complex:
+    """integral of f(w) against the beta(a, b) density, with the algebraic
     endpoint factors w^(a-1) (1-w)^(b-1) folded into the quadrature weight."""
-    a, b = _beta_params(alpha)
     norm = math.exp(-betaln(a, b))
     return _quad_complex(lambda w: norm * f(w), 0.0, 1.0, tol,
                          weight="alg", wvar=(a - 1.0, b - 1.0))
 
 
-def _beta_prime_integral(alpha, f, tol) -> complex:
-    """integral of f(w) against a beta prime density, split at w = 1 so the
-    possible algebraic singularity at 0 sits in a quadrature weight."""
-    a, b = alpha.a, alpha.b
+def beta_prime_integral(a: float, b: float, f, tol) -> complex:
+    """integral of f(w) against the beta prime(a, b) density, split at w = 1 so
+    the possible algebraic singularity at 0 sits in a quadrature weight."""
     norm = math.exp(-betaln(a, b))
 
     def head(w):
@@ -96,29 +79,7 @@ def _beta_prime_integral(alpha, f, tol) -> complex:
         return norm * w ** (a - 1.0) * (1.0 + w) ** (-(a + b)) * f(w)
 
     val = _quad_complex(head, 0.0, 1.0, tol, weight="alg", wvar=(a - 1.0, 0.0))
-    re, _ = integrate.quad(lambda w: tail(w).real, 1.0, np.inf,
-                           epsabs=tol, epsrel=tol, limit=200)
-    im, _ = integrate.quad(lambda w: tail(w).imag, 1.0, np.inf,
-                           epsabs=tol, epsrel=tol, limit=200)
-    return val + complex(re, im)
-
-
-def _integrate_against(alpha, f, tol) -> complex:
-    """integral of f(w) alpha(dw) for one-dimensional alpha, dispatching on family."""
-    if isinstance(alpha, DiscreteAtoms):
-        if alpha.dimension != 1:
-            raise ValueError("transforms are one-dimensional")
-        vals = np.array([f(w) for w in alpha.points[:, 0]])
-        return complex(np.dot(alpha.weights, vals))
-    if isinstance(alpha, EmpiricalSample):
-        if alpha.dimension != 1:
-            raise ValueError("transforms are one-dimensional")
-        return complex(np.mean(f(alpha.values())))
-    if isinstance(alpha, (Uniform01, Beta)):
-        return _beta_integral(alpha, f, tol)
-    if isinstance(alpha, BetaPrime):
-        return _beta_prime_integral(alpha, f, tol)
-    raise TypeError(f"no transform integration for {type(alpha).__name__}")
+    return val + _quad_complex(tail, 1.0, np.inf, tol)
 
 
 def stieltjes(alpha, z, quadrature_tol: float = 1e-10) -> complex:
@@ -127,10 +88,7 @@ def stieltjes(alpha, z, quadrature_tol: float = 1e-10) -> complex:
     Closed form for Cauchy and atomic measures, weighted quadrature for
     beta-type densities, plain average for empirical samples.
     """
-    z = _as_upper(z)
-    if isinstance(alpha, Cauchy1D):
-        return 1.0 / (alpha.w.conjugate() - z)
-    return _integrate_against(alpha, lambda w: 1.0 / (w - z), quadrature_tol)
+    return alpha.stieltjes(_as_upper(z), quadrature_tol)
 
 
 def stieltjes_derivative(alpha, k: int, z, quadrature_tol: float = 1e-10) -> complex:
@@ -141,13 +99,7 @@ def stieltjes_derivative(alpha, k: int, z, quadrature_tol: float = 1e-10) -> com
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    z = _as_upper(z)
-    fact = math.factorial(k)
-    if isinstance(alpha, Cauchy1D):
-        return fact / (alpha.w.conjugate() - z) ** (k + 1)
-    return fact * _integrate_against(
-        alpha, lambda w: (w - z) ** (-(k + 1.0)), quadrature_tol
-    )
+    return alpha.stieltjes_derivative(k, _as_upper(z), quadrature_tol)
 
 
 def log_transform(alpha, z, quadrature_tol: float = 1e-10) -> complex:
@@ -155,21 +107,7 @@ def log_transform(alpha, z, quadrature_tol: float = 1e-10) -> complex:
 
     Satisfies g'(z) = y(z).  For Cauchy measures g(z) = -log(conj(w) - z).
     """
-    z = _as_upper(z)
-    if isinstance(alpha, Cauchy1D):
-        return -np.log(alpha.w.conjugate() - z)
-    return -_integrate_against(alpha, lambda w: np.log(w - z), quadrature_tol)
-
-
-def _log_fourier_mean(alpha, s: float, tol: float) -> complex:
-    """integral of log(1 - i s x) alpha(dx); the integrand has positive real
-    part 1 in its argument, so the principal log is unambiguous."""
-    if s == 0.0:
-        return 0.0 + 0.0j
-    if isinstance(alpha, Cauchy1D):
-        w = alpha.w if s > 0 else alpha.w.conjugate()
-        return complex(np.log(1.0 - 1j * s * w))
-    return _integrate_against(alpha, lambda x: np.log(1.0 - 1j * s * x), tol)
+    return alpha.log_transform(_as_upper(z), quadrature_tol)
 
 
 @dataclass(frozen=True)
@@ -234,7 +172,8 @@ def cr_identity_residual(
     x = stick_mean_draws(alpha, t, mc_n, policy, gen)[:, 0]
     if s is not None:
         vals = np.exp(-t * np.log(1.0 - 1j * s * x))
-        rhs = np.exp(-t * _log_fourier_mean(alpha, s, quadrature_tol))
+        log_mean = alpha.log_fourier_mean(s, quadrature_tol) if s != 0.0 else 0j
+        rhs = np.exp(-t * log_mean)
         form, point = "fourier", complex(s)
     else:
         zz = _as_upper(z)

@@ -102,3 +102,30 @@ def test_bad_confidence_is_config_error(tmp_path):
         ["run", "moments", "--seed", "1", "--confidence", "0.3", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+def _run_config(tmp_path, lines):
+    config = tmp_path / "exp.cfg"
+    config.write_text("experiment = curve-ks\nseed = 3\nn = 1000\nt = 1\n" + lines)
+    return main(["run", "--config", str(config), "--out", str(tmp_path)])
+
+
+def test_non_numeric_t_is_config_error(tmp_path, capsys):
+    assert main(["run", "moments", "--seed", "1", "--t", "abc", "--out", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_out_of_range_measure_parameter_is_config_error(tmp_path, capsys):
+    assert _run_config(tmp_path, "measure.family = bernoulli\nmeasure.p = 1.5\n") == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_non_integer_policy_n_is_config_error(tmp_path, capsys):
+    assert _run_config(tmp_path, "policy.mode = fixed_N\npolicy.N = x\n") == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_unknown_tail_handling_is_config_error(tmp_path, capsys):
+    lines = "policy.mode = tail_epsilon\npolicy.tail_handling = bogus\n"
+    assert _run_config(tmp_path, lines) == 2
+    assert "config error:" in capsys.readouterr().err

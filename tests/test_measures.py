@@ -168,3 +168,48 @@ def test_sample_csv_roundtrip(tmp_path):
     assert any("measure=" in h for h in headers)
     data = np.array([float(v) for v in lines if not v.startswith("#")])
     assert np.array_equal(data, smp.values())
+
+
+from dirichlet_curve.measures import CauchyRd  # noqa: E402
+
+
+@pytest.mark.parametrize(
+    "text, cls, params, description",
+    [
+        ("family=bernoulli\np=0.25", DiscreteAtoms,
+         {"points": [[0.0], [1.0]], "weights": [0.75, 0.25]},
+         "DiscreteAtoms{(0.0):0.75; (1.0):0.25}"),
+        ("family=discrete_atoms\n0.0,1.0,0.5\n2.0,-1.0,0.5", DiscreteAtoms,
+         {"points": [[0.0, 1.0], [2.0, -1.0]], "weights": [0.5, 0.5]},
+         "DiscreteAtoms{(0.0,1.0):0.5; (2.0,-1.0):0.5}"),
+        ("family=beta\na=2\nb=3", Beta, {"a": 2.0, "b": 3.0}, "Beta(a=2.0, b=3.0)"),
+        ("family=uniform01", Uniform01, {}, "Uniform01"),
+        ("family=beta_prime\na=0.5\nb=1.5", BetaPrime, {"a": 0.5, "b": 1.5},
+         "BetaPrime(a=0.5, b=1.5)"),
+        ("family=cauchy1d\nlocation=-1\nscale=0.5", Cauchy1D,
+         {"location": -1.0, "scale": 0.5}, "Cauchy1D(location=-1.0, scale=0.5)"),
+        ("FAMILY = Uniform_Circle  # comment", UniformCircle, {}, "UniformCircle"),
+        ("family=cauchy_rd\nshift=1,2\n1,0,0.5\n-1,0,0.5", CauchyRd,
+         {"spectral.dimension": 2, "spectral.shift": [1.0, 2.0],
+          "spectral.directions": [[1.0, 0.0], [-1.0, 0.0]], "spectral.intensities": [0.5, 0.5]},
+         "CauchyRd(atoms=2)"),
+        ("family=scaled_product\nradial.family=beta\nradial.a=1\nradial.b=2\n"
+         "direction.family=cauchy1d\ndirection.scale=3", ScaledProduct,
+         {"radial": Beta(1.0, 2.0), "direction": Cauchy1D(0.0, 3.0)},
+         "ScaledProduct(Beta(a=1.0, b=2.0), Cauchy1D(location=0.0, scale=3.0))"),
+    ],
+    ids=["bernoulli", "discrete_atoms", "beta", "uniform01", "beta_prime", "cauchy1d",
+         "uniform_circle", "cauchy_rd", "scaled_product"],
+)
+def test_every_family_round_trips_through_config(text, cls, params, description):
+    m = parse_measure_config(text)
+    assert type(m) is cls
+    for name, expected in params.items():
+        value = m
+        for part in name.split("."):
+            value = getattr(value, part)
+        if isinstance(expected, list):
+            assert np.array_equal(value, expected)
+        else:
+            assert value == expected
+    assert describe(m) == description
