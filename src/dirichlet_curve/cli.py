@@ -33,11 +33,12 @@ from .measures import (
     BetaPrime,
     bernoulli,
     describe,
-    parse_measure_config,
+    measure_from_config,
     sample_measure,
+    split_config,
 )
 
-__all__ = ["ExperimentConfig", "list_experiments", "run", "main"]
+__all__ = ["Check", "ExperimentConfig", "list_experiments", "run", "main"]
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,21 @@ def _grid(cfg: ExperimentConfig, default) -> tuple:
 
 # ---------------------------------------------------------------------------
 # experiments
+#
+# Each experiment returns (header, rows, checks): the CSV header and rows, and
+# one Check per summary line; run() prints the checks and sets the exit status.
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict of an experiment: whether it held, and its summary text."""
+
+    passed: bool
+    text: str
+
+
+def _ks_text(rep) -> str:
+    return f"D={rep.statistic:.5f} p={rep.p_value:.4g}"
 
 
 def _exp_curve_ks(cfg: ExperimentConfig):
@@ -110,7 +126,7 @@ def _exp_curve_ks(cfg: ExperimentConfig):
             + [(UniformCircle(), t) for t in _grid(cfg, (1.0, 2.0))]
         )
     rng = RngStream(cfg.seed)
-    rows, lines, ok = [], [], True
+    rows, checks = [], []
     for i, (measure, t) in enumerate(cells):
         law = EX.curve_of(measure, t)
         if law is None:
@@ -128,13 +144,9 @@ def _exp_curve_ks(cfg: ExperimentConfig):
         rows.append(
             (describe(measure), t, what, cfg.n, rep.statistic, rep.p_value, rep.passed)
         )
-        lines.append(
-            f"  [{'pass' if rep.passed else 'FAIL'}] {describe(measure)} t={t:g}: "
-            f"D={rep.statistic:.5f} p={rep.p_value:.4g}"
-        )
-        ok &= rep.passed
+        checks.append(Check(rep.passed, f"{describe(measure)} t={t:g}: {_ks_text(rep)}"))
     header = ("measure", "t", "statistic_of", "n", "ks_statistic", "p_value", "passed")
-    return header, rows, lines, ok
+    return header, rows, checks
 
 
 def _exp_convex_order(cfg: ExperimentConfig):
@@ -142,7 +154,7 @@ def _exp_convex_order(cfg: ExperimentConfig):
     ts = _grid(cfg, (0.5, 1.0, 2.0, 4.0, 8.0))
     targets = [cfg.measure] if cfg.measure is not None else [bernoulli(0.5), Uniform01()]
     rng = RngStream(cfg.seed)
-    rows, lines, ok = [], [], True
+    rows, checks = [], []
     for mi, measure in enumerate(targets):
         base = sample_measure(measure, cfg.n, rng.substream(100 * mi + 99))
         curve = [
@@ -167,31 +179,29 @@ def _exp_convex_order(cfg: ExperimentConfig):
                         bool(gap > slack),
                     )
                 )
-        lines.append(
-            f"  [{'pass' if rep.consistent else 'FAIL'}] {describe(measure)}: hinge means "
-            f"decrease along t in (0, {', '.join(f'{t:g}' for t in ts)}); "
-            f"{len(rep.violations)} violations"
-        )
-        ok &= rep.consistent
+        checks.append(Check(
+            rep.consistent,
+            f"{describe(measure)}: hinge means decrease along t in "
+            f"(0, {', '.join(f'{t:g}' for t in ts)}); {len(rep.violations)} violations",
+        ))
         reversed_curve = sorted(
             [(ts[-1] - t, smp) for t, smp in curve], key=lambda p: p[0]
         )
         neg = ST.convex_order_check(reversed_curve, confidence=cfg.confidence)
-        flagged = not neg.consistent
-        lines.append(
-            f"  [{'pass' if flagged else 'FAIL'}] {describe(measure)}: reversed labels "
-            f"flagged with {len(neg.violations)} violations"
-        )
-        ok &= flagged
+        checks.append(Check(
+            not neg.consistent,
+            f"{describe(measure)}: reversed labels flagged with "
+            f"{len(neg.violations)} violations",
+        ))
     header = ("measure", "t_low", "t_high", "threshold", "gap", "slack", "violated")
-    return header, rows, lines, ok
+    return header, rows, checks
 
 
 def _exp_moments(cfg: ExperimentConfig):
     """Moment recursion vs analytic beta moments, density quadrature, and MC."""
     ts = _grid(cfg, (0.5, 1.0, 2.0, 4.0, 8.0))
     rng = RngStream(cfg.seed)
-    rows, lines, ok = [], [], True
+    rows, checks = [], []
     bern = bernoulli(0.5)
     for t in ts:
         table = EX.moment_recursion([0.5] * 6, t)
@@ -201,11 +211,9 @@ def _exp_moments(cfg: ExperimentConfig):
         )
         good = err < 1e-12
         rows.append((describe(bern), t, "recursion_vs_analytic", 6, err, 1e-12, good))
-        lines.append(
-            f"  [{'pass' if good else 'FAIL'}] Bernoulli(1/2) t={t:g}: recursion vs "
-            f"beta moments, max err {err:.2e}"
-        )
-        ok &= good
+        checks.append(Check(
+            good, f"Bernoulli(1/2) t={t:g}: recursion vs beta moments, max err {err:.2e}"
+        ))
     dk = EX.dk_law()
     ex2 = EX.moment_recursion([0.5, 1.0 / 3.0], 1.0).ex[1]
     quad2 = EX.law_raw_moment(dk, 2)
@@ -213,11 +221,11 @@ def _exp_moments(cfg: ExperimentConfig):
     err_q = abs(ex2 - quad2)
     good = err < 1e-12 and err_q < 1e-6
     rows.append(("Uniform01", 1.0, "EX2_vs_density_quadrature", 2, err_q, 1e-6, good))
-    lines.append(
-        f"  [{'pass' if good else 'FAIL'}] Uniform01 t=1: E(X^2) = {ex2!r} vs 7/24 "
-        f"(err {err:.2e}), vs density quadrature (err {err_q:.2e})"
-    )
-    ok &= good
+    checks.append(Check(
+        good,
+        f"Uniform01 t=1: E(X^2) = {ex2!r} vs 7/24 (err {err:.2e}), "
+        f"vs density quadrature (err {err_q:.2e})",
+    ))
     for mi, (measure, sig2) in enumerate(
         [(bern, 0.25), (Uniform01(), 1.0 / 12.0)]
     ):
@@ -233,13 +241,11 @@ def _exp_moments(cfg: ExperimentConfig):
             z = (v - target) / se
             good = abs(z) < 3.0
             rows.append((describe(measure), t, "variance_vs_mc", 2, v, target, good))
-            lines.append(
-                f"  [{'pass' if good else 'FAIL'}] {describe(measure)} t={t:g}: "
-                f"var {v:.5g} vs {target:.5g} (z={z:+.2f})"
-            )
-            ok &= good
+            checks.append(Check(
+                good, f"{describe(measure)} t={t:g}: var {v:.5g} vs {target:.5g} (z={z:+.2f})"
+            ))
     header = ("measure", "t", "check", "order", "value", "reference", "passed")
-    return header, rows, lines, ok
+    return header, rows, checks
 
 
 def _exp_cr_identity(cfg: ExperimentConfig):
@@ -250,49 +256,38 @@ def _exp_cr_identity(cfg: ExperimentConfig):
         else [bernoulli(0.5), Beta(0.5, 0.5), Cauchy1D(0.0, 1.0)]
     )
     ts = _grid(cfg, (1.0, 2.0))
-    s_values = (-2.0, -0.7, 0.7, 1.0, 3.0)
-    z_values = (2j, 1.0 + 1.0j, 0.5 + 0.8j)
+    # Fourier points s, then Stieltjes points z; each point has its own substream
+    points = [{"s": s} for s in (-2.0, -0.7, 0.7, 1.0, 3.0)] + [
+        {"z": z} for z in (2j, 1.0 + 1.0j, 0.5 + 0.8j)
+    ]
     rng = RngStream(cfg.seed)
-    rows, lines, ok = [], [], True
+    rows, checks = [], []
     idx = 0
     for measure in measures:
+        n_bad = 0
         for t in ts:
-            for s in s_values:
+            for point in points:
                 r = TR.cr_identity_residual(
-                    measure, t, cfg.n, rng.substream(idx).generator(), s=s,
-                    policy=cfg.policy,
+                    measure, t, cfg.n, rng.substream(idx).generator(),
+                    policy=cfg.policy, **point,
                 )
                 idx += 1
                 good = r.compatible_with_zero()
+                n_bad += not good
                 rows.append(
                     (describe(measure), r.form, t, r.point.real, r.point.imag,
                      r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag,
                      r.residual, r.mc_se, good)
                 )
-                ok &= good
-            for z in z_values:
-                r = TR.cr_identity_residual(
-                    measure, t, cfg.n, rng.substream(idx).generator(), z=z,
-                    policy=cfg.policy,
-                )
-                idx += 1
-                good = r.compatible_with_zero()
-                rows.append(
-                    (describe(measure), r.form, t, r.point.real, r.point.imag,
-                     r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag,
-                     r.residual, r.mc_se, good)
-                )
-                ok &= good
-        n_bad = sum(1 for row in rows if row[0] == describe(measure) and not row[-1])
-        lines.append(
-            f"  [{'pass' if n_bad == 0 else 'FAIL'}] {describe(measure)}: "
-            f"{len(ts) * (len(s_values) + len(z_values))} points, {n_bad} outside 3 mc se"
-        )
+        checks.append(Check(
+            n_bad == 0,
+            f"{describe(measure)}: {len(ts) * len(points)} points, {n_bad} outside 3 mc se",
+        ))
     header = (
         "measure", "form", "t", "point_re", "point_im", "lhs_re", "lhs_im",
         "rhs_re", "rhs_im", "residual", "mc_se", "passed",
     )
-    return header, rows, lines, ok
+    return header, rows, checks
 
 
 # the one arcsine point whose true residual sits below 0.01; see tests
@@ -303,7 +298,7 @@ _NON_CAUCHY_FLOORS = {
 
 def _exp_ode_residual(cfg: ExperimentConfig):
     """Cauchy base measures satisfy the derivative identities; others do not."""
-    rows, lines, ok = [], [], True
+    rows, checks = [], []
     gen = RngStream(cfg.seed).generator()
     cau = Cauchy1D(0.7, 1.3)
     worst = 0.0
@@ -313,73 +308,56 @@ def _exp_ode_residual(cfg: ExperimentConfig):
             res = abs(TR.ode_residual(cau, n, z))
             worst = max(worst, res)
             rows.append((describe(cau), "ode", n, 0, z.real, z.imag, res, 1e-10, "below", res <= 1e-10))
-            ok &= res <= 1e-10
         for n, m in ((1, 2), (2, 3), (3, 5)):
             res = abs(TR.power_identity_residual(cau, n, m, z))
             worst = max(worst, res)
             rows.append((describe(cau), "power", n, m, z.real, z.imag, res, 1e-10, "below", res <= 1e-10))
-            ok &= res <= 1e-10
-    lines.append(
-        f"  [{'pass' if worst <= 1e-10 else 'FAIL'}] Cauchy: worst |residual| "
-        f"{worst:.2e} over 5 z, orders to 5, powers to (3,5)"
-    )
+    checks.append(Check(
+        worst <= 1e-10,
+        f"Cauchy: worst |residual| {worst:.2e} over 5 z, orders to 5, powers to (3,5)",
+    ))
     for measure in (Beta(0.5, 0.5), bernoulli(0.5)):
         for z in (1j, 2j):
             floor = _NON_CAUCHY_FLOORS.get((describe(measure), z), 0.01)
             res = abs(TR.ode_residual(measure, 1, z))
             good = res > floor
             rows.append((describe(measure), "ode", 1, 0, z.real, z.imag, res, floor, "above", good))
-            lines.append(
-                f"  [{'pass' if good else 'FAIL'}] {describe(measure)} z={z}: "
-                f"|residual| {res:.4f} > {floor:g}"
-            )
-            ok &= good
+            checks.append(Check(
+                good, f"{describe(measure)} z={z}: |residual| {res:.4f} > {floor:g}"
+            ))
     header = ("measure", "kind", "n", "m", "z_re", "z_im", "abs_residual", "bound", "direction", "passed")
-    return header, rows, lines, ok
+    return header, rows, checks
 
 
 def _exp_cauchy_invariance(cfg: ExperimentConfig):
     """Cauchy laws are fixed points of the curve; radial products commute."""
     rng = RngStream(cfg.seed)
-    rows, lines, ok = [], [], True
+    rows, checks = [], []
     for i, t in enumerate(_grid(cfg, (1.0, 10.0))):
         rep = CY.verify_yamato(t, cfg.n, rng.substream(i), level=cfg.level)
         rows.append(("fixed_point_standard", t, rep.statistic, rep.p_value, "pass", rep.passed))
-        lines.append(
-            f"  [{'pass' if rep.passed else 'FAIL'}] standard Cauchy t={t:g}: "
-            f"D={rep.statistic:.5f} p={rep.p_value:.4g}"
-        )
-        ok &= rep.passed
+        checks.append(Check(rep.passed, f"standard Cauchy t={t:g}: {_ks_text(rep)}"))
     shifted = Cauchy1D(1.0, 2.0)
     smp = SB.sample_dirichlet_mean(shifted, 1.0, cfg.n, cfg.policy, rng.substream(10))
     rep = ST.ks_one_sample(
         smp, lambda x: EX.cdf(EX.Cauchy1DLaw(shifted.w), x), level=cfg.level
     )
     rows.append(("fixed_point_shifted", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
-    lines.append(
-        f"  [{'pass' if rep.passed else 'FAIL'}] {describe(shifted)} t=1: "
-        f"D={rep.statistic:.5f} p={rep.p_value:.4g}"
-    )
-    ok &= rep.passed
+    checks.append(Check(rep.passed, f"{describe(shifted)} t=1: {_ks_text(rep)}"))
     for j, radial in enumerate((Uniform01(), Beta(2.0, 1.0))):
         rep = CY.verify_mult_invariance(radial, 1.0, cfg.n, rng.substream(20 + j), level=cfg.level)
         rows.append((f"radial_product[{describe(radial)}]", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
-        lines.append(
-            f"  [{'pass' if rep.passed else 'FAIL'}] radial {describe(radial)} x Cauchy: "
-            f"D={rep.statistic:.5f} p={rep.p_value:.4g}"
-        )
-        ok &= rep.passed
+        checks.append(Check(rep.passed, f"radial {describe(radial)} x Cauchy: {_ks_text(rep)}"))
     smp = SB.sample_dirichlet_mean(Uniform01(), 1.0, cfg.n, cfg.policy, rng.substream(30))
     rep = ST.ks_one_sample(smp, lambda x: CY.cauchy_cdf(x, 1j), level=cfg.level)
     flagged = not rep.passed
     rows.append(("non_cauchy_control", 1.0, rep.statistic, rep.p_value, "reject", flagged))
-    lines.append(
-        f"  [{'pass' if flagged else 'FAIL'}] control: Uniform01 mean draws rejected "
-        f"against Cauchy (D={rep.statistic:.5f})"
-    )
-    ok &= flagged
+    checks.append(Check(
+        flagged,
+        f"control: Uniform01 mean draws rejected against Cauchy (D={rep.statistic:.5f})",
+    ))
     header = ("check", "t", "ks_statistic", "p_value", "expected", "passed")
-    return header, rows, lines, ok
+    return header, rows, checks
 
 
 def _exp_trefoil(cfg: ExperimentConfig):
@@ -391,23 +369,20 @@ def _exp_trefoil(cfg: ExperimentConfig):
         (th, r, r * math.cos(th), r * math.sin(th))
         for th, r in zip(thetas, rvals)
     ]
-    lines, ok = [], True
     r0 = CY.trefoil_median(0.0)
     target = -(2.0 / math.pi) * math.log(2.0)
-    good = abs(r0 - target) <= 1e-12
-    lines.append(
-        f"  [{'pass' if good else 'FAIL'}] r(0) = {r0!r} vs -(2/pi)ln2 "
-        f"(err {abs(r0 - target):.2e})"
-    )
-    ok &= good
     per = np.max(np.abs(CY.trefoil_median(thetas + 2.0 * np.pi / 3.0) - rvals))
     even = np.max(np.abs(CY.trefoil_median(-thetas) - rvals))
-    good = per <= 1e-12 and even <= 1e-12
-    lines.append(
-        f"  [{'pass' if good else 'FAIL'}] 2pi/3 periodicity (err {per:.2e}) and "
-        f"evenness (err {even:.2e})"
-    )
-    ok &= good
+    checks = [
+        Check(
+            abs(r0 - target) <= 1e-12,
+            f"r(0) = {r0!r} vs -(2/pi)ln2 (err {abs(r0 - target):.2e})",
+        ),
+        Check(
+            per <= 1e-12 and even <= 1e-12,
+            f"2pi/3 periodicity (err {per:.2e}) and evenness (err {even:.2e})",
+        ),
+    ]
     gen = RngStream(cfg.seed).generator()
     x = CY.draw_spectral_cauchy(spec, cfg.n, gen)
     for f in (np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.array([0.0, 1.0])):
@@ -419,12 +394,10 @@ def _exp_trefoil(cfg: ExperimentConfig):
                 (np.var(np.cos(r * proj)) + np.var(np.sin(r * proj))) / len(proj)
             )
             diff = abs(ecf - np.exp(1j * r * wf))
-            good = diff <= 3.0 * se
-            lines.append(
-                f"  [{'pass' if good else 'FAIL'}] ECF f=({f[0]:g},{f[1]:g}) r={r:g}: "
-                f"|diff| {diff:.5f} <= 3 se {3 * se:.5f}"
-            )
-            ok &= good
+            checks.append(Check(
+                diff <= 3.0 * se,
+                f"ECF f=({f[0]:g},{f[1]:g}) r={r:g}: |diff| {diff:.5f} <= 3 se {3 * se:.5f}",
+            ))
     med_n = max(cfg.n, 4 * 10**5)
     xm = CY.draw_spectral_cauchy(spec, med_n, gen)
     grid8 = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
@@ -433,50 +406,47 @@ def _exp_trefoil(cfg: ExperimentConfig):
         f = np.array([math.cos(th), math.sin(th)])
         med = float(np.median(xm @ f))
         worst = max(worst, abs(med - CY.trefoil_median(th)))
-    good = worst <= 0.02
-    lines.append(
-        f"  [{'pass' if good else 'FAIL'}] empirical medians on 8 angles "
-        f"(n={med_n}): worst |err| {worst:.4f} <= 0.02"
-    )
-    ok &= good
+    checks.append(Check(
+        worst <= 0.02,
+        f"empirical medians on 8 angles (n={med_n}): worst |err| {worst:.4f} <= 0.02",
+    ))
     header = ("theta", "r", "x", "y")
-    return header, rows, lines, ok
+    return header, rows, checks
 
 
 def _exp_beta_identity(cfg: ExperimentConfig):
     """Mixing a symmetric beta toward a lower-parameter one preserves the law."""
     rng = RngStream(cfg.seed)
-    rows, lines, ok = [], [], True
+    rows, checks = [], []
     for i, (a, b) in enumerate(((0.5, 1.5), (1.0, 2.0))):
         rep = ST.beta_identity_check(a, b, cfg.n, rng.substream(i), level=cfg.level)
         m2_mix, m2_target = ST.beta_identity_second_moments(a, b)
         rows.append((a, b, 2 * a, b - a, rep.statistic, rep.p_value, m2_mix, m2_target, "pass", rep.passed))
-        lines.append(
-            f"  [{'pass' if rep.passed else 'FAIL'}] (a,b)=({a:g},{b:g}) "
-            f"U~beta({2*a:g},{b-a:g}): D={rep.statistic:.5f} p={rep.p_value:.4g}; "
-            f"mixture second moment {m2_mix!r} = {m2_target!r}"
-        )
-        ok &= rep.passed
+        checks.append(Check(
+            rep.passed,
+            f"(a,b)=({a:g},{b:g}) U~beta({2*a:g},{b-a:g}): {_ks_text(rep)}; "
+            f"mixture second moment {m2_mix!r} = {m2_target!r}",
+        ))
     a, b = 0.5, 1.5
     bad_u = (a, b - a)
     rep = ST.beta_identity_check(a, b, cfg.n, rng.substream(9), u_params=bad_u, level=cfg.level)
     m2_bad, m2_target = ST.beta_identity_second_moments(a, b, u_params=bad_u)
     flagged = (not rep.passed) and abs(m2_bad - m2_target) > 1e-6
     rows.append((a, b, bad_u[0], bad_u[1], rep.statistic, rep.p_value, m2_bad, m2_target, "reject", flagged))
-    lines.append(
-        f"  [{'pass' if flagged else 'FAIL'}] control U~beta({bad_u[0]:g},{bad_u[1]:g}): "
-        f"rejected (D={rep.statistic:.5f}, p={rep.p_value:.4g}); second moment "
-        f"{m2_bad!r} vs {m2_target!r}"
-    )
-    ok &= flagged
+    checks.append(Check(
+        flagged,
+        f"control U~beta({bad_u[0]:g},{bad_u[1]:g}): rejected "
+        f"(D={rep.statistic:.5f}, p={rep.p_value:.4g}); second moment "
+        f"{m2_bad!r} vs {m2_target!r}",
+    ))
     header = ("a", "b", "u_a", "u_b", "ks_statistic", "p_value", "m2_mixture", "m2_target", "expected", "passed")
-    return header, rows, lines, ok
+    return header, rows, checks
 
 
 def _exp_limits(cfg: ExperimentConfig):
     """The curve runs from the base measure (t -> 0) to its mean point mass."""
     rng = RngStream(cfg.seed)
-    rows, lines, ok = [], [], True
+    rows, checks = [], []
     small_t = min(_grid(cfg, (0.01,)))
     for i, (measure, cdf_fn) in enumerate(
         (
@@ -487,11 +457,9 @@ def _exp_limits(cfg: ExperimentConfig):
         smp = SB.sample_dirichlet_mean(measure, small_t, cfg.n, cfg.policy, rng.substream(i))
         rep = ST.ks_one_sample(smp, cdf_fn, level=cfg.level)
         rows.append((describe(measure), small_t, "ks_vs_base", rep.statistic, rep.p_value, rep.passed))
-        lines.append(
-            f"  [{'pass' if rep.passed else 'FAIL'}] {describe(measure)} t={small_t:g}: "
-            f"KS vs base measure D={rep.statistic:.5f} p={rep.p_value:.4g}"
-        )
-        ok &= rep.passed
+        checks.append(Check(
+            rep.passed, f"{describe(measure)} t={small_t:g}: KS vs base measure {_ks_text(rep)}"
+        ))
     big_t = 1000.0
     n_var = min(cfg.n, 3 * 10**4)
     coarse = SB.TruncationPolicy.tail(1e-6)
@@ -501,13 +469,11 @@ def _exp_limits(cfg: ExperimentConfig):
         bound = 2.0 * sig2 / big_t
         good = v < bound
         rows.append((describe(measure), big_t, "variance_collapse", v, bound, good))
-        lines.append(
-            f"  [{'pass' if good else 'FAIL'}] {describe(measure)} t={big_t:g}: "
-            f"var {v:.3e} < {bound:.3e} (n={n_var})"
-        )
-        ok &= good
+        checks.append(Check(
+            good, f"{describe(measure)} t={big_t:g}: var {v:.3e} < {bound:.3e} (n={n_var})"
+        ))
     header = ("measure", "t", "check", "statistic", "reference", "passed")
-    return header, rows, lines, ok
+    return header, rows, checks
 
 
 def _exp_james(cfg: ExperimentConfig):
@@ -515,7 +481,7 @@ def _exp_james(cfg: ExperimentConfig):
     rng = RngStream(cfg.seed)
     arc = Beta(0.5, 0.5)
     bern = bernoulli(0.5)
-    rows, lines, ok = [], [], True
+    rows, checks = [], []
     cases = [
         ("bernoulli(1/2)@1 + bernoulli(1/2)@1", [(1.0, bern), (1.0, bern)],
          EX.BetaLaw(1.0, 1.0)),
@@ -527,22 +493,14 @@ def _exp_james(cfg: ExperimentConfig):
         smp = SB.sample_james_aggregation(parts, cfg.n, rng.substream(i), policy=cfg.policy)
         rep = ST.ks_one_sample(smp, lambda x: EX.cdf(law, x), level=cfg.level)
         rows.append((label, "one_sample", cfg.n, rep.statistic, rep.p_value, rep.passed))
-        lines.append(
-            f"  [{'pass' if rep.passed else 'FAIL'}] {label}: D={rep.statistic:.5f} "
-            f"p={rep.p_value:.4g}"
-        )
-        ok &= rep.passed
+        checks.append(Check(rep.passed, f"{label}: {_ks_text(rep)}"))
     s1 = SB.sample_james_aggregation([(0.5, arc), (1.5, arc)], cfg.n, rng.substream(10), policy=cfg.policy)
     s2 = SB.sample_dirichlet_mean(arc, 2.0, cfg.n, cfg.policy, rng.substream(11))
     rep = ST.ks_two_sample(s1, s2, level=cfg.level)
     rows.append(("arcsine@0.5 + arcsine@1.5 vs direct @2", "two_sample", cfg.n, rep.statistic, rep.p_value, rep.passed))
-    lines.append(
-        f"  [{'pass' if rep.passed else 'FAIL'}] uneven split vs direct draw: "
-        f"D={rep.statistic:.5f} p={rep.p_value:.4g}"
-    )
-    ok &= rep.passed
+    checks.append(Check(rep.passed, f"uneven split vs direct draw: {_ks_text(rep)}"))
     header = ("aggregation", "test", "n", "ks_statistic", "p_value", "passed")
-    return header, rows, lines, ok
+    return header, rows, checks
 
 
 EXPERIMENTS = {
@@ -608,36 +566,28 @@ def list_experiments() -> str:
 def run(cfg: ExperimentConfig) -> int:
     """Run one experiment: write its CSV, print the summary, return exit status."""
     func, _ = EXPERIMENTS[cfg.experiment]
-    header, rows, lines, ok = func(cfg)
+    header, rows, checks = func(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg.experiment}.csv"
     _write_csv(path, header, rows)
     print(f"experiment {cfg.experiment} (seed={cfg.seed}, n={cfg.n})")
-    for line in lines:
-        print(line)
+    for check in checks:
+        print(f"  [{'pass' if check.passed else 'FAIL'}] {check.text}")
     print(f"wrote {path}")
+    ok = all(check.passed for check in checks)
     print(f"{cfg.experiment}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 def _parse_config_file(path: str) -> dict:
-    values: dict = {}
-    measure_lines = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line (want key=value): {line!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key.startswith("measure."):
-            measure_lines.append(f"{key[len('measure.'):]}={val}")
-        else:
-            values[key] = val
-    if measure_lines:
-        values["measure"] = parse_measure_config("\n".join(measure_lines))
+    """Config file values; `measure.<key>` pairs and all rows build the measure."""
+    pairs, rows = split_config(Path(path).read_text())
+    prefix = "measure."
+    values = {k: v for k, v in pairs.items() if not k.startswith(prefix)}
+    measure = {k[len(prefix):]: v for k, v in pairs.items() if k.startswith(prefix)}
+    if measure or rows:
+        values["measure"] = measure_from_config(measure, rows)
     return values
 
 
@@ -662,7 +612,7 @@ def _build_config(args) -> ExperimentConfig:
     mode = raw.get("policy.mode")
     if mode == "fixed_N":
         policy = SB.TruncationPolicy.fixed(
-            int(raw["policy.N"]),
+            int(raw["policy.n"]),
             raw.get("policy.tail_handling", "absorb_into_fresh_atom"),
         )
     elif mode == "tail_epsilon":

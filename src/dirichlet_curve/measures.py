@@ -56,6 +56,8 @@ __all__ = [
     "mean_of",
     "raw_moments",
     "parse_measure_config",
+    "split_config",
+    "measure_from_config",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -186,7 +188,7 @@ class GoverningMeasure(_Integrable):
 
     @classmethod
     def from_config(cls, pairs: dict, rows: list) -> "GoverningMeasure":
-        """Build from the key=value pairs and CSV rows of a measure config."""
+        """Build from the key=value pairs and (prefix, values) rows of a config."""
         return cls()
 
     def raw_moments(self, n_max: int) -> np.ndarray:
@@ -226,7 +228,7 @@ class DiscreteAtoms(GoverningMeasure):
             raise ValueError("atom weights must be positive")
         total = w.sum()
         if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"atom weights sum to {total!r}, not 1")
+            raise ValueError(f"atom weights sum to {float(total)!r}, not 1")
         # tolerate text-file round-off, reject anything larger
         w = w / total
         object.__setattr__(self, "points", pts)
@@ -238,9 +240,7 @@ class DiscreteAtoms(GoverningMeasure):
 
     @classmethod
     def from_config(cls, pairs, rows):
-        if not rows:
-            raise ValueError("discrete_atoms needs CSV atom rows x1,...,xd,weight")
-        arr = np.asarray(rows, dtype=float)
+        arr = _atom_rows(rows, "discrete_atoms needs CSV atom rows x1,...,xd,weight")
         return cls(points=arr[:, :-1], weights=arr[:, -1])
 
     def describe(self) -> str:
@@ -508,9 +508,7 @@ class CauchyRd(GoverningMeasure):
     def from_config(cls, pairs, rows):
         from .cauchy import SpectralCauchy
 
-        if not rows:
-            raise ValueError("cauchy_rd needs CSV atom rows s1,...,sd,lambda")
-        arr = np.asarray(rows, dtype=float)
+        arr = _atom_rows(rows, "cauchy_rd needs CSV atom rows s1,...,sd,lambda")
         d = arr.shape[1] - 1
         shift = np.zeros(d)
         if "shift" in pairs:
@@ -553,11 +551,22 @@ class ScaledProduct(GoverningMeasure):
 
     @classmethod
     def from_config(cls, pairs, rows):
-        def factor(prefix):
-            sub = {k[len(prefix):]: v for k, v in pairs.items() if k.startswith(prefix)}
-            return _measure_from_pairs(sub, rows)
+        # keys `radial.<key>` and rows `radial: <row>` go to the radial factor,
+        # likewise for direction; rows without a prefix go to both factors
+        stray = {label.partition(":")[0] for label, _ in rows} - {"", "radial", "direction"}
+        if stray:
+            raise ValueError(f"row prefix {min(stray)!r} is neither radial nor direction")
 
-        return cls(factor("radial."), factor("direction."))
+        def factor(name):
+            sub = {k[len(name) + 1:]: v for k, v in pairs.items() if k.startswith(name + ".")}
+            own = [
+                (label.partition(":")[2], values)
+                for label, values in rows
+                if label.partition(":")[0] in ("", name)
+            ]
+            return measure_from_config(sub, own)
+
+        return cls(factor("radial"), factor("direction"))
 
     def describe(self) -> str:
         return f"ScaledProduct({self.radial.describe()}, {self.direction.describe()})"
@@ -636,6 +645,32 @@ def raw_moments(measure: GoverningMeasure, n_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def split_config(text: str) -> tuple[dict, list]:
+    """Split config text into key=value pairs and (prefix, values) CSV rows.
+
+    `#` starts a comment anywhere on a line, and keys are lower-cased. A line
+    without `=` is a row of numbers; a `name:` prefix, as in `radial: 0, 0.5`,
+    addresses one factor of a scaled_product, and the prefix is "" without one.
+    """
+    pairs: dict[str, str] = {}
+    rows: list[tuple[str, list[float]]] = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" in line:
+            key, val = line.split("=", 1)
+            pairs[key.strip().lower()] = val.strip()
+        else:
+            label, _, body = line.rpartition(":")
+            try:
+                values = [float(tok) for tok in body.split(",")]
+            except ValueError:
+                raise ValueError(f"bad config line (want key=value or numbers): {line!r}") from None
+            rows.append(("".join(label.split()).lower(), values))
+    return pairs, rows
+
+
 def parse_measure_config(text: str) -> GoverningMeasure:
     """Build a measure from key=value lines; atoms as CSV rows x1,...,xd,weight.
 
@@ -645,18 +680,17 @@ def parse_measure_config(text: str) -> GoverningMeasure:
         0, 0.5
         1, 0.5
     """
-    pairs: dict[str, str] = {}
-    rows: list[list[float]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line:
-            key, val = line.split("=", 1)
-            pairs[key.strip().lower()] = val.strip()
-        else:
-            rows.append([float(tok) for tok in line.split(",")])
-    return _measure_from_pairs(pairs, rows)
+    return measure_from_config(*split_config(text))
+
+
+def _atom_rows(rows: list, needs: str) -> np.ndarray:
+    """The rows of a family that takes atom rows, as one array."""
+    if not rows:
+        raise ValueError(needs)
+    for label, _ in rows:
+        if label:
+            raise ValueError(f"row prefix {label!r} outside a scaled_product")
+    return np.asarray([values for _, values in rows], dtype=float)
 
 
 # the config spelling of each family, and how to build it from (pairs, rows)
@@ -673,11 +707,16 @@ _CONFIG_FAMILIES = {
 }
 
 
-def _measure_from_pairs(pairs: dict, rows: list) -> GoverningMeasure:
+def measure_from_config(pairs: dict, rows: list) -> GoverningMeasure:
+    """Build a measure from the (pairs, rows) that split_config returns."""
     family = pairs.get("family")
     if family is None:
         raise ValueError("measure config needs a 'family' key")
-    build = _CONFIG_FAMILIES.get(family.lower())
+    family = family.lower()
+    build = _CONFIG_FAMILIES.get(family)
     if build is None:
-        raise ValueError(f"unknown measure family {family.lower()!r}")
-    return build(pairs, rows)
+        raise ValueError(f"unknown measure family {family!r}")
+    try:
+        return build(pairs, rows)
+    except KeyError as exc:
+        raise ValueError(f"{family} measure config needs the key {exc.args[0]!r}") from None

@@ -258,7 +258,13 @@ def default_fixed_point_depth(t: float, tol: float = 1e-12) -> int:
 def fixed_point_draws(
     measure: GoverningMeasure, t: float, n: int, depth: int, gen: Generator
 ) -> np.ndarray:
-    """Iterate x -> (1-Y)x + YB from 0, vectorized over n chains."""
+    """Iterate x -> (1-Y)x + YB from 0, vectorized over n chains.
+
+    `depth` steps from 0 give the fixed-N stick series with N = depth, in
+    reversed order (the last step's draw carries the first stick), with the
+    tail mass put at the origin. It is kept as the naive, independent reference
+    that the sampler cross-validation checks stick breaking against.
+    """
     if t <= 0:
         raise ValueError("t must be positive")
     if depth < 1:

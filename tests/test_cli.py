@@ -1,3 +1,7 @@
+import csv
+
+import pytest
+
 from dirichlet_curve.cli import EXPERIMENTS, list_experiments, main
 
 
@@ -129,3 +133,54 @@ def test_unknown_tail_handling_is_config_error(tmp_path, capsys):
     lines = "policy.mode = tail_epsilon\npolicy.tail_handling = bogus\n"
     assert _run_config(tmp_path, lines) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_config_file_takes_measure_rows(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        "experiment = convex-order\nseed = 3\nn = 2000\n"
+        "measure.family = discrete_atoms  # atom rows follow\n"
+        "0, 0.5\n"
+        "1, 0.5\n"
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "family, keys, missing",
+    [("beta", {"a": 0.5}, "b"), ("bernoulli", {}, "p"), ("beta_prime", {"b": 1.5}, "a")],
+)
+def test_missing_measure_key_is_named(tmp_path, capsys, family, keys, missing):
+    lines = f"measure.family = {family}\n" + "".join(
+        f"measure.{k} = {v}\n" for k, v in keys.items()
+    )
+    assert _run_config(tmp_path, lines) == 2
+    err = capsys.readouterr().err
+    assert family in err and f"'{missing}'" in err
+
+
+# (experiment, number of verdict lines at the default grids)
+_VERDICTS = [
+    ("curve-ks", 10), ("convex-order", 4), ("moments", 16), ("cr-identity", 3),
+    ("ode-residual", 5), ("cauchy-invariance", 6), ("trefoil", 12),
+    ("beta-identity", 3), ("limits", 4), ("james", 4),
+]
+
+
+def test_verdict_counts_cover_every_experiment():
+    assert [name for name, _ in _VERDICTS] == list(EXPERIMENTS)
+    assert sum(count for _, count in _VERDICTS) == 67
+
+
+@pytest.mark.parametrize("experiment, n_verdicts", _VERDICTS)
+def test_verdict_contract(tmp_path, capsys, experiment, n_verdicts):
+    code = main(["run", experiment, "--seed", "1", "--n", "20", "--out", str(tmp_path)])
+    out = capsys.readouterr().out.splitlines()
+    verdicts = [ln for ln in out if ln.startswith(("  [pass] ", "  [FAIL] "))]
+    assert len(verdicts) == n_verdicts
+    failed = any(ln.startswith("  [FAIL] ") for ln in verdicts)
+    assert code == (1 if failed else 0)
+    assert out[-1] == f"{experiment}: {'FAIL' if failed else 'PASS'}"
+    with open(tmp_path / f"{experiment}.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows and all(len(row) == len(header) for row in rows)

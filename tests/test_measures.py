@@ -213,3 +213,33 @@ def test_every_family_round_trips_through_config(text, cls, params, description)
         else:
             assert value == expected
     assert describe(m) == description
+
+
+def test_scaled_product_rows_go_to_the_prefixed_factor():
+    m = parse_measure_config(
+        "family = scaled_product\n"
+        "radial.family = discrete_atoms\n"
+        "direction.family = cauchy_rd\n"
+        "radial: 1, 0.5\n"
+        "radial: 2, 0.5\n"
+        "direction: 1, 0, 1\n"
+        "direction: -1, 0, 1\n"
+    )
+    assert type(m) is ScaledProduct and m.dimension == 2
+    assert np.array_equal(m.radial.points, [[1.0], [2.0]])
+    assert np.array_equal(m.direction.spectral.directions, [[1.0, 0.0], [-1.0, 0.0]])
+
+
+def test_row_prefix_errors():
+    with pytest.raises(ValueError, match="'radial' outside a scaled_product"):
+        parse_measure_config("family=discrete_atoms\nradial: 0, 1")
+    with pytest.raises(ValueError, match="'radail' is neither"):
+        parse_measure_config(
+            "family=scaled_product\nradial.family=uniform01\n"
+            "direction.family=uniform01\nradail: 1, 1"
+        )
+
+
+def test_atom_weight_message_prints_a_plain_float():
+    with pytest.raises(ValueError, match=r"atom weights sum to 2\.0, not 1"):
+        DiscreteAtoms(points=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))
