@@ -6,7 +6,8 @@ alpha and intensity t. Modules:
 
 * measures: governing measures alpha, their samplers and analytic summaries
 * stickbreak: three samplers for mu(t*alpha) and the aggregation identity
-* exact: closed-form laws on the curve, moment recursion, density formulas
+* exact: the laws on the curve that are not measure families, moment
+  recursion, density formulas
 * transforms: Stieltjes/log transforms and identity residuals
 * cauchy: d-dimensional Cauchy laws from spectral measures, invariance checks
 * stats: KS tests, hinge-based convex-order checks, moment inequalities
@@ -53,14 +54,10 @@ from .cauchy import (
     w_of,
 )
 from .exact import (
-    BetaLaw,
-    BetaPrimeLaw,
-    Cauchy1DLaw,
     DensityLaw,
     DirichletLaw,
-    ExactLaw,
+    Law,
     MomentTable,
-    PointMass,
     RadialCircleLaw,
     cdf,
     cr_density,

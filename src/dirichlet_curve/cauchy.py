@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .exact import Cauchy1DLaw, cdf
+from .exact import cdf
 from .measures import (
     Cauchy1D,
     EmpiricalSample,
@@ -36,7 +36,7 @@ from .measures import (
     describe,
     draw_measure,
 )
-from .stickbreak import TruncationPolicy, stick_mean_draws
+from .stickbreak import DEFAULT_POLICY, sample_dirichlet_mean, stick_mean_draws
 
 __all__ = [
     "SpectralCauchy",
@@ -185,7 +185,7 @@ def trefoil_median(theta) -> np.ndarray | float:
 
 def cauchy_cdf(x, w: complex) -> np.ndarray:
     """CDF of the Cauchy law with upper-half-plane parameter w = location + i*scale."""
-    return cdf(Cauchy1DLaw(w), x)
+    return cdf(Cauchy1D(w.real, w.imag), x)
 
 
 def verify_yamato(
@@ -194,12 +194,7 @@ def verify_yamato(
     """KS check that the Dirichlet mean of a standard Cauchy is standard Cauchy at every t."""
     from .stats import KSReport, ks_one_sample
 
-    policy = TruncationPolicy.tail(1e-12, "absorb_into_fresh_atom")
-    sample = EmpiricalSample(
-        dimension=1,
-        draws=stick_mean_draws(Cauchy1D(0.0, 1.0), t, n, policy, rng.generator()),
-        provenance={"measure": "Cauchy1D(0,1)", "t": repr(float(t)), "sampler": "stick_breaking"},
-    )
+    sample = sample_dirichlet_mean(Cauchy1D(0.0, 1.0), t, n, rng=rng)
     return ks_one_sample(sample, lambda x: cauchy_cdf(x, 1j), level=level)
 
 
@@ -217,11 +212,10 @@ def verify_mult_invariance(
     """
     from .stats import ks_two_sample
 
-    policy = TruncationPolicy.tail(1e-12, "absorb_into_fresh_atom")
     gen = rng.generator()
     scaled = ScaledProduct(radial=radial, direction=Cauchy1D(0.0, 1.0))
-    lhs = stick_mean_draws(scaled, t, n, policy, gen)
-    x = stick_mean_draws(radial, t, n, policy, gen)
+    lhs = stick_mean_draws(scaled, t, n, DEFAULT_POLICY, gen)
+    x = stick_mean_draws(radial, t, n, DEFAULT_POLICY, gen)
     c = gen.standard_cauchy(n)[:, None]
     lhs_sample = EmpiricalSample(1, lhs, {"measure": describe(scaled), "t": repr(float(t))})
     rhs_sample = EmpiricalSample(1, c * x, {"measure": f"Cauchy * mean[{describe(radial)}]"})

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .measures import (
     split_config,
 )
 
-__all__ = ["Check", "ExperimentConfig", "list_experiments", "run", "main"]
+__all__ = ["Check", "Experiment", "ExperimentConfig", "list_experiments", "run", "main"]
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,14 @@ class ExperimentConfig:
             raise ValueError("confidence must lie in (0.5, 1)")
         if any(t <= 0 for t in self.ts):
             raise ValueError("intensities must be positive")
+        reads = EXPERIMENTS[self.experiment]
+        if self.measure is not None and not reads.measure:
+            raise ValueError(f"experiment {self.experiment} does not read measure.* keys")
+        if reads.ts is not None and len(self.ts) > reads.ts:
+            raise ValueError(
+                f"experiment {self.experiment} reads {reads.ts} t value, not {len(self.ts)}"
+                if reads.ts else f"experiment {self.experiment} does not read t"
+            )
 
     @property
     def level(self) -> float:
@@ -205,7 +213,7 @@ def _exp_moments(cfg: ExperimentConfig):
     bern = bernoulli(0.5)
     for t in ts:
         table = EX.moment_recursion([0.5] * 6, t)
-        law = EX.BetaLaw(t / 2.0, t / 2.0)
+        law = Beta(t / 2.0, t / 2.0)
         err = max(
             abs(table.ex[k - 1] - EX.law_raw_moment(law, k)) for k in range(1, 7)
         )
@@ -339,9 +347,7 @@ def _exp_cauchy_invariance(cfg: ExperimentConfig):
         checks.append(Check(rep.passed, f"standard Cauchy t={t:g}: {_ks_text(rep)}"))
     shifted = Cauchy1D(1.0, 2.0)
     smp = SB.sample_dirichlet_mean(shifted, 1.0, cfg.n, cfg.policy, rng.substream(10))
-    rep = ST.ks_one_sample(
-        smp, lambda x: EX.cdf(EX.Cauchy1DLaw(shifted.w), x), level=cfg.level
-    )
+    rep = ST.ks_one_sample(smp, lambda x: EX.cdf(shifted, x), level=cfg.level)
     rows.append(("fixed_point_shifted", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
     checks.append(Check(rep.passed, f"{describe(shifted)} t=1: {_ks_text(rep)}"))
     for j, radial in enumerate((Uniform01(), Beta(2.0, 1.0))):
@@ -447,15 +453,11 @@ def _exp_limits(cfg: ExperimentConfig):
     """The curve runs from the base measure (t -> 0) to its mean point mass."""
     rng = RngStream(cfg.seed)
     rows, checks = [], []
-    small_t = min(_grid(cfg, (0.01,)))
-    for i, (measure, cdf_fn) in enumerate(
-        (
-            (Uniform01(), lambda x: np.clip(x, 0.0, 1.0)),
-            (Beta(0.5, 0.5), lambda x: EX.cdf(EX.BetaLaw(0.5, 0.5), x)),
-        )
-    ):
+    (small_t,) = _grid(cfg, (0.01,))
+    # the t -> 0 end of the curve is the base measure itself
+    for i, measure in enumerate((Uniform01(), Beta(0.5, 0.5))):
         smp = SB.sample_dirichlet_mean(measure, small_t, cfg.n, cfg.policy, rng.substream(i))
-        rep = ST.ks_one_sample(smp, cdf_fn, level=cfg.level)
+        rep = ST.ks_one_sample(smp, lambda x: EX.cdf(measure, x), level=cfg.level)
         rows.append((describe(measure), small_t, "ks_vs_base", rep.statistic, rep.p_value, rep.passed))
         checks.append(Check(
             rep.passed, f"{describe(measure)} t={small_t:g}: KS vs base measure {_ks_text(rep)}"
@@ -483,11 +485,9 @@ def _exp_james(cfg: ExperimentConfig):
     bern = bernoulli(0.5)
     rows, checks = [], []
     cases = [
-        ("bernoulli(1/2)@1 + bernoulli(1/2)@1", [(1.0, bern), (1.0, bern)],
-         EX.BetaLaw(1.0, 1.0)),
-        ("bernoulli(1/2)@2 + bernoulli(1/2)@2", [(2.0, bern), (2.0, bern)],
-         EX.BetaLaw(2.0, 2.0)),
-        ("arcsine@1 + arcsine@1", [(1.0, arc), (1.0, arc)], EX.BetaLaw(2.5, 2.5)),
+        ("bernoulli(1/2)@1 + bernoulli(1/2)@1", [(1.0, bern), (1.0, bern)], Beta(1.0, 1.0)),
+        ("bernoulli(1/2)@2 + bernoulli(1/2)@2", [(2.0, bern), (2.0, bern)], Beta(2.0, 2.0)),
+        ("arcsine@1 + arcsine@1", [(1.0, arc), (1.0, arc)], Beta(2.5, 2.5)),
     ]
     for i, (label, parts, law) in enumerate(cases):
         smp = SB.sample_james_aggregation(parts, cfg.n, rng.substream(i), policy=cfg.policy)
@@ -503,53 +503,71 @@ def _exp_james(cfg: ExperimentConfig):
     return header, rows, checks
 
 
+class Experiment(NamedTuple):
+    """An experiment and what it reads of a config besides seed, n, policy, out
+    and confidence: `measure`, whether it reads measure.*; `ts`, how many t
+    values it reads (None for a whole grid). A config that sets what the
+    experiment does not read is an error, not silently dropped."""
+
+    run: Callable
+    description: str
+    measure: bool = False
+    ts: Optional[int] = 0
+
+
 EXPERIMENTS = {
-    "curve-ks": (
+    "curve-ks": Experiment(
         _exp_curve_ks,
         "stick-breaking draws of the mean match its closed-form laws "
         "(beta, symmetric beta, beta prime, radial circle)",
+        measure=True, ts=None,
     ),
-    "convex-order": (
+    "convex-order": Experiment(
         _exp_convex_order,
         "the curve decreases in convex order: hinge means fall as t grows "
         "and the base measure dominates every mean law",
+        measure=True, ts=None,
     ),
-    "moments": (
+    "moments": Experiment(
         _exp_moments,
         "the moment recursion reproduces analytic beta moments, density "
         "quadrature, and Monte Carlo variances",
+        ts=None,
     ),
-    "cr-identity": (
+    "cr-identity": Experiment(
         _exp_cr_identity,
         "E(1-isX)^(-t) and E(X-z)^(-t) over mean draws equal exponentials "
         "of base-measure log transforms",
+        measure=True, ts=None,
     ),
-    "ode-residual": (
+    "ode-residual": Experiment(
         _exp_ode_residual,
         "n y y^(n-1) = y^(n) and the Stieltjes power identity hold exactly "
         "for Cauchy base measures and fail for all others",
     ),
-    "cauchy-invariance": (
+    "cauchy-invariance": Experiment(
         _exp_cauchy_invariance,
         "Cauchy laws are fixed points of the curve at every intensity, "
         "including products with an independent radial factor",
+        ts=None,
     ),
-    "trefoil": (
+    "trefoil": Experiment(
         _exp_trefoil,
         "the median locus of the three-atom planar Cauchy example: closed "
         "curve, sampler characteristic function, empirical medians",
     ),
-    "beta-identity": (
+    "beta-identity": Experiment(
         _exp_beta_identity,
         "beta(b,b) equals in law the beta(2a,b-a) mixture of itself with "
         "an independent beta(a,a)",
     ),
-    "limits": (
+    "limits": Experiment(
         _exp_limits,
         "the curve interpolates from the base measure at t -> 0 to the "
         "point mass at its mean as t -> infinity",
+        ts=1,
     ),
-    "james": (
+    "james": Experiment(
         _exp_james,
         "Dirichlet-weighted aggregations of independent means reproduce "
         "the mean law of the summed intensities",
@@ -559,14 +577,13 @@ EXPERIMENTS = {
 
 def list_experiments() -> str:
     width = max(len(name) for name in EXPERIMENTS)
-    lines = [f"{name:<{width}}  {desc}" for name, (_, desc) in EXPERIMENTS.items()]
+    lines = [f"{name:<{width}}  {exp.description}" for name, exp in EXPERIMENTS.items()]
     return "\n".join(lines)
 
 
 def run(cfg: ExperimentConfig) -> int:
     """Run one experiment: write its CSV, print the summary, return exit status."""
-    func, _ = EXPERIMENTS[cfg.experiment]
-    header, rows, checks = func(cfg)
+    header, rows, checks = EXPERIMENTS[cfg.experiment].run(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg.experiment}.csv"
@@ -611,6 +628,8 @@ def _build_config(args) -> ExperimentConfig:
     policy = SB.DEFAULT_POLICY
     mode = raw.get("policy.mode")
     if mode == "fixed_N":
+        if "policy.n" not in raw:
+            raise ConfigError("policy.mode = fixed_N needs policy.N")
         policy = SB.TruncationPolicy.fixed(
             int(raw["policy.n"]),
             raw.get("policy.tail_handling", "absorb_into_fresh_atom"),

@@ -1,8 +1,17 @@
 """Closed-form laws of the Dirichlet mean, moment recursions, and density evaluation.
 
-For several governing measures the law of the Dirichlet mean is available in
-closed form (beta, beta prime, radial, Cauchy, point mass families).  This
-module houses those laws, the raw-moment recursion with its associated
+The curve t -> mu(t*alpha) maps a law to a law, and for several governing
+measures its value is known in closed form. Where that law is itself one of
+the measure families, the family is the law: `Beta(t + 1/2, t + 1/2)` for the
+arcsine base, `Beta(t*p, t*(1-p))` for Bernoulli(p), `BetaPrime(t + 1/2, 1/2)`
+for BetaPrime(1/2, 1/2), and the base itself for a one-dimensional Cauchy law
+(the fixed point of the curve) and for a point mass. The laws that are not
+measure families are defined here: `DirichletLaw`, `RadialCircleLaw` and
+`DensityLaw`. All of them derive from `Law`, whose `cdf`, `raw_moments` and
+`hinge_mean` each law overrides where it has them; `cdf`, `law_raw_moment`
+and `hinge_mean` below delegate to those methods.
+
+The module also holds the raw-moment recursion with its associated
 polynomials, and a quadrature evaluator for the density of the mean at unit
 intensity built from the sine/log-potential representation.
 """
@@ -11,21 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc, betaln
+from scipy.special import betaln
 
 __all__ = [
-    "BetaLaw",
-    "BetaPrimeLaw",
+    "Law",
     "DirichletLaw",
     "RadialCircleLaw",
     "DensityLaw",
-    "PointMass",
-    "Cauchy1DLaw",
-    "ExactLaw",
     "MomentTable",
     "dk_density",
     "dk_law",
@@ -40,32 +45,33 @@ __all__ = [
 ]
 
 
+class Law:
+    """A probability law; the measure families and the laws below derive from it.
+
+    The one-dimensional methods take array-like arguments and default to
+    raising ValueError; a law that has one overrides it. `upper_tail` follows
+    from `cdf`.
+    """
+
+    def cdf(self, x) -> np.ndarray:
+        """P(X <= x), vectorized in x."""
+        raise ValueError(f"no scalar distribution function for {type(self).__name__}")
+
+    def upper_tail(self, x: float) -> float:
+        """P(X > x)."""
+        return 1.0 - float(self.cdf(x))
+
+    def raw_moments(self, n_max: int) -> np.ndarray:
+        """E(X^k), k = 1..n_max."""
+        raise ValueError(f"no raw moments for {type(self).__name__}")
+
+    def hinge_mean(self, a) -> np.ndarray:
+        """E(X - a)_+, vectorized in the threshold a."""
+        raise ValueError(f"no hinge means for {type(self).__name__}")
+
+
 @dataclass(frozen=True)
-class BetaLaw:
-    """Beta distribution on [0, 1] with shape parameters a, b > 0."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("beta shape parameters must be positive")
-
-
-@dataclass(frozen=True)
-class BetaPrimeLaw:
-    """Beta prime distribution on [0, inf): X/(1+X) is beta(a, b)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("beta prime shape parameters must be positive")
-
-
-@dataclass(frozen=True)
-class DirichletLaw:
+class DirichletLaw(Law):
     """Dirichlet law on the simplex with concentration vector alphas."""
 
     alphas: tuple
@@ -78,7 +84,7 @@ class DirichletLaw:
 
 
 @dataclass(frozen=True)
-class RadialCircleLaw:
+class RadialCircleLaw(Law):
     """Law of X = R * Theta in the plane: R^2 ~ beta(1, t), Theta uniform on the circle.
 
     Only the squared radius has a scalar distribution function; cdf() below
@@ -91,30 +97,12 @@ class RadialCircleLaw:
         if not self.t > 0:
             raise ValueError("t must be positive")
 
-
-@dataclass(frozen=True)
-class PointMass:
-    """Degenerate law at a single point."""
-
-    point: np.ndarray
-
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.point, dtype=float))
-        object.__setattr__(self, "point", arr)
+    def cdf(self, x):
+        u = np.clip(x, 0.0, 1.0)
+        return 1.0 - (1.0 - u) ** self.t
 
 
-@dataclass(frozen=True)
-class Cauchy1DLaw:
-    """Cauchy law on the line, encoded by w = location + i * scale."""
-
-    w: complex
-
-    def __post_init__(self):
-        if not self.w.imag > 0:
-            raise ValueError("scale (imaginary part of w) must be positive")
-
-
-class DensityLaw:
+class DensityLaw(Law):
     """Law on an interval given by a density function.
 
     The density must integrate to 1 over the support within 1e-8; this is
@@ -146,24 +134,33 @@ class DensityLaw:
             self._grid = x
             self._cum = np.clip(cum / cum[-1], 0.0, 1.0)
 
-    def cdf_values(self, x) -> np.ndarray:
+    def cdf(self, x):
         self._ensure_grid()
         xq = np.clip(np.asarray(x, dtype=float), self.support[0], self.support[1])
         return np.interp(xq, self._grid, self._cum)
 
+    def raw_moments(self, n_max):
+        lo, hi = self.support
+        return np.array([
+            integrate.quad(lambda x: x**k * self.density(x), lo, hi, limit=200)[0]
+            for k in range(1, n_max + 1)
+        ])
+
+    def hinge_mean(self, a):
+        a = np.asarray(a, dtype=float)
+        lo, hi = self.support
+        out = np.empty(a.shape if a.shape else (1,))
+        flat = np.atleast_1d(a)
+        for i, ai in enumerate(flat):
+            start = min(max(ai, lo), hi)
+            val, _ = integrate.quad(
+                lambda x: (x - ai) * self.density(x), start, hi, limit=200
+            )
+            out.flat[i] = val
+        return out.reshape(a.shape) if a.shape else float(out[0])
+
     def __repr__(self):
         return f"DensityLaw(support={self.support})"
-
-
-ExactLaw = Union[
-    BetaLaw,
-    BetaPrimeLaw,
-    DirichletLaw,
-    RadialCircleLaw,
-    DensityLaw,
-    PointMass,
-    Cauchy1DLaw,
-]
 
 
 def dk_density(x) -> np.ndarray:
@@ -185,7 +182,7 @@ def dk_law() -> DensityLaw:
     return DensityLaw(dk_density, (0.0, 1.0))
 
 
-def curve_of(measure, t: float) -> Optional[ExactLaw]:
+def curve_of(measure, t: float) -> Optional[Law]:
     """Closed-form law of the Dirichlet mean at intensity t, when known.
 
     Returns None when no closed form is implemented for (measure, t); each
@@ -196,80 +193,30 @@ def curve_of(measure, t: float) -> Optional[ExactLaw]:
     return measure.curve_law(t)
 
 
-def cdf(law: ExactLaw, x) -> np.ndarray:
-    """Distribution function of a one-dimensional exact law, vectorized in x.
+def cdf(law: Law, x) -> np.ndarray:
+    """Distribution function of a one-dimensional law, vectorized in x.
 
     For RadialCircleLaw the argument is the squared radius ||X||^2.  Sampled
     values may overshoot a bounded support by float rounding, so bounded laws
     clip x into the support first.
     """
-    x = np.asarray(x, dtype=float)
-    if isinstance(law, BetaLaw):
-        return betainc(law.a, law.b, np.clip(x, 0.0, 1.0))
-    if isinstance(law, BetaPrimeLaw):
-        xp = np.clip(x, 0.0, None)
-        return betainc(law.a, law.b, xp / (1.0 + xp))
-    if isinstance(law, RadialCircleLaw):
-        u = np.clip(x, 0.0, 1.0)
-        return 1.0 - (1.0 - u) ** law.t
-    if isinstance(law, DensityLaw):
-        return law.cdf_values(x)
-    if isinstance(law, PointMass):
-        if law.point.size != 1:
-            raise ValueError("PointMass cdf is scalar only in one dimension")
-        return (x >= law.point[0]).astype(float)
-    if isinstance(law, Cauchy1DLaw):
-        return 0.5 + np.arctan((x - law.w.real) / law.w.imag) / np.pi
-    raise ValueError(f"no scalar distribution function for {type(law).__name__}")
+    return law.cdf(x)
 
 
-def law_raw_moment(law: ExactLaw, k: int) -> float:
-    """k-th raw moment of a one-dimensional exact law."""
+def law_raw_moment(law: Law, k: int) -> float:
+    """k-th raw moment of a one-dimensional law."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(law, BetaLaw):
-        j = np.arange(k)
-        return float(np.prod((law.a + j) / (law.a + law.b + j)))
-    if isinstance(law, BetaPrimeLaw):
-        if k >= law.b:
-            raise ValueError("moment of order k requires b > k")
-        return float(np.exp(betaln(law.a + k, law.b - k) - betaln(law.a, law.b)))
-    if isinstance(law, DensityLaw):
-        lo, hi = law.support
-        val, _ = integrate.quad(lambda x: x**k * law.density(x), lo, hi, limit=200)
-        return val
-    if isinstance(law, PointMass):
-        if law.point.size != 1:
-            raise ValueError("scalar moments need a one-dimensional point")
-        return float(law.point[0] ** k)
-    raise ValueError(f"no raw moments for {type(law).__name__}")
+    return float(law.raw_moments(k)[-1])
 
 
-def hinge_mean(law: ExactLaw, a) -> np.ndarray:
-    """E(X - a)_+ for a one-dimensional exact law, vectorized in the threshold a.
+def hinge_mean(law: Law, a) -> np.ndarray:
+    """E(X - a)_+ for a one-dimensional law, vectorized in the threshold a.
 
     Closed form for beta laws via the regularized incomplete beta function,
     quadrature for density laws.
     """
-    a = np.asarray(a, dtype=float)
-    if isinstance(law, BetaLaw):
-        m1 = law.a / (law.a + law.b)
-        aa = np.clip(a, 0.0, 1.0)
-        tail_x = 1.0 - betainc(law.a + 1.0, law.b, aa)
-        tail_1 = 1.0 - betainc(law.a, law.b, aa)
-        return m1 * tail_x - a * tail_1
-    if isinstance(law, DensityLaw):
-        lo, hi = law.support
-        out = np.empty(a.shape if a.shape else (1,))
-        flat = np.atleast_1d(a)
-        for i, ai in enumerate(flat):
-            start = min(max(ai, lo), hi)
-            val, _ = integrate.quad(
-                lambda x: (x - ai) * law.density(x), start, hi, limit=200
-            )
-            out.flat[i] = val
-        return out.reshape(a.shape) if a.shape else float(out[0])
-    raise ValueError(f"no hinge means for {type(law).__name__}")
+    return law.hinge_mean(a)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,16 @@ Each family is a frozen dataclass that carries its own behaviour: its config
 spelling (`from_config`), `describe`, `draw`, `mean`, `raw_moments`, its
 closed-form curve law (`curve_law`), and the hooks of the transforms and of
 the unit-intensity density (`integrate`, the Cauchy closed forms,
-`log_potential`, `upper_tail`). A family without a hook inherits the default
-of `GoverningMeasure`, which raises. `ScaledProduct` composes the methods of
+`log_potential`). A family without a hook inherits the default of
+`GoverningMeasure`, which raises. `ScaledProduct` composes the methods of
 its factors. The module functions (`draw_measure`, `describe`, `mean_of`,
 `raw_moments`, `parse_measure_config`, ...) delegate to these methods.
+
+A family is also a law on the curve: `GoverningMeasure` derives from
+`exact.Law`, and the one-dimensional families carry its `cdf` (and `Beta`
+its `hinge_mean`). So `curve_law` returns a family wherever the law of the
+mean is one, such as `Beta(t + 1/2, t + 1/2)` for the arcsine base and the
+base itself for `Cauchy1D`, the curve's fixed point.
 """
 
 from __future__ import annotations
@@ -25,16 +31,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import betainc
 
-from .exact import (
-    BetaLaw,
-    BetaPrimeLaw,
-    Cauchy1DLaw,
-    DirichletLaw,
-    PointMass,
-    RadialCircleLaw,
-    beta_log_potential,
-    dk_law,
-)
+from .exact import DirichletLaw, Law, RadialCircleLaw, beta_log_potential, dk_law
 
 __all__ = [
     "RngStream",
@@ -182,18 +179,15 @@ class EmpiricalSample(_Integrable):
 # ---------------------------------------------------------------------------
 
 
-class GoverningMeasure(_Integrable):
+class GoverningMeasure(_Integrable, Law):
     """Base of the eight families, which all define `dimension`, `describe()`,
-    `draw(n, gen)` and `mean()`; the optional hooks below default to raising."""
+    `draw(n, gen)` and `mean()`; the optional hooks below and those of `Law`
+    default to raising."""
 
     @classmethod
     def from_config(cls, pairs: dict, rows: list) -> "GoverningMeasure":
         """Build from the key=value pairs and (prefix, values) rows of a config."""
         return cls()
-
-    def raw_moments(self, n_max: int) -> np.ndarray:
-        """E(X^k), k = 1..n_max; the module function checks n_max and dimension."""
-        raise TypeError(f"unsupported measure for raw moments: {self!r}")
 
     def curve_law(self, t: float):
         """Closed-form law of the Dirichlet mean at intensity t, or None."""
@@ -202,10 +196,6 @@ class GoverningMeasure(_Integrable):
     def log_potential(self, x: float, tol: float) -> float:
         """-integral of log|x - w| alpha(dw), for one-dimensional alpha."""
         raise TypeError(f"no log potential for {type(self).__name__}")
-
-    def upper_tail(self, x: float) -> float:
-        """alpha((x, inf)) for one-dimensional alpha."""
-        raise TypeError(f"no tail function for {type(self).__name__}")
 
 
 @dataclass(frozen=True)
@@ -257,18 +247,27 @@ class DiscreteAtoms(GoverningMeasure):
     def mean(self):
         return self.weights @ self.points
 
+    def _line(self) -> np.ndarray:
+        """The atoms as points of the line; only for one-dimensional atoms."""
+        if self.dimension != 1:
+            raise ValueError("scalar distribution functions and moments need one-dimensional atoms")
+        return self.points[:, 0]
+
     def raw_moments(self, n_max):
-        x = self.points[:, 0]
+        x = self._line()
         return np.array([self.weights @ x**j for j in range(1, n_max + 1)])
+
+    def cdf(self, x):
+        return (np.asarray(x, dtype=float)[..., None] >= self._line()) @ self.weights
 
     def curve_law(self, t):
         if len(self.weights) == 1:
-            return PointMass(self.points[0])
+            return self
         k, d = self.points.shape
         vals = self.points[:, 0]
         if d == 1 and k == 2 and set(vals.tolist()) == {0.0, 1.0}:
             p = float(self.weights[vals == 1.0][0])
-            return BetaLaw(t * p, t * (1.0 - p))
+            return Beta(t * p, t * (1.0 - p))
         # atoms at distinct standard basis vectors: atom i is e_basis[i] of R^k
         basis = np.argmax(self.points, axis=1)
         if np.array_equal(self.points[np.argsort(basis)], np.eye(k)):
@@ -284,13 +283,10 @@ class DiscreteAtoms(GoverningMeasure):
         return complex(np.dot(self.weights, vals))
 
     def log_potential(self, x, tol):
-        vals = self.points[:, 0]
+        vals = self._line()
         if np.any(np.abs(vals - x) < 1e-300):
             raise ValueError("log potential diverges at an atom")
         return -float(np.dot(self.weights, np.log(np.abs(x - vals))))
-
-    def upper_tail(self, x):
-        return float(self.weights[self.points[:, 0] > x].sum())
 
 
 @dataclass(frozen=True)
@@ -323,9 +319,20 @@ class Beta(GoverningMeasure):
         k = np.arange(n_max)
         return np.cumprod((self.a + k) / (self.a + self.b + k))
 
+    def cdf(self, x):
+        return betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
+
+    def hinge_mean(self, a):
+        a = np.asarray(a, dtype=float)
+        m1 = self.a / (self.a + self.b)
+        aa = np.clip(a, 0.0, 1.0)
+        tail_x = 1.0 - betainc(self.a + 1.0, self.b, aa)
+        tail_1 = 1.0 - betainc(self.a, self.b, aa)
+        return m1 * tail_x - a * tail_1
+
     def curve_law(self, t):
         if self.a == 0.5 and self.b == 0.5:
-            return BetaLaw(t + 0.5, t + 0.5)
+            return Beta(t + 0.5, t + 0.5)
         if self.a == 1.0 and self.b == 1.0 and t == 1.0:
             return dk_law()
         return None
@@ -337,9 +344,6 @@ class Beta(GoverningMeasure):
 
     def log_potential(self, x, tol):
         return beta_log_potential(self.a, self.b, x, tol)
-
-    def upper_tail(self, x):
-        return 1.0 - float(betainc(self.a, self.b, min(max(x, 0.0), 1.0)))
 
 
 @dataclass(frozen=True)
@@ -360,6 +364,9 @@ class Uniform01(GoverningMeasure):
     def raw_moments(self, n_max):
         return 1.0 / (np.arange(n_max) + 2.0)
 
+    def cdf(self, x):
+        return np.clip(x, 0.0, 1.0)
+
     def curve_law(self, t):
         return dk_law() if t == 1.0 else None
 
@@ -369,9 +376,6 @@ class Uniform01(GoverningMeasure):
 
     def log_potential(self, x, tol):
         return Beta(1.0, 1.0).log_potential(x, tol)
-
-    def upper_tail(self, x):
-        return 1.0 - min(max(x, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -412,8 +416,13 @@ class BetaPrime(GoverningMeasure):
         k = np.arange(n_max)
         return np.cumprod((self.a + k) / (self.b - 1.0 - k))
 
+    def cdf(self, x):
+        # the finite upper clip makes cdf(inf) = 1 rather than betainc at inf/inf
+        xp = np.clip(x, 0.0, np.finfo(float).max)
+        return betainc(self.a, self.b, xp / (1.0 + xp))
+
     def curve_law(self, t):
-        return BetaPrimeLaw(t + 0.5, 0.5) if self.a == 0.5 and self.b == 0.5 else None
+        return BetaPrime(t + 0.5, 0.5) if self.a == 0.5 and self.b == 0.5 else None
 
     def integrate(self, f, tol):
         from .transforms import beta_prime_integral
@@ -455,8 +464,12 @@ class Cauchy1D(GoverningMeasure):
     def raw_moments(self, n_max):
         raise ValueError("Cauchy has no finite moments")
 
+    def cdf(self, x):
+        return 0.5 + np.arctan((np.asarray(x, dtype=float) - self.location) / self.scale) / np.pi
+
     def curve_law(self, t):
-        return Cauchy1DLaw(self.w)
+        # the curve's fixed point: the mean of D(t * Cauchy) is the same Cauchy
+        return self
 
     # closed forms: integrating against this law evaluates a function holomorphic
     # in the lower (upper) half-plane at conj(w) (at w)

@@ -2,7 +2,8 @@
 
 The acceptance tests in test_acceptance.py print their own "[criterion NN]"
 lines, but pytest captures stdout of passing tests, so this hook repeats the
-verdicts in the terminal summary where they are always visible.
+verdicts in the terminal summary where they are always visible, each with the
+wall time of the test call.
 """
 
 import re
@@ -10,6 +11,7 @@ import sys
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _outcomes = {}
+_seconds = {}
 
 
 def pytest_runtest_logreport(report):
@@ -19,6 +21,8 @@ def pytest_runtest_logreport(report):
     number = int(match.group(1))
     if report.when == "call" or (report.when == "setup" and report.outcome != "passed"):
         _outcomes[number] = report.outcome
+    if report.when == "call":
+        _seconds[number] = report.duration
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -31,4 +35,5 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number in sorted(_outcomes):
         text = descriptions.get(number, "")
         verdict = verdicts.get(_outcomes[number], _outcomes[number].upper())
-        terminalreporter.write_line(f"[criterion {number:02d}] {text}: {verdict}")
+        took = f" ({_seconds[number]:.1f} s)" if number in _seconds else ""
+        terminalreporter.write_line(f"[criterion {number:02d}] {text}: {verdict}{took}")

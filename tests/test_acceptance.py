@@ -27,7 +27,6 @@ from dirichlet_curve.cauchy import (
 )
 from dirichlet_curve.cli import main
 from dirichlet_curve.exact import (
-    BetaLaw,
     cdf,
     curve_of,
     dk_density,
@@ -214,7 +213,7 @@ def test_criterion_03_moment_recursion(stick_draws):
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 4.0, 8.0):
         table = moment_recursion(m, t)
-        law = BetaLaw(t / 2.0, t / 2.0)
+        law = Beta(t / 2.0, t / 2.0)
         for k in range(1, 7):
             worst = max(worst, abs(table.ex[k - 1] - law_raw_moment(law, k)))
     assert worst <= 1e-12, f"worst recursion gap {worst:.3e}"
@@ -252,7 +251,7 @@ def test_criterion_04_convex_order(stick_draws):
     grid = np.linspace(0.1, 0.9, 9)
     cases = (
         # (measure, exact hinge mean of the base measure, curve law at t)
-        (bernoulli(0.5), lambda a: 0.5 * (1.0 - a), lambda t: BetaLaw(t / 2.0, t / 2.0)),
+        (bernoulli(0.5), lambda a: 0.5 * (1.0 - a), lambda t: Beta(t / 2.0, t / 2.0)),
         (Uniform01(), lambda a: 0.5 * (1.0 - a) ** 2, None),
     )
     for measure, base_hinge, curve_law in cases:

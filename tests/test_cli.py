@@ -1,8 +1,9 @@
+import argparse
 import csv
 
 import pytest
 
-from dirichlet_curve.cli import EXPERIMENTS, list_experiments, main
+from dirichlet_curve.cli import EXPERIMENTS, _build_config, list_experiments, main
 
 
 def test_registry_and_listing(capsys):
@@ -184,3 +185,36 @@ def test_verdict_contract(tmp_path, capsys, experiment, n_verdicts):
     with open(tmp_path / f"{experiment}.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
     assert rows and all(len(row) == len(header) for row in rows)
+
+
+def test_fixed_n_policy_without_n_is_named(tmp_path, capsys):
+    assert _run_config(tmp_path, "policy.mode = fixed_N\n") == 2
+    assert "policy.mode = fixed_N needs policy.N" in capsys.readouterr().err
+
+
+_READS_MEASURE = {"curve-ks", "convex-order", "cr-identity"}
+_READS_T_GRID = {"curve-ks", "convex-order", "moments", "cr-identity", "cauchy-invariance"}
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+@pytest.mark.parametrize(
+    "key, line, read_by",
+    [
+        ("measure", "measure.family = uniform01\n", _READS_MEASURE),
+        ("t", "t = 3\n", _READS_T_GRID | {"limits"}),
+        ("t", "t = 0.01, 0.02\n", _READS_T_GRID),
+    ],
+)
+def test_config_values_an_experiment_ignores_are_rejected(tmp_path, capsys, experiment, key, line, read_by):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"experiment = {experiment}\nseed = 1\n{line}")
+    if experiment in read_by:
+        # building the config is the whole check; the experiment need not run
+        args = argparse.Namespace(
+            config=str(config), experiment=None, seed=None, n=None, t=None, out=None, confidence=None
+        )
+        assert _build_config(args).experiment == experiment
+        return
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and experiment in err and f" {key}" in err

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from dirichlet_curve.exact import (
-    BetaLaw,
-    BetaPrimeLaw,
-    Cauchy1DLaw,
     DensityLaw,
     DirichletLaw,
-    PointMass,
     RadialCircleLaw,
     cdf,
     cr_density,
@@ -24,10 +20,12 @@ from dirichlet_curve.exact import (
     moment_recursion,
     p_q_polynomials,
 )
+from dirichlet_curve.cauchy import trefoil_spectrum
 from dirichlet_curve.measures import (
     Beta,
     BetaPrime,
     Cauchy1D,
+    CauchyRd,
     DiscreteAtoms,
     Uniform01,
     UniformCircle,
@@ -39,14 +37,14 @@ from dirichlet_curve.measures import (
 
 def test_curve_of_bernoulli():
     law = curve_of(bernoulli(0.5), 1.0)
-    assert isinstance(law, BetaLaw) and (law.a, law.b) == (0.5, 0.5)
+    assert isinstance(law, Beta) and (law.a, law.b) == (0.5, 0.5)
     law = curve_of(bernoulli(0.25), 2.0)
     assert (law.a, law.b) == (0.5, 1.5)
 
 
 def test_curve_of_arcsine():
     law = curve_of(Beta(0.5, 0.5), 2.0)
-    assert isinstance(law, BetaLaw) and (law.a, law.b) == (2.5, 2.5)
+    assert isinstance(law, Beta) and (law.a, law.b) == (2.5, 2.5)
 
 
 def test_curve_of_uniform_unit_intensity():
@@ -59,13 +57,13 @@ def test_curve_of_uniform_unit_intensity():
 
 def test_curve_of_other_families():
     law = curve_of(BetaPrime(0.5, 0.5), 3.0)
-    assert isinstance(law, BetaPrimeLaw) and (law.a, law.b) == (3.5, 0.5)
+    assert isinstance(law, BetaPrime) and (law.a, law.b) == (3.5, 0.5)
     law = curve_of(UniformCircle(), 2.0)
     assert isinstance(law, RadialCircleLaw) and law.t == 2.0
     law = curve_of(Cauchy1D(1.0, 2.0), 7.0)
-    assert isinstance(law, Cauchy1DLaw) and law.w == 1.0 + 2.0j
+    assert isinstance(law, Cauchy1D) and law.w == 1.0 + 2.0j
     law = curve_of(point_mass([0.25]), 5.0)
-    assert isinstance(law, PointMass) and law.point[0] == 0.25
+    assert isinstance(law, DiscreteAtoms) and law.points[0, 0] == 0.25
     assert curve_of(Beta(2.0, 3.0), 1.0) is None
 
 
@@ -78,8 +76,61 @@ def test_curve_of_standard_basis():
     assert law.alphas == pytest.approx((0.6, 1.4))
 
 
+@pytest.mark.parametrize("t", [0.01, 1.0, 10.0, 1000.0])
+def test_curve_of_cauchy_is_its_fixed_point(t):
+    for loc, scale in ((0.0, 1.0), (0.7, 1.3), (-2.0, 0.25)):
+        assert curve_of(Cauchy1D(loc, scale), t) == Cauchy1D(loc, scale)
+
+
+@pytest.mark.parametrize("x", [-1.5, 0.0, 0.25])
+def test_curve_of_point_mass_is_the_point_mass(x):
+    for t in (0.01, 1.0, 1000.0):
+        assert curve_of(point_mass(x), t) == point_mass(x)
+
+
+# every one-dimensional law with a cdf, and the x range its mass lies in
+_SCALAR_LAWS = [
+    (Beta(0.5, 0.5), (0.0, 1.0)),
+    (Beta(2.0, 5.0), (0.0, 1.0)),
+    (Uniform01(), (0.0, 1.0)),
+    (BetaPrime(3.5, 0.5), (0.0, 50.0)),
+    (Cauchy1D(0.7, 1.3), (-30.0, 30.0)),
+    (bernoulli(0.3), (-0.5, 1.5)),
+    (point_mass(0.25), (-1.0, 1.0)),
+    (DiscreteAtoms(points=np.array([-1.0, 0.5, 2.0]), weights=np.array([0.2, 0.3, 0.5])), (-2.0, 3.0)),
+    (RadialCircleLaw(2.0), (0.0, 1.0)),
+    (dk_law(), (0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("law, span", _SCALAR_LAWS, ids=lambda v: repr(v)[:30])
+def test_scalar_cdf_is_a_distribution_function(law, span):
+    x = np.concatenate([[-np.inf], np.linspace(span[0] - 1.0, span[1] + 1.0, 401), [np.inf]])
+    c = cdf(law, x)
+    assert c.shape == x.shape
+    assert np.all(np.diff(c) >= 0.0)
+    assert c[0] == 0.0 and c[-1] == 1.0
+    for xi in x[1:-1:8]:
+        assert cdf(law, xi) + law.upper_tail(xi) == 1.0
+
+
+def test_scalar_cdf_point_values():
+    assert cdf(Cauchy1D(0.0, 1.0), 1.0) == 0.75
+    steps = cdf(bernoulli(0.5), [-0.1, 0.0, 0.5, 1.0 - 1e-12, 1.0, 1.1])
+    assert np.array_equal(steps, [0.0, 0.5, 0.5, 0.5, 1.0, 1.0])
+
+
+def test_cdf_needs_a_scalar_law():
+    plane_atoms = DiscreteAtoms(points=np.array([[0.0, 1.0], [1.0, 0.0]]), weights=np.array([0.5, 0.5]))
+    for law in (UniformCircle(), CauchyRd(trefoil_spectrum()), plane_atoms, point_mass([0.0, 1.0])):
+        with pytest.raises(ValueError):
+            cdf(law, 0.5)
+        with pytest.raises(ValueError):
+            law_raw_moment(law, 1)
+
+
 def test_cdf_arcsine_values():
-    law = BetaLaw(0.5, 0.5)
+    law = Beta(0.5, 0.5)
     assert cdf(law, 0.5) == pytest.approx(0.5, abs=1e-12)
     assert cdf(law, 0.25) == pytest.approx(1.0 / 3.0, abs=1e-10)
     x = np.linspace(0.01, 0.99, 25)
@@ -88,9 +139,9 @@ def test_cdf_arcsine_values():
 
 def test_cdf_radial_and_cauchy():
     assert cdf(RadialCircleLaw(2.0), 0.5) == pytest.approx(0.75, abs=1e-12)
-    assert cdf(Cauchy1DLaw(1j), 0.0) == pytest.approx(0.5)
-    assert cdf(Cauchy1DLaw(1j), 1.0) == pytest.approx(0.75)
-    assert np.array_equal(cdf(PointMass(np.array([0.5])), np.array([0.4, 0.6])), [0.0, 1.0])
+    assert cdf(Cauchy1D(0.0, 1.0), 0.0) == pytest.approx(0.5)
+    assert cdf(Cauchy1D(0.0, 1.0), 1.0) == pytest.approx(0.75)
+    assert np.array_equal(cdf(point_mass(np.array([0.5])), np.array([0.4, 0.6])), [0.0, 1.0])
     with pytest.raises(ValueError):
         cdf(DirichletLaw((1.0, 2.0)), 0.5)
 
@@ -112,13 +163,13 @@ def test_dk_second_moment():
 
 
 def test_beta_prime_moment_guard():
-    assert law_raw_moment(BetaPrimeLaw(1.5, 2.5), 2) > 0
+    assert law_raw_moment(BetaPrime(1.5, 2.5), 2) > 0
     with pytest.raises(ValueError):
-        law_raw_moment(BetaPrimeLaw(3.5, 0.5), 1)
+        law_raw_moment(BetaPrime(3.5, 0.5), 1)
 
 
 def test_hinge_mean_uniform():
-    law = BetaLaw(1.0, 1.0)
+    law = Beta(1.0, 1.0)
     a = np.linspace(0.0, 1.0, 11)
     assert np.allclose(hinge_mean(law, a), (1.0 - a) ** 2 / 2.0, atol=1e-12)
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import betainc
 
-from dirichlet_curve.exact import BetaLaw, hinge_mean
+from dirichlet_curve.exact import hinge_mean
 from dirichlet_curve.measures import RngStream, bernoulli, point_mass, sample_measure, Beta
 from dirichlet_curve.stats import (
     HingeCurve,
@@ -79,7 +79,7 @@ def test_hinge_closed_form_matches_quadrature():
         lambda x: (x - 0.5) / (math.pi * math.sqrt(x * (1.0 - x))), 0.5, 1.0, limit=200
     )
     assert target == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-10)
-    assert hinge_mean(BetaLaw(0.5, 0.5), 0.5) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-12)
+    assert hinge_mean(Beta(0.5, 0.5), 0.5) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-12)
 
 
 def test_hinge_curve_is_monotone():
