@@ -36,7 +36,7 @@ from .measures import (
     describe,
     draw_measure,
 )
-from .stickbreak import DEFAULT_POLICY, sample_dirichlet_mean, stick_mean_draws
+from .stickbreak import DEFAULT_POLICY, TruncationPolicy, sample_dirichlet_mean, stick_mean_draws
 
 __all__ = [
     "SpectralCauchy",
@@ -189,12 +189,16 @@ def cauchy_cdf(x, w: complex) -> np.ndarray:
 
 
 def verify_yamato(
-    t: float, n: int, rng: RngStream, level: float = 0.001
+    t: float,
+    n: int,
+    rng: RngStream,
+    level: float = 0.001,
+    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> "KSReport":
     """KS check that the Dirichlet mean of a standard Cauchy is standard Cauchy at every t."""
     from .stats import KSReport, ks_one_sample
 
-    sample = sample_dirichlet_mean(Cauchy1D(0.0, 1.0), t, n, rng=rng)
+    sample = sample_dirichlet_mean(Cauchy1D(0.0, 1.0), t, n, policy, rng)
     return ks_one_sample(sample, lambda x: cauchy_cdf(x, 1j), level=level)
 
 
@@ -204,6 +208,7 @@ def verify_mult_invariance(
     n: int,
     rng: RngStream,
     level: float = 0.001,
+    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> "KSReport":
     """Two-sample KS for commuting the curve with independent Cauchy scaling.
 
@@ -214,8 +219,8 @@ def verify_mult_invariance(
 
     gen = rng.generator()
     scaled = ScaledProduct(radial=radial, direction=Cauchy1D(0.0, 1.0))
-    lhs = stick_mean_draws(scaled, t, n, DEFAULT_POLICY, gen)
-    x = stick_mean_draws(radial, t, n, DEFAULT_POLICY, gen)
+    lhs = stick_mean_draws(scaled, t, n, policy, gen)
+    x = stick_mean_draws(radial, t, n, policy, gen)
     c = gen.standard_cauchy(n)[:, None]
     lhs_sample = EmpiricalSample(1, lhs, {"measure": describe(scaled), "t": repr(float(t))})
     rhs_sample = EmpiricalSample(1, c * x, {"measure": f"Cauchy * mean[{describe(radial)}]"})

@@ -50,22 +50,32 @@ class ExperimentConfig:
     n: int = 10**5
     ts: tuple = ()
     measure: Optional[GoverningMeasure] = None
-    policy: SB.TruncationPolicy = SB.DEFAULT_POLICY
+    # None means not set; __post_init__ then puts in SB.DEFAULT_POLICY and 0.999
+    policy: Optional[SB.TruncationPolicy] = None
     out_dir: str = "."
-    confidence: float = 0.999
+    confidence: Optional[float] = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n < 10:
             raise ValueError("n must be at least 10")
-        if not 0.5 < self.confidence < 1.0:
+        if self.confidence is not None and not 0.5 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0.5, 1)")
         if any(t <= 0 for t in self.ts):
             raise ValueError("intensities must be positive")
         reads = EXPERIMENTS[self.experiment]
-        if self.measure is not None and not reads.measure:
-            raise ValueError(f"experiment {self.experiment} does not read measure.* keys")
+        for key, value, read in (
+            ("measure.* keys", self.measure, reads.measure),
+            ("policy.* keys", self.policy, reads.policy),
+            ("confidence", self.confidence, reads.confidence),
+        ):
+            if value is not None and not read:
+                raise ValueError(f"experiment {self.experiment} does not read {key}")
+        if self.policy is None:
+            object.__setattr__(self, "policy", SB.DEFAULT_POLICY)
+        if self.confidence is None:
+            object.__setattr__(self, "confidence", 0.999)
         if reads.ts is not None and len(self.ts) > reads.ts:
             raise ValueError(
                 f"experiment {self.experiment} reads {reads.ts} t value, not {len(self.ts)}"
@@ -342,7 +352,7 @@ def _exp_cauchy_invariance(cfg: ExperimentConfig):
     rng = RngStream(cfg.seed)
     rows, checks = [], []
     for i, t in enumerate(_grid(cfg, (1.0, 10.0))):
-        rep = CY.verify_yamato(t, cfg.n, rng.substream(i), level=cfg.level)
+        rep = CY.verify_yamato(t, cfg.n, rng.substream(i), cfg.level, cfg.policy)
         rows.append(("fixed_point_standard", t, rep.statistic, rep.p_value, "pass", rep.passed))
         checks.append(Check(rep.passed, f"standard Cauchy t={t:g}: {_ks_text(rep)}"))
     shifted = Cauchy1D(1.0, 2.0)
@@ -351,7 +361,7 @@ def _exp_cauchy_invariance(cfg: ExperimentConfig):
     rows.append(("fixed_point_shifted", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
     checks.append(Check(rep.passed, f"{describe(shifted)} t=1: {_ks_text(rep)}"))
     for j, radial in enumerate((Uniform01(), Beta(2.0, 1.0))):
-        rep = CY.verify_mult_invariance(radial, 1.0, cfg.n, rng.substream(20 + j), level=cfg.level)
+        rep = CY.verify_mult_invariance(radial, 1.0, cfg.n, rng.substream(20 + j), cfg.level, cfg.policy)
         rows.append((f"radial_product[{describe(radial)}]", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
         checks.append(Check(rep.passed, f"radial {describe(radial)} x Cauchy: {_ks_text(rep)}"))
     smp = SB.sample_dirichlet_mean(Uniform01(), 1.0, cfg.n, cfg.policy, rng.substream(30))
@@ -504,15 +514,18 @@ def _exp_james(cfg: ExperimentConfig):
 
 
 class Experiment(NamedTuple):
-    """An experiment and what it reads of a config besides seed, n, policy, out
-    and confidence: `measure`, whether it reads measure.*; `ts`, how many t
-    values it reads (None for a whole grid). A config that sets what the
-    experiment does not read is an error, not silently dropped."""
+    """An experiment and what it reads of a config besides seed, n and out:
+    `measure`, `policy` and `confidence`, whether it reads measure.*, policy.*
+    and confidence; `ts`, how many t values it reads (None for a whole grid).
+    A config that sets what the experiment does not read is an error, not
+    silently dropped."""
 
     run: Callable
     description: str
     measure: bool = False
     ts: Optional[int] = 0
+    policy: bool = False
+    confidence: bool = False
 
 
 EXPERIMENTS = {
@@ -520,25 +533,25 @@ EXPERIMENTS = {
         _exp_curve_ks,
         "stick-breaking draws of the mean match its closed-form laws "
         "(beta, symmetric beta, beta prime, radial circle)",
-        measure=True, ts=None,
+        measure=True, ts=None, policy=True, confidence=True,
     ),
     "convex-order": Experiment(
         _exp_convex_order,
         "the curve decreases in convex order: hinge means fall as t grows "
         "and the base measure dominates every mean law",
-        measure=True, ts=None,
+        measure=True, ts=None, policy=True, confidence=True,
     ),
     "moments": Experiment(
         _exp_moments,
         "the moment recursion reproduces analytic beta moments, density "
         "quadrature, and Monte Carlo variances",
-        ts=None,
+        ts=None, policy=True,
     ),
     "cr-identity": Experiment(
         _exp_cr_identity,
         "E(1-isX)^(-t) and E(X-z)^(-t) over mean draws equal exponentials "
         "of base-measure log transforms",
-        measure=True, ts=None,
+        measure=True, ts=None, policy=True,
     ),
     "ode-residual": Experiment(
         _exp_ode_residual,
@@ -549,7 +562,7 @@ EXPERIMENTS = {
         _exp_cauchy_invariance,
         "Cauchy laws are fixed points of the curve at every intensity, "
         "including products with an independent radial factor",
-        ts=None,
+        ts=None, policy=True, confidence=True,
     ),
     "trefoil": Experiment(
         _exp_trefoil,
@@ -560,17 +573,19 @@ EXPERIMENTS = {
         _exp_beta_identity,
         "beta(b,b) equals in law the beta(2a,b-a) mixture of itself with "
         "an independent beta(a,a)",
+        confidence=True,
     ),
     "limits": Experiment(
         _exp_limits,
         "the curve interpolates from the base measure at t -> 0 to the "
         "point mass at its mean as t -> infinity",
-        ts=1,
+        ts=1, policy=True, confidence=True,
     ),
     "james": Experiment(
         _exp_james,
         "Dirichlet-weighted aggregations of independent means reproduce "
         "the mean law of the summed intensities",
+        policy=True, confidence=True,
     ),
 }
 
@@ -625,7 +640,7 @@ def _build_config(args) -> ExperimentConfig:
         if not parts:
             raise ConfigError("empty t grid")
         ts = tuple(float(p) for p in parts)
-    policy = SB.DEFAULT_POLICY
+    policy = None
     mode = raw.get("policy.mode")
     if mode == "fixed_N":
         if "policy.n" not in raw:
@@ -641,6 +656,9 @@ def _build_config(args) -> ExperimentConfig:
         )
     elif mode is not None:
         raise ConfigError(f"unknown policy.mode {mode!r}")
+    elif any(key.startswith("policy.") for key in raw):
+        raise ConfigError("policy.* keys need policy.mode")
+    confidence = args.confidence if args.confidence is not None else raw.get("confidence")
     return ExperimentConfig(
         experiment=experiment,
         seed=int(seed),
@@ -649,11 +667,7 @@ def _build_config(args) -> ExperimentConfig:
         measure=raw.get("measure"),
         policy=policy,
         out_dir=args.out if args.out is not None else raw.get("out", "."),
-        confidence=float(
-            args.confidence
-            if args.confidence is not None
-            else raw.get("confidence", 0.999)
-        ),
+        confidence=None if confidence is None else float(confidence),
     )
 
 

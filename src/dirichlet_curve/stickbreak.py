@@ -1,13 +1,16 @@
 """Samplers for the Dirichlet-mean law mu(t*alpha).
 
-Three independent routes are implemented:
+Three routes are implemented:
 
 * `sample_dirichlet_mean`: truncated stick-breaking series sum W_n B_n with
   W_n = Y_n * prod_{k<n} (1 - Y_k), Y_k i.i.d. beta(1, t), B_n i.i.d. alpha.
 * `sample_fixed_point`: iteration of the random affine map x -> (1-Y)x + YB,
   whose unique fixed point in distribution is mu(t*alpha).
 * `sample_mean_dyadic`: sum over 2^k leaves of a binary tree of symmetric beta
-  splits, whose weight vector is exactly Dirichlet(t/2^k, ..., t/2^k).
+  splits, whose weight vector is exactly Dirichlet(t/2^k, ..., t/2^k). This
+  is the finite Ishwaran-Zarepour (2002) approximation at level k, not the
+  law mu(t*alpha) itself: its variance is sigma^2 (1 + t/2^k)/(t + 1) against
+  the exact sigma^2/(t + 1).
 
 `sample_james_aggregation` combines curves: with (Y_j) ~ Dirichlet(t_0..t_J)
 independent of X_j ~ mu(t_j alpha_j), the sum of Y_j X_j has law
@@ -50,6 +53,9 @@ _SUM_TOL = 1e-12
 # column block for vectorized stick generation; rows are chunked separately
 _COL_BLOCK = 256
 _ROW_BLOCK = 20_000
+# leaves per row block of the dyadic sampler: 512 rows at k = 10; the weights
+# and the base draws of a block stay a few MB
+_DYADIC_BLOCK_LEAVES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -300,21 +306,29 @@ def dyadic_weight_draws(t: float, k: int, m: int, gen: Generator) -> np.ndarray:
 
     Level h splits every node with an independent beta(t/2^h, t/2^h) stick;
     leaf j = 1 + sum_h i_h 2^(h-1) follows the bit path (i_1, ..., i_k), with
-    i_h = 0 taking the (1 - Z) share at level h.
+    i_h = 0 taking the (1 - Z) share at level h. A node of weight exactly 0
+    (small shapes underflow) is not split: both its children are 0 whatever Z
+    is, so its stick is not drawn. The sticks of the nonzero nodes of a level
+    are drawn in row-major order.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if k < 1:
         raise ValueError("k must be at least 1")
-    w = np.empty((m, 2**k))
+    w = np.zeros((m, 2**k))
     w[:, 0] = 1.0
     for h in range(1, k + 1):
         half = 2 ** (h - 1)
         a = t / 2.0**h
-        z = gen.beta(a, a, size=(m, half))
+        parents = w[:, :half]
+        live = parents != 0.0
+        p = parents[live]
+        z = gen.beta(a, a, size=p.size)
         # child index = parent + 2^(h-1) * bit, so bit 0 keeps the low block
-        np.multiply(w[:, :half], z, out=w[:, half : 2 * half])
-        w[:, :half] *= 1.0 - z
+        w[:, half : 2 * half][live] = p * z
+        np.subtract(1.0, z, out=z)
+        p *= z
+        parents[live] = p
     return w
 
 
@@ -328,7 +342,7 @@ def dyadic_mean_draws(
 ) -> np.ndarray:
     d = dimension_of(measure)
     out = np.empty((n, d))
-    row_block = max(1, min(_ROW_BLOCK, (1 << 23) // (2**k)))
+    row_block = max(1, min(_ROW_BLOCK, _DYADIC_BLOCK_LEAVES // 2**k))
     for lo in range(0, n, row_block):
         m = min(row_block, n - lo)
         w = dyadic_weight_draws(t, k, m, gen)

@@ -218,3 +218,54 @@ def test_config_values_an_experiment_ignores_are_rejected(tmp_path, capsys, expe
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and experiment in err and f" {key}" in err
+
+
+_READS_POLICY = {"curve-ks", "convex-order", "moments", "cr-identity", "cauchy-invariance", "limits", "james"}
+_READS_CONFIDENCE = {"curve-ks", "convex-order", "cauchy-invariance", "beta-identity", "limits", "james"}
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+@pytest.mark.parametrize(
+    "key, line, read_by",
+    [
+        ("policy", "policy.mode = fixed_N\npolicy.N = 3\n", _READS_POLICY),
+        # a key set to its default value is still a key the experiment drops
+        ("policy", "policy.mode = tail_epsilon\n", _READS_POLICY),
+        ("confidence", "confidence = 0.9\n", _READS_CONFIDENCE),
+        ("confidence", "confidence = 0.999\n", _READS_CONFIDENCE),
+    ],
+)
+def test_policy_and_confidence_an_experiment_ignores_are_rejected(tmp_path, capsys, experiment, key, line, read_by):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"experiment = {experiment}\nseed = 1\n{line}")
+    if experiment in read_by:
+        args = argparse.Namespace(
+            config=str(config), experiment=None, seed=None, n=None, t=None, out=None, confidence=None
+        )
+        assert _build_config(args).experiment == experiment
+        return
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and experiment in err and f" {key}" in err
+
+
+def test_confidence_flag_an_experiment_ignores_is_rejected(tmp_path, capsys):
+    assert main(["run", "trefoil", "--seed", "1", "--confidence", "0.99", "--out", str(tmp_path)]) == 2
+    assert "experiment trefoil does not read confidence" in capsys.readouterr().err
+
+
+def test_policy_keys_without_mode_are_rejected(tmp_path, capsys):
+    assert _run_config(tmp_path, "policy.epsilon = 1e-6\n") == 2
+    assert "policy.* keys need policy.mode" in capsys.readouterr().err
+
+
+def test_cauchy_invariance_applies_policy_to_every_sampled_check(tmp_path):
+    rows = {}
+    for name, lines in (("default", ""), ("fixed", "policy.mode = fixed_N\npolicy.N = 2\n")):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(f"experiment = cauchy-invariance\nseed = 1\nn = 500\n{lines}")
+        main(["run", "--config", str(config), "--out", str(tmp_path / name)])
+        with open(tmp_path / name / "cauchy-invariance.csv", newline="") as fh:
+            rows[name] = list(csv.reader(fh))[1:]
+    assert len(rows["default"]) == 6
+    assert all(a != b for a, b in zip(rows["default"], rows["fixed"]))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
+from dirichlet_curve import stickbreak
 from dirichlet_curve.measures import (
     Beta,
     Cauchy1D,
@@ -11,12 +12,14 @@ from dirichlet_curve.measures import (
     Uniform01,
     UniformCircle,
     bernoulli,
+    draw_measure,
     point_mass,
 )
 from dirichlet_curve.stats import ks_one_sample, ks_two_sample
 from dirichlet_curve.stickbreak import (
     TruncationPolicy,
     default_fixed_point_depth,
+    dyadic_mean_draws,
     dyadic_weight_draws,
     dyadic_weights,
     sample_dirichlet_mean,
@@ -220,3 +223,101 @@ def test_james_validation():
         sample_james_aggregation([(0.0, Uniform01())], 100, RngStream(55))
     with pytest.raises(ValueError):
         sample_james_aggregation([(1.0, Uniform01()), (1.0, UniformCircle())], 100, RngStream(55))
+
+
+def _dense_tree(t, k, m, gen):
+    """Reference weights: every node of every level split, dead or not."""
+    w = np.empty((m, 2**k))
+    w[:, 0] = 1.0
+    for h in range(1, k + 1):
+        half = 2 ** (h - 1)
+        a = t / 2.0**h
+        z = gen.beta(a, a, size=(m, half))
+        np.multiply(w[:, :half], z, out=w[:, half : 2 * half])
+        w[:, :half] *= 1.0 - z
+    return w
+
+
+def _dense_mean_draws(measure, t, k, n, gen, block=512):
+    out = np.empty(n)
+    for lo in range(0, n, block):
+        m = min(block, n - lo)
+        w = _dense_tree(t, k, m, gen)
+        b = draw_measure(measure, m * 2**k, gen).reshape(m, 2**k)
+        out[lo : lo + m] = np.einsum("mk,mk->m", w, b)
+    return out
+
+
+class _BetaSizes:
+    """A generator that records the size of every beta call it serves."""
+
+    def __init__(self, gen):
+        self.gen, self.sizes = gen, []
+
+    def beta(self, a, b, size):
+        self.sizes.append(size)
+        return self.gen.beta(a, b, size=size)
+
+
+@pytest.mark.parametrize("t, k", [(0.01, 1), (1.0, 1), (1000.0, 1), (1000.0, 3)])
+def test_dyadic_weights_match_dense_tree_where_no_node_dies(t, k):
+    # every parent is live here, so the live-node draws consume the stream in
+    # the dense tree's row-major order and give the same bytes
+    got = dyadic_weight_draws(t, k, 300, RngStream(60).generator())
+    ref = _dense_tree(t, k, 300, RngStream(60).generator())
+    if k > 1:  # no leaf is 0, so no node above one is
+        assert np.all(ref != 0)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_dyadic_weights_split_only_live_nodes():
+    t, k, m = 0.01, 12, 200
+    gen = _BetaSizes(RngStream(61).generator())
+    w = dyadic_weight_draws(t, k, m, gen)
+    assert np.all(w >= 0)
+    assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
+    # node j of level h holds the leaves j + 2^h * i; its children at level
+    # h + 1 are nodes j and j + 2^h
+    for h in range(k):
+        nodes = w.reshape(m, -1, 2**h).sum(axis=1)
+        children = w.reshape(m, -1, 2 ** (h + 1)).sum(axis=1)
+        dead = nodes == 0
+        assert np.all(children[:, : 2**h][dead] == 0)
+        assert np.all(children[:, 2**h :][dead] == 0)
+        # one beta draw per live node of the level above
+        assert gen.sizes[h] == np.count_nonzero(nodes)
+    assert sum(gen.sizes) < 0.05 * m * (2**k - 1)
+
+
+def test_dyadic_mean_matches_dense_tree_in_law():
+    t, k, n = 0.5, 10, 2 * 10**4
+    got = dyadic_mean_draws(Uniform01(), t, k, n, RngStream(62).generator())
+    ref = _dense_mean_draws(Uniform01(), t, k, n, RngStream(63).generator())
+    assert ks_two_sample(got[:, 0], ref).p_value > 0.001
+
+
+def test_dyadic_mean_row_blocks(monkeypatch):
+    sizes = []
+    real = stickbreak.draw_measure
+
+    def draw(measure, n, gen):
+        sizes.append(n)
+        return real(measure, n, gen)
+
+    monkeypatch.setattr(stickbreak, "draw_measure", draw)
+    out = dyadic_mean_draws(Uniform01(), 1.0, 10, 1500, RngStream(64).generator())
+    assert out.shape == (1500, 1)
+    assert sizes == [512 * 1024, 512 * 1024, 476 * 1024]
+
+
+def test_dyadic_variance_is_the_finite_approximation():
+    # Var of the level-k mean is sigma^2 (1 + t/2^k)/(t + 1): a factor 0.4 at
+    # t = 4, k = 2, against 0.2 for the exact curve
+    t, k, n = 4.0, 2, 10**5
+    x = sample_mean_dyadic(Uniform01(), t, k, n, RngStream(65)).values()
+    sig2 = 1.0 / 12.0
+    v = x.var(ddof=1)
+    c = x - x.mean()
+    se_var = np.sqrt(((c**4).mean() - v**2) / n)
+    assert abs(v - sig2 * (1.0 + t / 2**k) / (t + 1.0)) < 4 * se_var
+    assert abs(v - sig2 / (t + 1.0)) > 4 * se_var
