@@ -62,8 +62,8 @@ class ExperimentConfig:
             raise ValueError("n must be at least 10")
         if self.confidence is not None and not 0.5 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0.5, 1)")
-        if any(t <= 0 for t in self.ts):
-            raise ValueError("intensities must be positive")
+        if not all(0.0 < t < math.inf for t in self.ts):
+            raise ValueError("intensities must be positive and finite")
         reads = EXPERIMENTS[self.experiment]
         for key, value, read in (
             ("measure.* keys", self.measure, reads.measure),
@@ -613,13 +613,15 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def _parse_config_file(path: str) -> dict:
-    """Config file values; `measure.<key>` pairs and all rows build the measure."""
+    """Config file values; `measure.<key>` pairs and all rows build the measure,
+    and `policy.<key>` pairs the truncation policy."""
     pairs, rows = split_config(Path(path).read_text())
-    prefix = "measure."
-    values = {k: v for k, v in pairs.items() if not k.startswith(prefix)}
-    measure = {k[len(prefix):]: v for k, v in pairs.items() if k.startswith(prefix)}
+    prefixes = ("measure.", "policy.")
+    values = {k: v for k, v in pairs.items() if not k.startswith(prefixes)}
+    measure, policy = ({k[len(p):]: v for k, v in pairs.items() if k.startswith(p)} for p in prefixes)
     if measure or rows:
         values["measure"] = measure_from_config(measure, rows)
+    values["policy"] = SB.TruncationPolicy.from_config(policy)
     return values
 
 
@@ -640,24 +642,6 @@ def _build_config(args) -> ExperimentConfig:
         if not parts:
             raise ConfigError("empty t grid")
         ts = tuple(float(p) for p in parts)
-    policy = None
-    mode = raw.get("policy.mode")
-    if mode == "fixed_N":
-        if "policy.n" not in raw:
-            raise ConfigError("policy.mode = fixed_N needs policy.N")
-        policy = SB.TruncationPolicy.fixed(
-            int(raw["policy.n"]),
-            raw.get("policy.tail_handling", "absorb_into_fresh_atom"),
-        )
-    elif mode == "tail_epsilon":
-        policy = SB.TruncationPolicy.tail(
-            float(raw.get("policy.epsilon", 1e-12)),
-            raw.get("policy.tail_handling", "absorb_into_fresh_atom"),
-        )
-    elif mode is not None:
-        raise ConfigError(f"unknown policy.mode {mode!r}")
-    elif any(key.startswith("policy.") for key in raw):
-        raise ConfigError("policy.* keys need policy.mode")
     confidence = args.confidence if args.confidence is not None else raw.get("confidence")
     return ExperimentConfig(
         experiment=experiment,
@@ -665,7 +649,7 @@ def _build_config(args) -> ExperimentConfig:
         n=int(args.n if args.n is not None else raw.get("n", 10**5)),
         ts=ts,
         measure=raw.get("measure"),
-        policy=policy,
+        policy=raw.get("policy"),
         out_dir=args.out if args.out is not None else raw.get("out", "."),
         confidence=None if confidence is None else float(confidence),
     )
@@ -698,7 +682,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, SB.PolicyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,7 @@ __all__ = [
     "StickBreakWeights",
     "TruncationPolicy",
     "DEFAULT_POLICY",
+    "PolicyError",
     "stick_break_weights",
     "sample_dirichlet_mean",
     "sample_fixed_point",
@@ -79,8 +80,10 @@ class StickBreakWeights:
 class TruncationPolicy:
     """How to cut the infinite stick-breaking series.
 
-    mode 'fixed_N' keeps exactly N sticks; mode 'tail_epsilon' stops at the
-    first N whose tail mass T_N = prod_{k<=N}(1 - Y_k) falls below epsilon.
+    Both modes run one kernel: a series stops at the first N whose tail mass
+    T_N = prod_{k<=N}(1 - Y_k) falls below epsilon, or when its stick budget
+    is spent. Mode 'tail_epsilon' has no budget; mode 'fixed_N' is the same
+    kernel with epsilon 0 and a budget of N sticks, so it keeps exactly N.
     The remaining mass is either multiplied onto one extra independent alpha
     draw ('absorb_into_fresh_atom', unbiased in total mass) or dropped with
     the kept weights renormalized by 1/(1 - T_N) ('drop_renormalize').
@@ -120,50 +123,76 @@ class TruncationPolicy:
             return f"fixed_N(N={self.N}),{self.tail_handling}"
         return f"tail_epsilon(eps={self.epsilon!r}),{self.tail_handling}"
 
+    def columns(self, t: float) -> tuple[float, int, float]:
+        """(epsilon, column block, stick budget) of the stick kernel at t; a
+        tail block is about 1.5 times the mean stick count t log(1/epsilon)."""
+        if self.mode == "fixed_N":
+            return 0.0, min(_COL_BLOCK, self.N), self.N
+        block = max(8, int(min(_COL_BLOCK, 2 + 1.5 * t * math.log(1.0 / self.epsilon))))
+        return self.epsilon, block, math.inf
+
+    @classmethod
+    def from_config(cls, pairs: dict) -> Optional["TruncationPolicy"]:
+        """The policy of the lower-cased `policy.*` config keys, prefix stripped,
+        or None without any. A key that the mode does not read is an error."""
+        if not pairs:
+            return None
+        mode = pairs.get("mode")
+        if mode is None:
+            raise ValueError("policy.* keys need policy.mode")
+        if mode not in ("fixed_N", "tail_epsilon"):
+            raise ValueError(f"unknown policy.mode {mode!r}")
+        reads = {"mode", "tail_handling", "n" if mode == "fixed_N" else "epsilon"}
+        unread = ", ".join(f"policy.{key}" for key in sorted(pairs.keys() - reads))
+        if unread:
+            raise ValueError(f"policy.mode = {mode} does not read {unread}")
+        tail_handling = pairs.get("tail_handling", "absorb_into_fresh_atom")
+        if mode == "tail_epsilon":
+            return cls.tail(float(pairs.get("epsilon", 1e-12)), tail_handling)
+        if "n" not in pairs:
+            raise ValueError("policy.mode = fixed_N needs policy.N")
+        return cls.fixed(int(pairs["n"]), tail_handling)
+
 
 DEFAULT_POLICY = TruncationPolicy.tail(1e-12)
 
 
-def _check_renormalize_allowed(measure: GoverningMeasure, policy: TruncationPolicy) -> None:
-    # renormalizing a dropped tail distorts heavy tails; require a finite mean
-    if policy.tail_handling == "drop_renormalize" and mean_of(measure) is None:
-        raise ValueError(
-            "drop_renormalize is not allowed for measures without a mean; "
-            "use absorb_into_fresh_atom"
-        )
+class PolicyError(ValueError):
+    """A truncation policy that the base measure does not allow."""
+
+
+def _check_intensity(t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
+
+
+def _stick_columns(tail: np.ndarray, cols: int, t: float, gen: Generator) -> tuple:
+    """The next `cols` sticks of series whose tail masses are `tail`: their
+    weights and the tail mass after each, both of shape (tail.size, cols)."""
+    log_not_y = np.log(gen.random((tail.size, cols))) / t  # log(1 - Y), Y ~ beta(1, t) by inverse CDF
+    tails = tail[:, None] * np.exp(np.cumsum(log_not_y, axis=1))
+    prev = np.concatenate([tail[:, None], tails[:, :-1]], axis=1)
+    return prev - tails, tails  # telescoping split: sum of w plus final tail is exact
 
 
 def stick_break_weights(
     t: float, policy: TruncationPolicy, rng: RngStream
 ) -> StickBreakWeights:
     """One draw of the truncated stick-breaking weight sequence."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_intensity(t)
     gen = rng.generator()
-    if policy.mode == "fixed_N":
-        u = gen.random(policy.N)
-        log_not_y = np.log(u) / t  # log(1 - Y) for Y ~ beta(1, t), by inverse CDF
-        tails = np.exp(np.cumsum(log_not_y))
-        prev = np.concatenate([[1.0], tails[:-1]])
-        return StickBreakWeights(t=t, weights=prev - tails, tail=float(tails[-1]))
-    eps = policy.epsilon
-    weights: list[np.ndarray] = []
-    tail = 1.0
-    block = max(8, min(_COL_BLOCK, int(2 + 1.5 * t * math.log(1.0 / eps))))
-    while tail >= eps:
-        u = gen.random(block)
-        tails = tail * np.exp(np.cumsum(np.log(u) / t))
-        prev = np.concatenate([[tail], tails[:-1]])
-        w = prev - tails
-        below = np.nonzero(tails < eps)[0]
-        if below.size:
-            stop = below[0]
-            weights.append(w[: stop + 1])
-            tail = float(tails[stop])
-            break
-        weights.append(w)
-        tail = float(tails[-1])
-    return StickBreakWeights(t=t, weights=np.concatenate(weights), tail=tail)
+    eps, block, budget = policy.columns(t)
+    weights, tail, sticks_done = [], np.ones(1), 0
+    while True:
+        cols = int(min(block, budget - sticks_done))
+        w, tails = _stick_columns(tail, cols, t, gen)
+        below = np.flatnonzero(tails[0] < eps)
+        stop = below[0] + 1 if below.size else cols
+        weights.append(w[0, :stop])
+        tail = tails[:, stop - 1]
+        sticks_done += cols
+        if below.size or sticks_done >= budget:
+            return StickBreakWeights(t=t, weights=np.concatenate(weights), tail=float(tail[0]))
 
 
 def _stick_mean_block(
@@ -173,41 +202,27 @@ def _stick_mean_block(
     policy: TruncationPolicy,
     gen: Generator,
 ) -> np.ndarray:
-    """m draws of the truncated series sum W_n B_n, vectorized over rows."""
+    """m draws of the truncated series sum W_n B_n, vectorized over rows; a row
+    stops at its first tail mass below epsilon or when the stick budget is spent."""
     d = dimension_of(measure)
+    eps, block, budget = policy.columns(t)
     acc = np.zeros((m, d))
     tail = np.ones(m)
     active = np.arange(m)
     sticks_done = 0
-    if policy.mode == "tail_epsilon":
-        eps = policy.epsilon
-        block = max(8, min(_COL_BLOCK, int(2 + 1.5 * t * math.log(1.0 / eps))))
-    else:
-        eps = 0.0
-        block = min(_COL_BLOCK, policy.N)
     while active.size:
         a = active.size
-        if policy.mode == "fixed_N":
-            cols = min(block, policy.N - sticks_done)
-        else:
-            cols = block
-        log_not_y = np.log(gen.random((a, cols))) / t
-        tails = tail[active, None] * np.exp(np.cumsum(log_not_y, axis=1))
-        prev = np.concatenate([tail[active, None], tails[:, :-1]], axis=1)
-        w = prev - tails  # telescoping split: sum of w plus final tail is exact
+        cols = int(min(block, budget - sticks_done))
+        w, tails = _stick_columns(tail[active], cols, t, gen)
         b = draw_measure(measure, a * cols, gen).reshape(a, cols, d)
-        if policy.mode == "tail_epsilon":
-            done = tails < eps
-            stopped = done.any(axis=1)
-            stop_col = np.where(stopped, done.argmax(axis=1), cols - 1)
-            keep = np.arange(cols)[None, :] <= stop_col[:, None]
-            acc[active] += np.einsum("ak,akd->ad", w * keep, b)
-            new_tail = tails[np.arange(a), stop_col]
-        else:
-            stopped = np.full(a, sticks_done + cols >= policy.N)
-            acc[active] += np.einsum("ak,akd->ad", w, b)
-            new_tail = tails[:, -1]
-            sticks_done += cols
+        done = tails < eps
+        stopped = done.any(axis=1)
+        stop_col = np.where(stopped, done.argmax(axis=1), cols - 1)
+        keep = np.arange(cols)[None, :] <= stop_col[:, None]
+        acc[active] += np.einsum("ak,akd->ad", w * keep, b)
+        new_tail = tails[np.arange(a), stop_col]
+        sticks_done += cols
+        stopped |= sticks_done >= budget
         finished = active[stopped]
         if finished.size:
             t_fin = new_tail[stopped]
@@ -229,9 +244,13 @@ def stick_mean_draws(
     gen: Generator,
 ) -> np.ndarray:
     """n draws of the stick-breaking mean as an (n, d) array (open-generator core)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    _check_renormalize_allowed(measure, policy)
+    _check_intensity(t)
+    # renormalizing a dropped tail distorts heavy tails; require a finite mean
+    if policy.tail_handling == "drop_renormalize" and mean_of(measure) is None:
+        raise PolicyError(
+            "drop_renormalize is not allowed for measures without a mean; "
+            "use absorb_into_fresh_atom"
+        )
     d = dimension_of(measure)
     out = np.empty((n, d))
     for lo in range(0, n, _ROW_BLOCK):
@@ -271,8 +290,7 @@ def fixed_point_draws(
     tail mass put at the origin. It is kept as the naive, independent reference
     that the sampler cross-validation checks stick breaking against.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_intensity(t)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     d = dimension_of(measure)
@@ -311,8 +329,7 @@ def dyadic_weight_draws(t: float, k: int, m: int, gen: Generator) -> np.ndarray:
     is, so its stick is not drawn. The sticks of the nonzero nodes of a level
     are drawn in row-major order.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_intensity(t)
     if k < 1:
         raise ValueError("k must be at least 1")
     w = np.zeros((m, 2**k))
@@ -378,8 +395,8 @@ def sample_james_aggregation(
     if not parts:
         raise ValueError("parts must be nonempty")
     ts = np.array([float(t) for t, _ in parts])
-    if np.any(ts <= 0):
-        raise ValueError("all intensities must be positive")
+    for tj in ts:
+        _check_intensity(tj)
     dims = {dimension_of(m) for _, m in parts}
     if len(dims) != 1:
         raise ValueError("all parts must share one dimension")

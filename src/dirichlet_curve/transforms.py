@@ -165,8 +165,6 @@ def cr_identity_residual(
     principal branch; on the left the draws X are real, so the powers are
     evaluated as exp(-t log(.)) without crossing the cut.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
     if (s is None) == (z is None):
         raise ValueError("pass exactly one of s (Fourier) or z (Stieltjes)")
     x = stick_mean_draws(alpha, t, mc_n, policy, gen)[:, 0]

@@ -269,3 +269,60 @@ def test_cauchy_invariance_applies_policy_to_every_sampled_check(tmp_path):
             rows[name] = list(csv.reader(fh))[1:]
     assert len(rows["default"]) == 6
     assert all(a != b for a, b in zip(rows["default"], rows["fixed"]))
+
+
+def _run_lines(tmp_path, text):
+    config = tmp_path / "exp.cfg"
+    config.write_text(text)
+    return main(["run", "--config", str(config), "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("policy.mode = fixed_N\npolicy.N = 5\npolicy.epsilon = 0.5\n",
+         "policy.mode = fixed_N does not read policy.epsilon"),
+        ("policy.mode = tail_epsilon\npolicy.N = 5\n",
+         "policy.mode = tail_epsilon does not read policy.n"),
+    ],
+    ids=["epsilon_under_fixed_N", "N_under_tail_epsilon"],
+)
+def test_policy_keys_of_the_other_mode_are_rejected(tmp_path, capsys, lines, message):
+    assert _run_lines(tmp_path, f"experiment = moments\nseed = 1\nn = 20\n{lines}") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+_DROP = "policy.mode = tail_epsilon\npolicy.tail_handling = drop_renormalize\n"
+
+
+@pytest.mark.parametrize(
+    "experiment, lines",
+    [
+        ("cauchy-invariance", ""),
+        ("curve-ks", ""),  # the default grid samples BetaPrime(0.5, 0.5)
+        ("cr-identity", ""),  # the default measures include Cauchy1D
+        ("convex-order", "measure.family = cauchy1d\n"),
+    ],
+    ids=lambda v: v.split()[-1] if v else "",
+)
+def test_drop_renormalize_on_a_base_without_mean_is_a_config_error(tmp_path, capsys, experiment, lines):
+    assert _run_lines(tmp_path, f"experiment = {experiment}\nseed = 1\nn = 20\n{_DROP}{lines}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: drop_renormalize is not allowed")
+
+
+@pytest.mark.parametrize("t", ["inf", "nan", "1, inf", "-inf"])
+def test_intensity_that_is_not_finite_is_a_config_error(tmp_path, capsys, t):
+    assert main(["run", "moments", "--seed", "1", "--n", "20", f"--t={t}", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: intensities must be positive and finite\n"
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+@pytest.mark.parametrize(
+    "lines",
+    ["", "policy.mode = fixed_N\npolicy.N = 2\n", "policy.mode = tail_epsilon\npolicy.epsilon = 1e-3\n", _DROP],
+    ids=["default", "fixed_N", "tail_epsilon", "drop_renormalize"],
+)
+def test_no_run_ends_in_a_traceback(tmp_path, experiment, lines):
+    # whatever the policy, a run passes, fails or is a config error; it never raises
+    assert _run_lines(tmp_path, f"experiment = {experiment}\nseed = 1\nn = 20\n{lines}") in (0, 1, 2)

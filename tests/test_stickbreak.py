@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,3 +324,146 @@ def test_dyadic_variance_is_the_finite_approximation():
     se_var = np.sqrt(((c**4).mean() - v**2) / n)
     assert abs(v - sig2 * (1.0 + t / 2**k) / (t + 1.0)) < 4 * se_var
     assert abs(v - sig2 / (t + 1.0)) > 4 * se_var
+
+
+def _two_mode_stick_mean_block(measure, t, m, policy, gen):
+    """Reference stick kernel with one branch per truncation mode."""
+    d = stickbreak.dimension_of(measure)
+    acc = np.zeros((m, d))
+    tail = np.ones(m)
+    active = np.arange(m)
+    sticks_done = 0
+    if policy.mode == "tail_epsilon":
+        eps = policy.epsilon
+        block = max(8, min(256, int(2 + 1.5 * t * math.log(1.0 / eps))))
+    else:
+        eps = 0.0
+        block = min(256, policy.N)
+    while active.size:
+        a = active.size
+        cols = min(block, policy.N - sticks_done) if policy.mode == "fixed_N" else block
+        log_not_y = np.log(gen.random((a, cols))) / t
+        tails = tail[active, None] * np.exp(np.cumsum(log_not_y, axis=1))
+        prev = np.concatenate([tail[active, None], tails[:, :-1]], axis=1)
+        w = prev - tails
+        b = draw_measure(measure, a * cols, gen).reshape(a, cols, d)
+        if policy.mode == "tail_epsilon":
+            done = tails < eps
+            stopped = done.any(axis=1)
+            stop_col = np.where(stopped, done.argmax(axis=1), cols - 1)
+            keep = np.arange(cols)[None, :] <= stop_col[:, None]
+            acc[active] += np.einsum("ak,akd->ad", w * keep, b)
+            new_tail = tails[np.arange(a), stop_col]
+        else:
+            stopped = np.full(a, sticks_done + cols >= policy.N)
+            acc[active] += np.einsum("ak,akd->ad", w, b)
+            new_tail = tails[:, -1]
+            sticks_done += cols
+        finished = active[stopped]
+        if finished.size:
+            t_fin = new_tail[stopped]
+            if policy.tail_handling == "absorb_into_fresh_atom":
+                acc[finished] += t_fin[:, None] * draw_measure(measure, finished.size, gen)
+            else:
+                acc[finished] /= (1.0 - t_fin)[:, None]
+        tail[active] = new_tail
+        active = active[~stopped]
+    return acc
+
+
+def _two_mode_weights(t, policy, gen):
+    """Reference stick_break_weights: one pass for fixed_N, blocks for tail_epsilon."""
+    if policy.mode == "fixed_N":
+        tails = np.exp(np.cumsum(np.log(gen.random(policy.N)) / t))
+        return np.concatenate([[1.0], tails[:-1]]) - tails, float(tails[-1])
+    eps, weights, tail = policy.epsilon, [], 1.0
+    block = max(8, min(256, int(2 + 1.5 * t * math.log(1.0 / eps))))
+    while tail >= eps:
+        tails = tail * np.exp(np.cumsum(np.log(gen.random(block)) / t))
+        w = np.concatenate([[tail], tails[:-1]]) - tails
+        below = np.nonzero(tails < eps)[0]
+        stop = below[0] if below.size else block - 1
+        weights.append(w[: stop + 1])
+        tail = float(tails[stop])
+    return np.concatenate(weights), tail
+
+
+_KERNEL_POLICIES = [TruncationPolicy.fixed(N) for N in (1, 5, 256, 257, 600)] + [
+    TruncationPolicy.tail(eps) for eps in (1e-12, 1e-3)
+]
+
+
+@pytest.mark.parametrize("tail_handling", ["absorb_into_fresh_atom", "drop_renormalize"])
+@pytest.mark.parametrize("policy", _KERNEL_POLICIES, ids=lambda p: p.label().split(",")[0])
+@pytest.mark.parametrize("measure", [Uniform01(), UniformCircle()], ids=["d1", "d2"])
+def test_stick_kernel_matches_two_mode_reference(measure, policy, tail_handling):
+    policy = TruncationPolicy(policy.mode, policy.N, policy.epsilon, tail_handling)
+    for t in (0.3, 7.0, 120.0):
+        gen, ref_gen = RngStream(70).generator(), RngStream(70).generator()
+        got = stickbreak.stick_mean_draws(measure, t, 150, policy, gen)
+        ref = _two_mode_stick_mean_block(measure, t, 150, policy, ref_gen)
+        assert got.tobytes() == ref.tobytes()
+        assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("policy", _KERNEL_POLICIES, ids=lambda p: p.label().split(",")[0])
+def test_stick_break_weights_match_two_mode_reference(policy):
+    for t in (0.3, 7.0, 120.0):
+        for i in range(4):
+            got = stick_break_weights(t, policy, RngStream(71, i))
+            ref_w, ref_tail = _two_mode_weights(t, policy, RngStream(71, i).generator())
+            if policy.mode == "fixed_N" and policy.N > 256:
+                # the cumsum restarts at each 256-column block: last bits move
+                np.testing.assert_allclose(got.weights, ref_w, rtol=1e-9, atol=1e-300)
+                assert got.tail == pytest.approx(ref_tail, rel=1e-9, abs=1e-300)
+            else:
+                assert got.weights.tobytes() == ref_w.tobytes()
+                assert got.tail == ref_tail
+
+
+def test_policy_columns():
+    assert TruncationPolicy.fixed(5).columns(3.0) == (0.0, 5, 5)
+    assert TruncationPolicy.fixed(600).columns(3.0) == (0.0, 256, 600)
+    assert TruncationPolicy.tail(1e-3).columns(0.01) == (1e-3, 8, math.inf)
+    assert TruncationPolicy.tail(1e-12).columns(2.0) == (1e-12, 84, math.inf)
+    assert TruncationPolicy.tail(1e-12).columns(1e308) == (1e-12, 256, math.inf)
+
+
+def test_policy_from_config():
+    assert TruncationPolicy.from_config({}) is None
+    assert TruncationPolicy.from_config({"mode": "tail_epsilon"}) == TruncationPolicy.tail(1e-12)
+    assert TruncationPolicy.from_config(
+        {"mode": "fixed_N", "n": "4", "tail_handling": "drop_renormalize"}
+    ) == TruncationPolicy.fixed(4, "drop_renormalize")
+    for pairs, message in (
+        ({"epsilon": "1e-6"}, "policy.* keys need policy.mode"),
+        ({"mode": "fixed"}, "unknown policy.mode 'fixed'"),
+        ({"mode": "fixed_N"}, "policy.mode = fixed_N needs policy.N"),
+        ({"mode": "fixed_N", "n": "5", "epsilon": "0.5"}, "policy.mode = fixed_N does not read policy.epsilon"),
+        ({"mode": "tail_epsilon", "n": "5"}, "policy.mode = tail_epsilon does not read policy.n"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TruncationPolicy.from_config(pairs)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+def test_intensity_must_be_positive_and_finite(t):
+    gen = RngStream(72).generator()
+    calls = [
+        lambda: stickbreak.stick_mean_draws(Uniform01(), t, 10, TruncationPolicy.fixed(5), gen),
+        lambda: stickbreak.stick_mean_draws(Uniform01(), t, 10, TruncationPolicy.tail(1e-6), gen),
+        lambda: stick_break_weights(t, TruncationPolicy.fixed(5), RngStream(72)),
+        lambda: stickbreak.fixed_point_draws(Uniform01(), t, 10, 5, gen),
+        lambda: dyadic_weight_draws(t, 3, 10, gen),
+        lambda: dyadic_mean_draws(Uniform01(), t, 3, 10, gen),
+        lambda: sample_james_aggregation([(1.0, Uniform01()), (t, Uniform01())], 10, RngStream(72)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            call()
+
+
+def test_renormalize_without_mean_is_a_policy_error():
+    policy = TruncationPolicy.tail(1e-12, "drop_renormalize")
+    with pytest.raises(stickbreak.PolicyError, match="drop_renormalize is not allowed"):
+        stickbreak.stick_mean_draws(Cauchy1D(0.0, 1.0), 1.0, 10, policy, RngStream(73).generator())
