@@ -40,6 +40,12 @@ from .measures import (
 
 __all__ = ["Check", "Experiment", "ExperimentConfig", "list_experiments", "run", "main"]
 
+# the config keys besides the measure.* and policy.* ones
+_CONFIG_KEYS = {"experiment", "seed", "t", "n", "out", "confidence"}
+# a t whose n draws need more sticks than this on average is refused before
+# any sampling: at about 50 ns a stick, that many take over eight minutes
+_STICK_BOUND = 1e10
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -81,6 +87,13 @@ class ExperimentConfig:
                 f"experiment {self.experiment} reads {reads.ts} t value, not {len(self.ts)}"
                 if reads.ts else f"experiment {self.experiment} does not read t"
             )
+        for t in self.ts:
+            sticks = self.n * self.policy.mean_sticks(t)
+            if sticks > _STICK_BOUND:
+                raise ValueError(
+                    f"t = {t!r} needs about {sticks:.3g} sticks for n = {self.n} draws "
+                    f"under {self.policy.label()}, more than the bound {_STICK_BOUND:.0e}"
+                )
 
     @property
     def level(self) -> float:
@@ -618,6 +631,9 @@ def _parse_config_file(path: str) -> dict:
     pairs, rows = split_config(Path(path).read_text())
     prefixes = ("measure.", "policy.")
     values = {k: v for k, v in pairs.items() if not k.startswith(prefixes)}
+    unread = sorted(values.keys() - _CONFIG_KEYS)
+    if unread:
+        raise ValueError(f"config keys that nothing reads: {', '.join(unread)}")
     measure, policy = ({k[len(p):]: v for k, v in pairs.items() if k.startswith(p)} for p in prefixes)
     if measure or rows:
         values["measure"] = measure_from_config(measure, rows)

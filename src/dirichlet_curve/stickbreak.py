@@ -131,6 +131,13 @@ class TruncationPolicy:
         block = max(8, int(min(_COL_BLOCK, 2 + 1.5 * t * math.log(1.0 / self.epsilon))))
         return self.epsilon, block, math.inf
 
+    def mean_sticks(self, t: float) -> float:
+        """Mean stick count of one series at t: N, or 1 + t log(1/epsilon) for a
+        tail cut, since -log T_n is a sum of n exponentials of mean 1/t."""
+        if self.mode == "fixed_N":
+            return float(self.N)
+        return 1.0 + t * math.log(1.0 / self.epsilon)
+
     @classmethod
     def from_config(cls, pairs: dict) -> Optional["TruncationPolicy"]:
         """The policy of the lower-cased `policy.*` config keys, prefix stripped,
@@ -169,10 +176,17 @@ def _check_intensity(t: float) -> None:
 def _stick_columns(tail: np.ndarray, cols: int, t: float, gen: Generator) -> tuple:
     """The next `cols` sticks of series whose tail masses are `tail`: their
     weights and the tail mass after each, both of shape (tail.size, cols)."""
-    log_not_y = np.log(gen.random((tail.size, cols))) / t  # log(1 - Y), Y ~ beta(1, t) by inverse CDF
-    tails = tail[:, None] * np.exp(np.cumsum(log_not_y, axis=1))
-    prev = np.concatenate([tail[:, None], tails[:, :-1]], axis=1)
-    return prev - tails, tails  # telescoping split: sum of w plus final tail is exact
+    tails = gen.random((tail.size, cols))
+    np.log(tails, out=tails)
+    tails /= t  # log(1 - Y), Y ~ beta(1, t) by inverse CDF
+    np.cumsum(tails, axis=1, out=tails)
+    np.exp(tails, out=tails)
+    tails *= tail[:, None]
+    # telescoping split: sum of w plus final tail is exact
+    w = np.empty_like(tails)
+    np.subtract(tail, tails[:, 0], out=w[:, 0])
+    np.subtract(tails[:, :-1], tails[:, 1:], out=w[:, 1:])
+    return w, tails
 
 
 def stick_break_weights(
@@ -218,8 +232,9 @@ def _stick_mean_block(
         done = tails < eps
         stopped = done.any(axis=1)
         stop_col = np.where(stopped, done.argmax(axis=1), cols - 1)
-        keep = np.arange(cols)[None, :] <= stop_col[:, None]
-        acc[active] += np.einsum("ak,akd->ad", w * keep, b)
+        if stopped.any():
+            w *= np.arange(cols) <= stop_col[:, None]
+        acc[active] += np.einsum("ak,akd->ad", w, b)
         new_tail = tails[np.arange(a), stop_col]
         sticks_done += cols
         stopped |= sticks_done >= budget

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import re
 
 import pytest
 
@@ -326,3 +327,30 @@ def test_intensity_that_is_not_finite_is_a_config_error(tmp_path, capsys, t):
 def test_no_run_ends_in_a_traceback(tmp_path, experiment, lines):
     # whatever the policy, a run passes, fails or is a config error; it never raises
     assert _run_lines(tmp_path, f"experiment = {experiment}\nseed = 1\nn = 20\n{lines}") in (0, 1, 2)
+
+
+def test_config_keys_that_nothing_reads_are_named(tmp_path, capsys):
+    # misspelt keys are named, not run at the defaults
+    assert _run_lines(tmp_path, "experiment = moments\nsed = 3\npolcy.mode = fixed_N\nseed = 1\nn = 20\n") == 2
+    assert capsys.readouterr().err == "config error: config keys that nothing reads: polcy.mode, sed\n"
+
+
+@pytest.mark.parametrize(
+    "t, lines, sticks",
+    [
+        ("1e9", "", "5.53e+11"),  # tail_epsilon(1e-12): 1 + 1e9 ln(1e12) a draw
+        ("1", "policy.mode = fixed_N\npolicy.N = 1000000000000\n", "2e+13"),
+    ],
+    ids=["tail_epsilon", "fixed_N"],
+)
+def test_a_run_past_the_stick_bound_is_refused_before_it_starts(tmp_path, capsys, t, lines, sticks):
+    # the config is refused when it is built, so no sampling starts
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"experiment = moments\nseed = 1\nn = 20\n{lines}")
+    args = argparse.Namespace(
+        config=str(config), experiment=None, seed=None, n=None, t=t, out=None, confidence=None
+    )
+    with pytest.raises(ValueError, match=f"needs about {re.escape(sticks)} sticks for n = 20 draws"):
+        _build_config(args)
+    assert main(["run", "--config", str(config), "--t", t, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: t = ")

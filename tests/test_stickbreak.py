@@ -467,3 +467,12 @@ def test_renormalize_without_mean_is_a_policy_error():
     policy = TruncationPolicy.tail(1e-12, "drop_renormalize")
     with pytest.raises(stickbreak.PolicyError, match="drop_renormalize is not allowed"):
         stickbreak.stick_mean_draws(Cauchy1D(0.0, 1.0), 1.0, 10, policy, RngStream(73).generator())
+
+
+@pytest.mark.parametrize("t", [0.3, 7.0])
+def test_policy_mean_sticks(t):
+    assert TruncationPolicy.fixed(5).mean_sticks(t) == 5.0
+    policy = TruncationPolicy.tail(1e-3)
+    counts = np.array([stick_break_weights(t, policy, RngStream(72, i)).weights.size for i in range(400)])
+    se = counts.std(ddof=1) / np.sqrt(counts.size)
+    assert abs(counts.mean() - policy.mean_sticks(t)) < 4 * se
