@@ -40,10 +40,9 @@ from .measures import (
 
 __all__ = ["Check", "Experiment", "ExperimentConfig", "list_experiments", "run", "main"]
 
-# the config keys besides the measure.* and policy.* ones
-_CONFIG_KEYS = {"experiment", "seed", "t", "n", "out", "confidence"}
-# a t whose n draws need more sticks than this on average is refused before
-# any sampling: at about 50 ns a stick, that many take over eight minutes
+# a run whose n draws need more sticks than this on average at the largest t
+# it samples is refused before any sampling: at about 50 ns a stick, that
+# many take over eight minutes
 _STICK_BOUND = 1e10
 
 
@@ -87,7 +86,9 @@ class ExperimentConfig:
                 f"experiment {self.experiment} reads {reads.ts} t value, not {len(self.ts)}"
                 if reads.ts else f"experiment {self.experiment} does not read t"
             )
-        for t in self.ts:
+        if reads.policy:
+            # the stick count grows with t, so the largest t sampled bounds it
+            t = max((self.ts or (reads.default_t,)) + (reads.fixed_t,))
             sticks = self.n * self.policy.mean_sticks(t)
             if sticks > _STICK_BOUND:
                 raise ValueError(
@@ -531,7 +532,9 @@ class Experiment(NamedTuple):
     `measure`, `policy` and `confidence`, whether it reads measure.*, policy.*
     and confidence; `ts`, how many t values it reads (None for a whole grid).
     A config that sets what the experiment does not read is an error, not
-    silently dropped."""
+    silently dropped. `default_t` is the largest t of its default grid and
+    `fixed_t` the largest t it samples whatever the config says, both under
+    the configured policy; they bound the stick count of a run."""
 
     run: Callable
     description: str
@@ -539,6 +542,8 @@ class Experiment(NamedTuple):
     ts: Optional[int] = 0
     policy: bool = False
     confidence: bool = False
+    default_t: float = 0.0
+    fixed_t: float = 0.0
 
 
 EXPERIMENTS = {
@@ -546,25 +551,25 @@ EXPERIMENTS = {
         _exp_curve_ks,
         "stick-breaking draws of the mean match its closed-form laws "
         "(beta, symmetric beta, beta prime, radial circle)",
-        measure=True, ts=None, policy=True, confidence=True,
+        measure=True, ts=None, policy=True, confidence=True, default_t=4.0,
     ),
     "convex-order": Experiment(
         _exp_convex_order,
         "the curve decreases in convex order: hinge means fall as t grows "
         "and the base measure dominates every mean law",
-        measure=True, ts=None, policy=True, confidence=True,
+        measure=True, ts=None, policy=True, confidence=True, default_t=8.0,
     ),
     "moments": Experiment(
         _exp_moments,
         "the moment recursion reproduces analytic beta moments, density "
         "quadrature, and Monte Carlo variances",
-        ts=None, policy=True,
+        ts=None, policy=True, default_t=8.0,
     ),
     "cr-identity": Experiment(
         _exp_cr_identity,
         "E(1-isX)^(-t) and E(X-z)^(-t) over mean draws equal exponentials "
         "of base-measure log transforms",
-        measure=True, ts=None, policy=True,
+        measure=True, ts=None, policy=True, default_t=2.0,
     ),
     "ode-residual": Experiment(
         _exp_ode_residual,
@@ -575,7 +580,7 @@ EXPERIMENTS = {
         _exp_cauchy_invariance,
         "Cauchy laws are fixed points of the curve at every intensity, "
         "including products with an independent radial factor",
-        ts=None, policy=True, confidence=True,
+        ts=None, policy=True, confidence=True, default_t=10.0, fixed_t=1.0,
     ),
     "trefoil": Experiment(
         _exp_trefoil,
@@ -592,13 +597,13 @@ EXPERIMENTS = {
         _exp_limits,
         "the curve interpolates from the base measure at t -> 0 to the "
         "point mass at its mean as t -> infinity",
-        ts=1, policy=True, confidence=True,
+        ts=1, policy=True, confidence=True, default_t=0.01,
     ),
     "james": Experiment(
         _exp_james,
         "Dirichlet-weighted aggregations of independent means reproduce "
         "the mean law of the summed intensities",
-        policy=True, confidence=True,
+        policy=True, confidence=True, fixed_t=2.0,
     ),
 }
 
@@ -625,48 +630,56 @@ def run(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
-def _parse_config_file(path: str) -> dict:
-    """Config file values; `measure.<key>` pairs and all rows build the measure,
-    and `policy.<key>` pairs the truncation policy."""
+def _parse_config_file(path: str) -> tuple:
+    """(values, measure, policy) of a config file: `measure.<key>` pairs and all
+    rows build the measure, `policy.<key>` pairs the truncation policy, and
+    the other pairs are the values."""
     pairs, rows = split_config(Path(path).read_text())
     prefixes = ("measure.", "policy.")
     values = {k: v for k, v in pairs.items() if not k.startswith(prefixes)}
-    unread = sorted(values.keys() - _CONFIG_KEYS)
-    if unread:
-        raise ValueError(f"config keys that nothing reads: {', '.join(unread)}")
     measure, policy = ({k[len(p):]: v for k, v in pairs.items() if k.startswith(p)} for p in prefixes)
-    if measure or rows:
-        values["measure"] = measure_from_config(measure, rows)
-    values["policy"] = SB.TruncationPolicy.from_config(policy)
-    return values
+    return (
+        values,
+        measure_from_config(measure, rows) if measure or rows else None,
+        SB.TruncationPolicy.from_config(policy),
+    )
 
 
 def _build_config(args) -> ExperimentConfig:
-    raw: dict = {}
-    if args.config:
-        raw = _parse_config_file(args.config)
-    experiment = args.experiment or raw.get("experiment")
+    raw, measure, policy = _parse_config_file(args.config) if args.config else ({}, None, None)
+
+    def value(key, arg=None, default=None):
+        # a config value is taken out of raw even when the command line
+        # overrides it, so that what is left in raw is what nothing reads
+        v = raw.pop(key, default)
+        return v if arg is None else arg
+
+    experiment = value("experiment", args.experiment)
+    seed = value("seed", args.seed)
+    t_raw = value("t", args.t)
+    n = value("n", args.n, 10**5)
+    out_dir = value("out", args.out, ".")
+    confidence = value("confidence", args.confidence)
+    if raw:
+        raise ConfigError(f"config keys that nothing reads: {', '.join(sorted(raw))}")
     if not experiment:
         raise ConfigError("no experiment named (positional argument or config file)")
-    seed = args.seed if args.seed is not None else raw.get("seed")
     if seed is None:
         raise ConfigError("seed is mandatory: pass --seed or set seed= in the config")
     ts: tuple = ()
-    t_raw = args.t if args.t is not None else raw.get("t")
     if t_raw is not None:
         parts = [p for p in str(t_raw).replace(",", " ").split() if p]
         if not parts:
             raise ConfigError("empty t grid")
         ts = tuple(float(p) for p in parts)
-    confidence = args.confidence if args.confidence is not None else raw.get("confidence")
     return ExperimentConfig(
         experiment=experiment,
         seed=int(seed),
-        n=int(args.n if args.n is not None else raw.get("n", 10**5)),
+        n=int(n),
         ts=ts,
-        measure=raw.get("measure"),
-        policy=raw.get("policy"),
-        out_dir=args.out if args.out is not None else raw.get("out", "."),
+        measure=measure,
+        policy=policy,
+        out_dir=out_dir,
         confidence=None if confidence is None else float(confidence),
     )
 

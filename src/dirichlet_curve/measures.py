@@ -58,10 +58,6 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
-# up to this many atoms a draw counts the cdf values below each uniform, one
-# numpy pass an atom: 2-3 times faster than a binary search, whose branches
-# mispredict on random uniforms, and no long Python loop on small draws
-_COUNT_ATOMS = 16
 
 
 @dataclass(frozen=True)
@@ -252,12 +248,7 @@ class DiscreteAtoms(GoverningMeasure):
         # p: the index of u is the number of cdf values <= u, so the draws and
         # the stream use are those of choice
         u = gen.random(n)
-        if self._cdf.size <= _COUNT_ATOMS:
-            idx = np.zeros(n, dtype=np.int8)
-            for c in self._cdf[:-1]:  # u < 1 = cdf[-1]
-                idx += u >= c
-        else:
-            idx = self._cdf.searchsorted(u, side="right")
+        idx = self._cdf.searchsorted(u, side="right")
         del u
         return self.points[idx]
 

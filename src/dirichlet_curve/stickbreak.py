@@ -232,8 +232,7 @@ def _stick_mean_block(
         done = tails < eps
         stopped = done.any(axis=1)
         stop_col = np.where(stopped, done.argmax(axis=1), cols - 1)
-        if stopped.any():
-            w *= np.arange(cols) <= stop_col[:, None]
+        w *= np.arange(cols) <= stop_col[:, None]
         acc[active] += np.einsum("ak,akd->ad", w, b)
         new_tail = tails[np.arange(a), stop_col]
         sticks_done += cols

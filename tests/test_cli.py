@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from dirichlet_curve.cli import EXPERIMENTS, _build_config, list_experiments, main
+from dirichlet_curve import stickbreak as SB
+from dirichlet_curve.cli import EXPERIMENTS, ExperimentConfig, _build_config, list_experiments, main
 
 
 def test_registry_and_listing(capsys):
@@ -335,22 +336,55 @@ def test_config_keys_that_nothing_reads_are_named(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: config keys that nothing reads: polcy.mode, sed\n"
 
 
+_HUGE_N = "policy.mode = fixed_N\npolicy.N = 1000000000000\n"
+
+
 @pytest.mark.parametrize(
-    "t, lines, sticks",
+    "experiment, t, lines, sticks",
     [
-        ("1e9", "", "5.53e+11"),  # tail_epsilon(1e-12): 1 + 1e9 ln(1e12) a draw
-        ("1", "policy.mode = fixed_N\npolicy.N = 1000000000000\n", "2e+13"),
+        ("moments", "1e9", "n = 20\n", "5.53e+11"),  # tail_epsilon(1e-12): 1 + 1e9 ln(1e12) a draw
+        ("moments", "1", "n = 20\n" + _HUGE_N, "2e+13"),
+        ("moments", None, "n = 20\n" + _HUGE_N, "2e+13"),  # fixed_N needs N sticks at any t
+        ("james", None, "n = 20\n" + _HUGE_N, "2e+13"),  # reads no t, samples t = 2
+        # the default grid tops out at t = 8, where 1e8 draws need 2.2e10 sticks
+        ("convex-order", None, "n = 100000000\n", "2.22e+10"),
     ],
-    ids=["tail_epsilon", "fixed_N"],
+    ids=["tail_epsilon", "fixed_N", "fixed_N-no-t", "james-no-t", "default-grid"],
 )
-def test_a_run_past_the_stick_bound_is_refused_before_it_starts(tmp_path, capsys, t, lines, sticks):
+def test_a_run_past_the_stick_bound_is_refused_before_it_starts(
+    tmp_path, capsys, experiment, t, lines, sticks
+):
     # the config is refused when it is built, so no sampling starts
     config = tmp_path / "exp.cfg"
-    config.write_text(f"experiment = moments\nseed = 1\nn = 20\n{lines}")
+    config.write_text(f"experiment = {experiment}\nseed = 1\n{lines}")
     args = argparse.Namespace(
         config=str(config), experiment=None, seed=None, n=None, t=t, out=None, confidence=None
     )
-    with pytest.raises(ValueError, match=f"needs about {re.escape(sticks)} sticks for n = 20 draws"):
+    with pytest.raises(ValueError, match=f"needs about {re.escape(sticks)} sticks for n = "):
         _build_config(args)
-    assert main(["run", "--config", str(config), "--t", t, "--out", str(tmp_path)]) == 2
+    t_args = [] if t is None else ["--t", t]
+    assert main(["run", "--config", str(config), *t_args, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: t = ")
+
+
+@pytest.mark.parametrize("experiment", [name for name, exp in EXPERIMENTS.items() if exp.policy])
+def test_the_stick_bound_sees_the_largest_t_a_run_samples(tmp_path, monkeypatch, experiment):
+    # default_t and fixed_t are the largest t that the run hands the configured
+    # policy: with no t given, and with t = 0.5 given
+    policy = SB.TruncationPolicy.tail(1e-2)
+    seen = []
+    columns = SB.TruncationPolicy.columns
+
+    def record(self, t):
+        if self is policy:
+            seen.append(t)
+        return columns(self, t)
+
+    monkeypatch.setattr(SB.TruncationPolicy, "columns", record)
+    exp = EXPERIMENTS[experiment]
+    exp.run(ExperimentConfig(experiment, seed=1, n=20, policy=policy, out_dir=str(tmp_path)))
+    assert max(seen) == max(exp.default_t, exp.fixed_t)
+    if exp.ts != 0:
+        seen.clear()
+        exp.run(ExperimentConfig(experiment, seed=1, n=20, ts=(0.5,), policy=policy, out_dir=str(tmp_path)))
+        assert max(seen) == max(0.5, exp.fixed_t)
