@@ -52,6 +52,9 @@ __all__ = [
 
 _UNIT_TOL = 1e-12
 _CENTER_TOL = 1e-10
+# elements (rows x atoms) per block of spectral draws: a block's uniforms,
+# exponentials and one scratch array stay 2 MB each, whatever n and J are
+_SPECTRAL_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -138,21 +141,44 @@ def standard_skewed_stable(gen: Generator, size) -> np.ndarray:
     Chambers-Mallows-Stuck at stability index 1, skewness 1:
     with V uniform on (-pi/2, pi/2) and W standard exponential,
     Z = (2/pi)[(pi/2 + V) tan V - log( (pi/2) W cos V / (pi/2 + V) )].
+    The arithmetic runs in place on the two draws and one scratch array.
     """
-    v = np.pi * (gen.random(size) - 0.5)
-    w = gen.standard_exponential(size)
     half_pi = np.pi / 2.0
-    return (2.0 / np.pi) * (
-        (half_pi + v) * np.tan(v) - np.log(half_pi * w * np.cos(v) / (half_pi + v))
-    )
+    v = gen.random(size)
+    v -= 0.5
+    v *= np.pi
+    w = gen.standard_exponential(size)
+    # w <- log((pi/2) W cos V / (pi/2 + V)), with s holding cos V, then pi/2 + V
+    s = np.cos(v)
+    w *= half_pi
+    w *= s
+    np.add(v, half_pi, out=s)
+    w /= s
+    np.log(w, out=w)
+    # v <- (2/pi)[(pi/2 + V) tan V - w]
+    np.tan(v, out=v)
+    v *= s
+    v -= w
+    v *= 2.0 / np.pi
+    return v
 
 
 def draw_spectral_cauchy(spec: SpectralCauchy, n: int, gen: Generator) -> np.ndarray:
-    """n draws of X = a + (2/pi) sum_j lambda_j log(lambda_j) s_j + sum_j lambda_j s_j Z_j."""
+    """n draws of X = a + (2/pi) sum_j lambda_j log(lambda_j) s_j + sum_j lambda_j s_j Z_j.
+
+    The Z_j are drawn in row blocks of _SPECTRAL_BLOCK elements, uniforms
+    then exponentials in each block, so memory does not grow with n * J.
+    """
     lam = spec.intensities
     drift = (2.0 / np.pi) * ((lam * np.log(lam)) @ spec.directions)
-    z = standard_skewed_stable(gen, (n, lam.shape[0]))
-    return spec.shift + drift + z @ (lam[:, None] * spec.directions)
+    scaled = lam[:, None] * spec.directions
+    out = np.empty((n, spec.dimension))
+    rows = max(1, _SPECTRAL_BLOCK // lam.size)
+    for lo in range(0, n, rows):
+        z = standard_skewed_stable(gen, (min(rows, n - lo), lam.size))
+        np.matmul(z, scaled, out=out[lo : lo + z.shape[0]])
+    out += spec.shift + drift
+    return out
 
 
 def sample_cauchy_rd(spec: SpectralCauchy, n: int, rng: RngStream) -> EmpiricalSample:

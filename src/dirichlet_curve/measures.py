@@ -421,7 +421,8 @@ class BetaPrime(GoverningMeasure):
         while np.any(bad):
             z[bad] = gen.beta(self.a, self.b, size=int(bad.sum()))
             bad = z >= 1.0
-        return (z / (1.0 - z))[:, None]
+        z /= 1.0 - z
+        return z[:, None]
 
     def mean(self):
         return np.array([self.a / (self.b - 1.0)]) if self.b > 1 else None
@@ -472,7 +473,10 @@ class Cauchy1D(GoverningMeasure):
         return f"Cauchy1D(location={self.location!r}, scale={self.scale!r})"
 
     def draw(self, n, gen):
-        return (self.location + self.scale * gen.standard_cauchy(n))[:, None]
+        x = gen.standard_cauchy(n)
+        x *= self.scale
+        x += self.location
+        return x[:, None]
 
     def mean(self):
         return None
@@ -513,8 +517,12 @@ class UniformCircle(GoverningMeasure):
         return "UniformCircle"
 
     def draw(self, n, gen):
-        theta = 2.0 * np.pi * gen.random(n)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
+        theta = gen.random(n)
+        theta *= 2.0 * np.pi
+        out = np.empty((n, 2))
+        np.cos(theta, out=out[:, 0])
+        np.sin(theta, out=out[:, 1])
+        return out
 
     def mean(self):
         return np.zeros(2)
@@ -601,7 +609,10 @@ class ScaledProduct(GoverningMeasure):
         return f"ScaledProduct({self.radial.describe()}, {self.direction.describe()})"
 
     def draw(self, n, gen):
-        return self.radial.draw(n, gen) * self.direction.draw(n, gen)
+        r = self.radial.draw(n, gen)
+        y = self.direction.draw(n, gen)
+        y *= r
+        return y
 
     def mean(self):
         mx, my = self.radial.mean(), self.direction.mean()

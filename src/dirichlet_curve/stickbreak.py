@@ -228,13 +228,17 @@ def _stick_mean_block(
         a = active.size
         cols = int(min(block, budget - sticks_done))
         w, tails = _stick_columns(tail[active], cols, t, gen)
-        b = draw_measure(measure, a * cols, gen).reshape(a, cols, d)
         done = tails < eps
         stopped = done.any(axis=1)
         stop_col = np.where(stopped, done.argmax(axis=1), cols - 1)
-        w *= np.arange(cols) <= stop_col[:, None]
-        acc[active] += np.einsum("ak,akd->ad", w, b)
         new_tail = tails[np.arange(a), stop_col]
+        # the tail matrix is spent: free it before the base draws take its room
+        del tails, done
+        w *= np.arange(cols) <= stop_col[:, None]
+        b = draw_measure(measure, a * cols, gen).reshape(a, cols, d)
+        acc[active] += np.einsum("ak,akd->ad", w, b)
+        # free this block's weights and draws before the next block's columns
+        del w, b
         sticks_done += cols
         stopped |= sticks_done >= budget
         finished = active[stopped]

@@ -3,10 +3,12 @@
 The acceptance tests in test_acceptance.py print their own "[criterion NN]"
 lines, but pytest captures stdout of passing tests, so this hook repeats the
 verdicts in the terminal summary where they are always visible, each with the
-wall time of the test call.
+wall time of the test call. It ends with the session's peak resident memory
+(`ru_maxrss`).
 """
 
 import re
+import resource
 import sys
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
@@ -26,8 +28,13 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _outcomes:
-        return
+    if _outcomes:
+        _criteria(terminalreporter)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    terminalreporter.write_line(f"[peak rss] {peak_mb:.1f} MB in this test session")
+
+
+def _criteria(terminalreporter):
     module = sys.modules.get("test_acceptance")
     descriptions = getattr(module, "CRITERIA", {}) if module else {}
     verdicts = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}

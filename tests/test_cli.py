@@ -388,3 +388,14 @@ def test_the_stick_bound_sees_the_largest_t_a_run_samples(tmp_path, monkeypatch,
         seen.clear()
         exp.run(ExperimentConfig(experiment, seed=1, n=20, ts=(0.5,), policy=policy, out_dir=str(tmp_path)))
         assert max(seen) == max(0.5, exp.fixed_t)
+
+
+@pytest.mark.parametrize("n", [20, 1000])
+def test_moments_at_a_tiny_t_ends_in_verdicts(tmp_path, capsys, n):
+    # near two-point draws: the variance check's standard error stays real
+    code = main(["run", "moments", "--seed", "1", "--n", str(n), "--t", "0.001", "--out", str(tmp_path)])
+    out = capsys.readouterr().out.splitlines()
+    assert code in (0, 1)
+    verdicts = [ln for ln in out if ln.startswith(("  [pass] ", "  [FAIL] "))]
+    assert len(verdicts) == 4
+    assert out[-1] == f"moments: {'FAIL' if code else 'PASS'}"
