@@ -42,8 +42,9 @@ __all__ = ["Check", "Experiment", "ExperimentConfig", "list_experiments", "run",
 
 # a run whose n draws need more sticks than this on average at the largest t
 # it samples is refused before any sampling: a stick with its base draw takes
-# about 20-90 ns at t = 1000 and 40-140 ns at t = 10 (Uniform01 cheapest,
-# UniformCircle dearest) on a 2-vCPU Xeon, so that many take 3 to 25 minutes
+# about 35-115 ns at t = 1000 and 60-180 ns at t = 10 (Uniform01 cheapest,
+# UniformCircle dearest; wall time of stick_mean_draws per mean stick at the
+# default epsilon) on a shared 2-vCPU Xeon, so that many take 6 to 30 minutes
 _STICK_BOUND = 1e10
 
 

@@ -4,8 +4,14 @@ Three routes are implemented:
 
 * `sample_dirichlet_mean`: truncated stick-breaking series sum W_n B_n with
   W_n = Y_n * prod_{k<n} (1 - Y_k), Y_k i.i.d. beta(1, t), B_n i.i.d. alpha.
+  The series run in blocks of columns. One worker thread, started on first
+  use, turns a block's uniforms into its weights in place while the calling
+  thread draws the block's base points. The worker calls only numpy, and
+  every generator call stays on the calling thread in serial order, so the
+  draws are byte-identical to a one-thread run.
 * `sample_fixed_point`: iteration of the random affine map x -> (1-Y)x + YB,
-  whose unique fixed point in distribution is mu(t*alpha).
+  whose unique fixed point in distribution is mu(t*alpha). The contraction
+  (t/(t+1))^depth it reached is recorded in its provenance.
 * `sample_mean_dyadic`: sum over 2^k leaves of a binary tree of symmetric beta
   splits, whose weight vector is exactly Dirichlet(t/2^k, ..., t/2^k). This
   is the finite Ishwaran-Zarepour (2002) approximation at level k, not the
@@ -20,6 +26,8 @@ mu(sum_j t_j alpha_j).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,6 +62,9 @@ _SUM_TOL = 1e-12
 # column block for vectorized stick generation; rows are chunked separately
 _COL_BLOCK = 256
 _ROW_BLOCK = 20_000
+# uniforms per row chunk of the weight step; a chunk's copy of its tail masses
+# is the step's float scratch
+_CHUNK = 1 << 14
 # leaves per row block of the dyadic sampler: 512 rows at k = 10; the weights
 # and the base draws of a block stay a few MB
 _DYADIC_BLOCK_LEAVES = 1 << 19
@@ -173,20 +184,79 @@ def _check_intensity(t: float) -> None:
         raise ValueError("t must be positive and finite")
 
 
-def _stick_columns(tail: np.ndarray, cols: int, t: float, gen: Generator) -> tuple:
-    """The next `cols` sticks of series whose tail masses are `tail`: their
-    weights and the tail mass after each, both of shape (tail.size, cols)."""
-    tails = gen.random((tail.size, cols))
-    np.log(tails, out=tails)
-    tails /= t  # log(1 - Y), Y ~ beta(1, t) by inverse CDF
-    np.cumsum(tails, axis=1, out=tails)
-    np.exp(tails, out=tails)
-    tails *= tail[:, None]
-    # telescoping split: sum of w plus final tail is exact
-    w = np.empty_like(tails)
-    np.subtract(tail, tails[:, 0], out=w[:, 0])
-    np.subtract(tails[:, :-1], tails[:, 1:], out=w[:, 1:])
-    return w, tails
+# (pid, executor) of the worker thread that computes stick weights
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _submit(fn):
+    """Run fn() on the module's one worker thread and return its future.
+
+    The worker starts on first use, and again in a forked child, which
+    inherits the parent's executor but not its thread."""
+    global _worker
+    worker = _worker
+    if worker is None or worker[0] != os.getpid():
+        with _worker_lock:
+            if _worker is None or _worker[0] != os.getpid():
+                from concurrent.futures import ThreadPoolExecutor
+
+                _worker = (os.getpid(), ThreadPoolExecutor(1, "stick-weights"))
+            worker = _worker
+    return worker[1].submit(fn)
+
+
+def _weight_step(u: np.ndarray, tail: np.ndarray, t: float, eps: float):
+    """The step that turns the uniforms u, shape (a, cols), of series whose tail
+    masses are `tail` into the weights of their next cols sticks, in place.
+
+    A series stops at its first tail mass below eps; its weights past the stop
+    are 0. The step returns each series' tail mass after its last kept stick,
+    and an array whose entry for a stopped series is its stop column. It calls
+    only numpy on its own arrays, so it may run on another thread; its scratch
+    arrays, one chunk of rows each, are made here, on the calling thread.
+    """
+    a, cols = u.shape
+    rows = max(1, _CHUNK // cols)
+    new_tail = np.empty(a)
+    stop = np.empty(a, np.intp)
+    tails = np.empty(min(rows, a) * cols)
+    below = np.empty(tails.size, bool) if eps > 0.0 else None
+
+    def step():
+        np.log(u, out=u)
+        np.divide(u, t, out=u)  # log(1 - Y), Y ~ beta(1, t) by inverse CDF
+        np.cumsum(u, axis=1, out=u)
+        np.exp(u, out=u)
+        # chunk by chunk, with contiguous operands only: numpy buffers a
+        # broadcast or strided 2-D operand, and buffers allocated here would
+        # grow a second malloc arena
+        for lo in range(0, a, rows):
+            chunk = slice(lo, lo + rows)
+            v, v_tail, v_stop = u[chunk], new_tail[chunk], stop[chunk]
+            v_tails = tails[: v.size].reshape(v.shape)
+            np.copyto(v_tails, tail[chunk, None])
+            np.multiply(v, v_tails, out=v)  # the tail masses
+            np.copyto(v_tails, v)
+            v_tail[:] = v[:, -1]
+            # telescoping split T_{j-1} - T_j, whose sum with the last tail is
+            # exact; along the flat chunk, then column 0 from the old tails
+            flat, flat_tails = v.reshape(-1), v_tails.reshape(-1)
+            np.subtract(flat_tails[:-1], flat_tails[1:], out=flat[1:])
+            if v_tail.min() < eps:
+                # tails never increase along a row, so a row stops in this
+                # block exactly when its last tail is below eps
+                v_below = below[: v.size].reshape(v.shape)
+                np.less(v_tails, eps, out=v_below)
+                np.argmax(v_below, axis=1, out=v_stop)
+                hit = np.flatnonzero(v_below[:, -1])
+                v_tail[hit] = v_tails[hit, v_stop[hit]]
+                # a weight after a tail below eps is past its row's stop
+                np.copyto(flat[1:], 0.0, where=v_below.reshape(-1)[:-1])
+            np.subtract(tail[chunk], v_tails[:, 0], out=v[:, 0])
+        return new_tail, stop
+
+    return step
 
 
 def stick_break_weights(
@@ -199,13 +269,12 @@ def stick_break_weights(
     weights, tail, sticks_done = [], np.ones(1), 0
     while True:
         cols = int(min(block, budget - sticks_done))
-        w, tails = _stick_columns(tail, cols, t, gen)
-        below = np.flatnonzero(tails[0] < eps)
-        stop = below[0] + 1 if below.size else cols
-        weights.append(w[0, :stop])
-        tail = tails[:, stop - 1]
+        w = gen.random((1, cols))
+        tail, stop = _weight_step(w, tail, t, eps)()
+        stopped = tail[0] < eps
+        weights.append(w[0, : stop[0] + 1 if stopped else cols])
         sticks_done += cols
-        if below.size or sticks_done >= budget:
+        if stopped or sticks_done >= budget:
             return StickBreakWeights(t=t, weights=np.concatenate(weights), tail=float(tail[0]))
 
 
@@ -217,7 +286,12 @@ def _stick_mean_block(
     gen: Generator,
 ) -> np.ndarray:
     """m draws of the truncated series sum W_n B_n, vectorized over rows; a row
-    stops at its first tail mass below epsilon or when the stick budget is spent."""
+    stops at its first tail mass below epsilon or when the stick budget is spent.
+
+    The worker thread turns each block's uniforms into weights while this
+    thread draws the block's base points. Every generator call stays on this
+    thread, in the order of a serial run, so the draws do not depend on the
+    threads."""
     d = dimension_of(measure)
     eps, block, budget = policy.columns(t)
     acc = np.zeros((m, d))
@@ -227,19 +301,17 @@ def _stick_mean_block(
     while active.size:
         a = active.size
         cols = int(min(block, budget - sticks_done))
-        w, tails = _stick_columns(tail[active], cols, t, gen)
-        done = tails < eps
-        stopped = done.any(axis=1)
-        stop_col = np.where(stopped, done.argmax(axis=1), cols - 1)
-        new_tail = tails[np.arange(a), stop_col]
-        # the tail matrix is spent: free it before the base draws take its room
-        del tails, done
-        w *= np.arange(cols) <= stop_col[:, None]
+        w = gen.random((a, cols))
+        step = _weight_step(w, tail[active], t, eps)
+        weights = _submit(step)
         b = draw_measure(measure, a * cols, gen).reshape(a, cols, d)
+        # a step that the worker has not started yet runs here instead
+        new_tail, _ = step() if weights.cancel() else weights.result()
         acc[active] += np.einsum("ak,akd->ad", w, b)
-        # free this block's weights and draws before the next block's columns
-        del w, b
+        # free this block's weights, draws and step before the next block's uniforms
+        del w, b, step
         sticks_done += cols
+        stopped = new_tail < eps
         stopped |= sticks_done >= budget
         finished = active[stopped]
         if finished.size:
@@ -293,7 +365,8 @@ def sample_dirichlet_mean(
 
 
 def default_fixed_point_depth(t: float, tol: float = 1e-12) -> int:
-    """Depth making the mean contraction factor (t/(t+1))^depth fall below tol."""
+    """Depth making the mean contraction factor (t/(t+1))^depth fall below tol,
+    capped at 10,000 steps; `sample_fixed_point` records the factor reached."""
     depth = math.ceil(math.log(tol) / math.log(t / (t + 1.0)))
     return min(max(depth, 1), 10_000)
 
@@ -327,13 +400,18 @@ def sample_fixed_point(
     depth: Optional[int] = None,
     rng: RngStream = RngStream(0),
 ) -> EmpiricalSample:
-    """n draws by backward iteration of the distributional fixed point X ~ (1-Y)X + YB."""
+    """n draws by backward iteration of the distributional fixed point X ~ (1-Y)X + YB.
+
+    Its `truncation` provenance is the contraction (t/(t+1))^depth reached:
+    the mean weight of the series tail that depth steps leave out. So a depth
+    that `default_fixed_point_depth` capped shows there."""
+    _check_intensity(t)
     if depth is None:
         depth = default_fixed_point_depth(t)
     return EmpiricalSample.generate(
         lambda m, gen: fixed_point_draws(measure, t, m, depth, gen),
         n, rng, dimension_of(measure), describe(measure), f"fixed_point(depth={depth})",
-        t=t,
+        t=t, truncation=f"contraction={(t / (t + 1.0)) ** depth:.3g}",
     )
 
 

@@ -4,12 +4,14 @@ The acceptance tests in test_acceptance.py print their own "[criterion NN]"
 lines, but pytest captures stdout of passing tests, so this hook repeats the
 verdicts in the terminal summary where they are always visible, each with the
 wall time of the test call. It ends with the session's peak resident memory
-(`ru_maxrss`).
+(`ru_maxrss`) and the number of threads alive at the end, so that a leaked or
+duplicated worker thread shows.
 """
 
 import re
 import resource
 import sys
+import threading
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _outcomes = {}
@@ -32,6 +34,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         _criteria(terminalreporter)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     terminalreporter.write_line(f"[peak rss] {peak_mb:.1f} MB in this test session")
+    terminalreporter.write_line(f"[threads] {threading.active_count()} alive at the end of this test session")
 
 
 def _criteria(terminalreporter):

@@ -1,5 +1,12 @@
 import math
+import os
 import re
+import select
+import signal
+import sys
+import threading
+from concurrent.futures import Future
+from concurrent.futures import wait as futures_wait
 
 import numpy as np
 import pytest
@@ -8,10 +15,14 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from dirichlet_curve import stickbreak
+from dirichlet_curve.cauchy import trefoil_spectrum
 from dirichlet_curve.measures import (
     Beta,
+    BetaPrime,
     Cauchy1D,
+    CauchyRd,
     RngStream,
+    ScaledProduct,
     Uniform01,
     UniformCircle,
     bernoulli,
@@ -476,3 +487,214 @@ def test_policy_mean_sticks(t):
     counts = np.array([stick_break_weights(t, policy, RngStream(72, i)).weights.size for i in range(400)])
     se = counts.std(ddof=1) / np.sqrt(counts.size)
     assert abs(counts.mean() - policy.mean_sticks(t)) < 4 * se
+
+
+# ---------------------------------------------------------------------------
+# The weight step on the worker thread
+# ---------------------------------------------------------------------------
+
+
+def _serial_stick_columns(tail, cols, t, gen):
+    """The serial kernel's columns: weights and tail masses of the next cols sticks."""
+    tails = gen.random((tail.size, cols))
+    np.log(tails, out=tails)
+    tails /= t
+    np.cumsum(tails, axis=1, out=tails)
+    np.exp(tails, out=tails)
+    tails *= tail[:, None]
+    w = np.empty_like(tails)
+    np.subtract(tail, tails[:, 0], out=w[:, 0])
+    np.subtract(tails[:, :-1], tails[:, 1:], out=w[:, 1:])
+    return w, tails
+
+
+def _serial_stick_mean_block(measure, t, m, policy, gen):
+    """The stick kernel as it ran on one thread, before the weight step moved to
+    the worker: the reference that the threaded kernel must match byte for byte."""
+    d = stickbreak.dimension_of(measure)
+    eps, block, budget = policy.columns(t)
+    acc = np.zeros((m, d))
+    tail = np.ones(m)
+    active = np.arange(m)
+    sticks_done = 0
+    while active.size:
+        a = active.size
+        cols = int(min(block, budget - sticks_done))
+        w, tails = _serial_stick_columns(tail[active], cols, t, gen)
+        done = tails < eps
+        stopped = done.any(axis=1)
+        stop_col = np.where(stopped, done.argmax(axis=1), cols - 1)
+        new_tail = tails[np.arange(a), stop_col]
+        w *= np.arange(cols) <= stop_col[:, None]
+        b = draw_measure(measure, a * cols, gen).reshape(a, cols, d)
+        acc[active] += np.einsum("ak,akd->ad", w, b)
+        sticks_done += cols
+        stopped |= sticks_done >= budget
+        finished = active[stopped]
+        if finished.size:
+            t_fin = new_tail[stopped]
+            if policy.tail_handling == "absorb_into_fresh_atom":
+                acc[finished] += t_fin[:, None] * draw_measure(measure, finished.size, gen)
+            else:
+                acc[finished] /= (1.0 - t_fin)[:, None]
+        tail[active] = new_tail
+        active = active[~stopped]
+    return acc
+
+
+# every family; CauchyRd, BetaPrime, general Beta and a product with a BetaPrime
+# radius take a variable number of uniforms per draw
+_FAMILIES = {
+    "bernoulli": bernoulli(0.5),
+    "arcsine": Beta(0.5, 0.5),
+    "beta": Beta(2.0, 3.0),
+    "uniform": Uniform01(),
+    "beta_prime": BetaPrime(2.0, 3.0),
+    "cauchy": Cauchy1D(0.0, 1.0),
+    "circle": UniformCircle(),
+    "cauchy_rd": CauchyRd(trefoil_spectrum()),
+    "product": ScaledProduct(BetaPrime(2.0, 3.0), UniformCircle()),
+}
+# fixed_N across block edges, and tail cuts whose rows stop mid-block
+_STEP_POLICIES = [TruncationPolicy.fixed(N) for N in (1, 257, 600)] + [
+    TruncationPolicy.tail(eps) for eps in (1e-3, 1e-12)
+]
+
+
+def _assert_serial_bytes(measure, t, n, policy, seed):
+    gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
+    got = stickbreak.stick_mean_draws(measure, t, n, policy, gen)
+    ref = _serial_stick_mean_block(measure, t, n, policy, ref_gen)
+    assert got.tobytes() == ref.tobytes()
+    assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("policy", _STEP_POLICIES, ids=lambda p: p.label().split(",")[0])
+@pytest.mark.parametrize(
+    "family, tail_handling",
+    [
+        (family, tail_handling)
+        for family, measure in _FAMILIES.items()
+        for tail_handling in ("absorb_into_fresh_atom", "drop_renormalize")
+        # drop_renormalize needs a mean
+        if tail_handling == "absorb_into_fresh_atom" or measure.mean() is not None
+    ],
+)
+def test_threaded_stick_kernel_matches_the_serial_kernel(family, tail_handling, policy):
+    measure = _FAMILIES[family]
+    policy = TruncationPolicy(policy.mode, policy.N, policy.epsilon, tail_handling)
+    for t in (0.3, 7.0, 120.0):
+        _assert_serial_bytes(measure, t, 300, policy, 74)
+
+
+class _Submit:
+    """`_submit` stand-ins that send every step down one path: run at once on
+    this thread, never started (so the kernel runs it itself), or run on the
+    worker before the kernel goes on."""
+
+    threaded = staticmethod(stickbreak._submit)
+
+    @staticmethod
+    def inline(fn):
+        future = Future()
+        future.set_result(fn())
+        return future
+
+    @staticmethod
+    def never(fn):
+        return Future()
+
+    @classmethod
+    def worker(cls, fn):
+        future = cls.threaded(fn)
+        futures_wait([future], timeout=60)
+        return future
+
+
+@pytest.mark.parametrize("path", ["inline", "never", "worker"])
+def test_every_step_path_gives_the_serial_bytes(monkeypatch, path):
+    monkeypatch.setattr(stickbreak, "_submit", getattr(_Submit, path))
+    for family in ("bernoulli", "cauchy_rd", "circle"):
+        for policy in (TruncationPolicy.fixed(257), TruncationPolicy.tail(1e-3)):
+            for t in (0.3, 120.0):
+                _assert_serial_bytes(_FAMILIES[family], t, 300, policy, 75)
+
+
+def test_user_threads_drawing_at_once_get_the_serial_bytes():
+    # more user threads than cores, all sharing the one worker, with a short
+    # switch interval so that their weight steps interleave on it
+    policy = TruncationPolicy.tail(1e-6)
+    seeds = range(76, 80)
+    expected = {
+        seed: _serial_stick_mean_block(Uniform01(), 50.0, 400, policy, RngStream(seed).generator())
+        for seed in seeds
+    }
+    got = {}
+
+    def draw(seed):
+        got[seed] = stickbreak.stick_mean_draws(Uniform01(), 50.0, 400, policy, RngStream(seed).generator())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in seeds:
+        assert got[seed].tobytes() == expected[seed].tobytes()
+
+
+def test_a_failing_step_reaches_the_caller_and_the_next_call_works(monkeypatch):
+    def failing_step(*args):
+        def step():
+            raise RuntimeError("step failed")
+
+        return step
+
+    policy = TruncationPolicy.fixed(600)
+    with monkeypatch.context() as patch:
+        patch.setattr(stickbreak, "_weight_step", failing_step)
+        patch.setattr(stickbreak, "_submit", _Submit.worker)
+        with pytest.raises(RuntimeError, match="step failed"):
+            stickbreak.stick_mean_draws(Uniform01(), 2.0, 300, policy, RngStream(80).generator())
+    _assert_serial_bytes(Uniform01(), 2.0, 300, policy, 80)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_draws_on_its_own_worker():
+    policy = TruncationPolicy.tail(1e-6)
+    expected = _serial_stick_mean_block(Uniform01(), 50.0, 200, policy, RngStream(81).generator())
+    # the parent's worker is running when the child is forked
+    stickbreak.stick_mean_draws(Uniform01(), 50.0, 10, policy, RngStream(81).generator())
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            draws = stickbreak.stick_mean_draws(Uniform01(), 50.0, 200, policy, RngStream(81).generator())
+            own = stickbreak._worker[0] == os.getpid()
+            os.write(write_end, bytes([own]) + draws.tobytes())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        ready, _, _ = select.select([pipe], [], [], 120)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        message = pipe.read() if ready else b""
+    os.waitpid(pid, 0)
+    assert message[:1] == b"\x01", "the forked child did not draw on a worker of its own"
+    assert message[1:] == expected.tobytes()
+
+
+def test_fixed_point_records_the_contraction_it_reached():
+    smp = sample_fixed_point(Uniform01(), 1.0, 10, rng=RngStream(82))
+    assert smp.provenance["truncation"] == f"contraction={0.5 ** 40:.3g}"
+    # the depth cap of 10,000 steps leaves (t/(t+1))^depth = 0.368 at t = 1e4
+    smp = sample_fixed_point(Uniform01(), 1e4, 1, rng=RngStream(82))
+    assert smp.provenance["truncation"] == "contraction=0.368"
