@@ -36,6 +36,7 @@ from .measures import (
     describe,
     draw_measure,
 )
+from .stats import KSReport, ks_one_sample, ks_two_sample
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, sample_dirichlet_mean, stick_mean_draws
 
 __all__ = [
@@ -220,10 +221,8 @@ def verify_yamato(
     rng: RngStream,
     level: float = 0.001,
     policy: TruncationPolicy = DEFAULT_POLICY,
-) -> "KSReport":
+) -> KSReport:
     """KS check that the Dirichlet mean of a standard Cauchy is standard Cauchy at every t."""
-    from .stats import KSReport, ks_one_sample
-
     sample = sample_dirichlet_mean(Cauchy1D(0.0, 1.0), t, n, policy, rng)
     return ks_one_sample(sample, lambda x: cauchy_cdf(x, 1j), level=level)
 
@@ -235,14 +234,12 @@ def verify_mult_invariance(
     rng: RngStream,
     level: float = 0.001,
     policy: TruncationPolicy = DEFAULT_POLICY,
-) -> "KSReport":
+) -> KSReport:
     """Two-sample KS for commuting the curve with independent Cauchy scaling.
 
     Compares draws of the Dirichlet mean of (C * R) against C * (Dirichlet
     mean of R), with C standard Cauchy independent of R ~ radial.
     """
-    from .stats import ks_two_sample
-
     gen = rng.generator()
     scaled = ScaledProduct(radial=radial, direction=Cauchy1D(0.0, 1.0))
     lhs = stick_mean_draws(scaled, t, n, policy, gen)

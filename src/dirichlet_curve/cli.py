@@ -424,10 +424,9 @@ def _exp_trefoil(cfg: ExperimentConfig):
         wf = CY.w_of(spec, f)
         proj = x @ f
         for r in (0.5, 1.0, 2.0):
-            ecf = np.exp(1j * r * proj).mean()
-            se = math.sqrt(
-                (np.var(np.cos(r * proj)) + np.var(np.sin(r * proj))) / len(proj)
-            )
+            vals = np.exp(1j * r * proj)
+            ecf = vals.mean()
+            se = ST.complex_mean_se(vals)
             diff = abs(ecf - np.exp(1j * r * wf))
             checks.append(Check(
                 diff <= 3.0 * se,
@@ -479,7 +478,9 @@ def _exp_beta_identity(cfg: ExperimentConfig):
 
 
 def _exp_limits(cfg: ExperimentConfig):
-    """The curve runs from the base measure (t -> 0) to its mean point mass."""
+    """The curve runs from the base measure (t -> 0) to its mean point mass.
+    Only the small-t cells read policy.*: the two t = 1000 variance cells
+    always run under tail_epsilon(1e-6), at min(n, 3e4) draws."""
     rng = RngStream(cfg.seed)
     rows, checks = [], []
     (small_t,) = _grid(cfg, (0.01,))

@@ -5,7 +5,10 @@ sizes of a few dozen and up (documented regime n >= 35). Convex order
 between one-dimensional laws is certified through the generating family of
 hinge functions psi_a(x) = (x - a)_+ along a fixed direction; in higher
 dimension a finite direction battery is a necessary-condition check, not a
-full test.
+full test. `hinge_curve` and `convex_order_check` share one hinge table: the
+means and standard deviations of (<f, X> - a)_+ at all thresholds, in one pass
+per sample. Normal quantiles come from `scipy.special.ndtri`; the package does
+not import `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -15,12 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import betaln, kolmogorov
-from scipy.stats import norm
+from scipy.special import betaln, kolmogorov, ndtri
 
-from .measures import EmpiricalSample, GoverningMeasure, RngStream
+from .measures import EmpiricalSample, GoverningMeasure, RngStream, draw_measure
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, stick_mean_draws
-from .measures import draw_measure
 
 __all__ = [
     "KSReport",
@@ -34,6 +35,7 @@ __all__ = [
     "beta_identity_check",
     "beta_identity_second_moments",
     "moment_inequality_check",
+    "complex_mean_se",
 ]
 
 
@@ -114,13 +116,10 @@ class HingeCurve:
             raise ValueError("hinge estimates must be nonnegative and non-increasing")
 
 
-def hinge_curve(
-    sample: EmpiricalSample,
-    f=None,
-    grid=None,
-    confidence: float = 0.99,
-) -> HingeCurve:
-    """Hinge means along direction f at each threshold, with normal CIs."""
+def _hinge_table(sample: EmpiricalSample, f=None, grid=None):
+    """f (the identity by default in one dimension), the sorted thresholds (the
+    projection's deciles by default), the projection onto f, and the means and
+    ddof-1 standard deviations of (proj - a)_+ at each threshold a."""
     if f is None:
         if sample.dimension != 1:
             raise ValueError("direction f is required for multivariate samples")
@@ -130,11 +129,20 @@ def hinge_curve(
     if grid is None:
         grid = np.quantile(proj, np.linspace(0.1, 0.9, 9))
     grid = np.sort(np.asarray(grid, dtype=float))
-    n = proj.shape[0]
-    z = norm.ppf(0.5 + confidence / 2.0)
     hinge = np.maximum(proj[None, :] - grid[:, None], 0.0)
-    est = hinge.mean(axis=1)
-    hw = z * hinge.std(axis=1, ddof=1) / math.sqrt(n)
+    return f, grid, proj, hinge.mean(axis=1), hinge.std(axis=1, ddof=1)
+
+
+def hinge_curve(
+    sample: EmpiricalSample,
+    f=None,
+    grid=None,
+    confidence: float = 0.99,
+) -> HingeCurve:
+    """Hinge means along direction f at each threshold, with normal CIs."""
+    f, grid, proj, est, sd = _hinge_table(sample, f, grid)
+    n = proj.shape[0]
+    hw = ndtri(0.5 + confidence / 2.0) * sd / math.sqrt(n)
     return HingeCurve(
         direction=f, thresholds=grid, estimates=est, half_widths=hw, confidence=confidence, n=n
     )
@@ -177,42 +185,31 @@ def convex_order_check(
     ts = np.array([float(t) for t, _ in samples])
     if np.any(np.diff(ts) <= 0):
         raise ValueError("intensities must be strictly increasing")
-    dims = {s.dimension for _, s in samples}
-    if len(dims) != 1:
+    if len({s.dimension for _, s in samples}) != 1:
         raise ValueError("samples must share one dimension")
-    d = dims.pop()
-    if f is None:
-        if d != 1:
-            raise ValueError("direction f is required for multivariate samples")
-        f = np.ones(1)
-    f = np.asarray(f, dtype=float).reshape(d)
-    projs = [s.draws @ f for _, s in samples]
-    if grid is None:
-        grid = np.quantile(projs[0], np.linspace(0.1, 0.9, 9))
-    grid = np.sort(np.asarray(grid, dtype=float))
+    # per sample: hinge means and their standard errors, mean and its standard error
+    tables = []
+    for _, sample in samples:
+        f, grid, proj, means, sds = _hinge_table(sample, f, grid)
+        n = len(proj)
+        tables.append((means, sds / math.sqrt(n), proj.mean(), proj.std(ddof=1) / math.sqrt(n)))
     n_pairs = len(samples) - 1
     n_comp = max(n_pairs * (len(grid) + 1), 1)
     alpha_each = (1.0 - confidence) / n_comp
-    z_hinge = norm.isf(alpha_each)
-    z_mean = norm.isf(alpha_each / 2.0)
+    z_hinge = -ndtri(alpha_each)
+    z_mean = -ndtri(alpha_each / 2.0)
 
     gaps = np.zeros((n_pairs, len(grid)))
     slacks = np.zeros_like(gaps)
     violations = []
     for i in range(n_pairs):
-        lo, hi = projs[i], projs[i + 1]
-        for j, a in enumerate(grid):
-            h_lo = np.maximum(lo - a, 0.0)
-            h_hi = np.maximum(hi - a, 0.0)
-            se = math.hypot(
-                h_lo.std(ddof=1) / math.sqrt(len(lo)), h_hi.std(ddof=1) / math.sqrt(len(hi))
-            )
-            gaps[i, j] = h_hi.mean() - h_lo.mean()
-            slacks[i, j] = z_hinge * se
-            if gaps[i, j] > slacks[i, j]:
-                violations.append((ts[i], ts[i + 1], float(a), float(gaps[i, j] - slacks[i, j])))
-        se_mean = math.hypot(lo.std(ddof=1) / math.sqrt(len(lo)), hi.std(ddof=1) / math.sqrt(len(hi)))
-        mean_gap = abs(hi.mean() - lo.mean())
+        (h_lo, se_lo, m_lo, sm_lo), (h_hi, se_hi, m_hi, sm_hi) = tables[i], tables[i + 1]
+        gaps[i] = h_hi - h_lo
+        slacks[i] = [z_hinge * math.hypot(s_lo, s_hi) for s_lo, s_hi in zip(se_lo, se_hi)]
+        for j in np.flatnonzero(gaps[i] > slacks[i]):
+            violations.append((ts[i], ts[i + 1], float(grid[j]), float(gaps[i, j] - slacks[i, j])))
+        se_mean = math.hypot(sm_lo, sm_hi)
+        mean_gap = abs(m_hi - m_lo)
         if mean_gap > z_mean * se_mean:
             violations.append((ts[i], ts[i + 1], float("nan"), float(mean_gap - z_mean * se_mean)))
     return OrderReport(
@@ -226,15 +223,18 @@ def convex_order_check(
     )
 
 
+def _mixing_params(a: float, b: float, u_params) -> tuple[float, float]:
+    """U's beta parameters: u_params, or (2a, b - a), under which the identity holds."""
+    return (2.0 * a, b - a) if u_params is None else u_params
+
+
 def beta_identity_second_moments(a: float, b: float, u_params=None) -> tuple[float, float]:
     """Closed-form second moments of (1-U)X_b + U X_a and of X_b.
 
     X_s ~ beta(s, s) and U ~ beta(*u_params) independent; u_params defaults
     to (2a, b - a), the mixing law under which the identity holds exactly.
     """
-    if u_params is None:
-        u_params = (2.0 * a, b - a)
-    u1, u2 = u_params
+    u1, u2 = _mixing_params(a, b, u_params)
     s = u1 + u2
     eu = u1 / s
     eu2 = u1 * (u1 + 1.0) / (s * (s + 1.0))
@@ -262,15 +262,19 @@ def beta_identity_check(
     """
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
-    if u_params is None:
-        u_params = (2.0 * a, b - a)
+    u1, u2 = _mixing_params(a, b, u_params)
     gen = rng.generator()
     xb = gen.beta(b, b, size=n)
     xa = gen.beta(a, a, size=n)
-    u = gen.beta(u_params[0], u_params[1], size=n)
+    u = gen.beta(u1, u2, size=n)
     mix = (1.0 - u) * xb + u * xa
     fresh = gen.beta(b, b, size=n)
     return ks_two_sample(mix, fresh, level=level)
+
+
+def complex_mean_se(vals: np.ndarray) -> float:
+    """Standard error of the mean of complex draws: sqrt((var Re + var Im) / n)."""
+    return math.sqrt((np.var(vals.real) + np.var(vals.imag)) / len(vals))
 
 
 @dataclass(frozen=True)

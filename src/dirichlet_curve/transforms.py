@@ -18,6 +18,7 @@ from numpy.random import Generator
 from scipy import integrate
 from scipy.special import betaln
 
+from .stats import complex_mean_se
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, stick_mean_draws
 
 __all__ = [
@@ -140,11 +141,6 @@ class CRResidual:
         )
 
 
-def _complex_mean_se(vals: np.ndarray) -> float:
-    n = len(vals)
-    return math.sqrt((np.var(vals.real) + np.var(vals.imag)) / n)
-
-
 def cr_identity_residual(
     alpha,
     t: float,
@@ -187,7 +183,7 @@ def cr_identity_residual(
         lhs=lhs,
         rhs=complex(rhs),
         residual=abs(lhs - rhs),
-        mc_se=_complex_mean_se(vals),
+        mc_se=complex_mean_se(vals),
     )
 
 

@@ -399,3 +399,19 @@ def test_moments_at_a_tiny_t_ends_in_verdicts(tmp_path, capsys, n):
     verdicts = [ln for ln in out if ln.startswith(("  [pass] ", "  [FAIL] "))]
     assert len(verdicts) == 4
     assert out[-1] == f"moments: {'FAIL' if code else 'PASS'}"
+
+
+def test_limits_variance_cells_ignore_the_configured_policy(tmp_path):
+    # the two t = 1000 cells always run under tail_epsilon(1e-6) at min(n, 3e4) draws
+    lines = {}
+    for name, policy in (("default", ""), ("fixed", "policy.mode = fixed_N\npolicy.N = 5\n")):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(f"experiment = limits\nseed = 1\nn = 500\n{policy}")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / name)]) in (0, 1)
+        lines[name] = (tmp_path / name / "limits.csv").read_bytes().splitlines()
+    variance = {name: [ln for ln in rows if b",variance_collapse," in ln] for name, rows in lines.items()}
+    assert len(variance["default"]) == 2
+    assert variance["fixed"] == variance["default"]
+    small_t = {name: [ln for ln in rows if b",ks_vs_base," in ln] for name, rows in lines.items()}
+    assert len(small_t["default"]) == 2
+    assert all(a != b for a, b in zip(small_t["default"], small_t["fixed"]))

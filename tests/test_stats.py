@@ -1,16 +1,31 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import betainc
+from scipy.special import betainc, ndtri
+from scipy.stats import norm
+
+import dirichlet_curve
 
 from dirichlet_curve.exact import hinge_mean
-from dirichlet_curve.measures import RngStream, bernoulli, point_mass, sample_measure, Beta
+from dirichlet_curve.measures import (
+    Beta,
+    EmpiricalSample,
+    RngStream,
+    UniformCircle,
+    bernoulli,
+    point_mass,
+    sample_measure,
+)
 from dirichlet_curve.stats import (
     HingeCurve,
     beta_identity_check,
     beta_identity_second_moments,
+    complex_mean_se,
     convex_order_check,
     hinge_curve,
     ks_one_sample,
@@ -175,3 +190,141 @@ def test_moment_inequality_fractional():
 def test_moment_inequality_validation():
     with pytest.raises(ValueError):
         moment_inequality_check(bernoulli(0.5), 1.0, 0.0, 100, RngStream(109))
+
+
+# reference implementations: hinge_curve and convex_order_check as they were
+# before both read one hinge table, with quantiles from scipy.stats.norm
+
+
+def _reference_hinge_curve(sample, f=None, grid=None, confidence=0.99):
+    if f is None:
+        f = np.ones(1)
+    f = np.asarray(f, dtype=float).reshape(sample.dimension)
+    proj = sample.draws @ f
+    if grid is None:
+        grid = np.quantile(proj, np.linspace(0.1, 0.9, 9))
+    grid = np.sort(np.asarray(grid, dtype=float))
+    n = proj.shape[0]
+    z = norm.ppf(0.5 + confidence / 2.0)
+    hinge = np.maximum(proj[None, :] - grid[:, None], 0.0)
+    return grid, hinge.mean(axis=1), z * hinge.std(axis=1, ddof=1) / math.sqrt(n)
+
+
+def _reference_convex_order(samples, f=None, grid=None, confidence=0.99):
+    ts = np.array([float(t) for t, _ in samples])
+    d = samples[0][1].dimension
+    f = np.ones(1) if f is None else np.asarray(f, dtype=float).reshape(d)
+    projs = [s.draws @ f for _, s in samples]
+    if grid is None:
+        grid = np.quantile(projs[0], np.linspace(0.1, 0.9, 9))
+    grid = np.sort(np.asarray(grid, dtype=float))
+    n_pairs = len(samples) - 1
+    n_comp = max(n_pairs * (len(grid) + 1), 1)
+    alpha_each = (1.0 - confidence) / n_comp
+    z_hinge = norm.isf(alpha_each)
+    z_mean = norm.isf(alpha_each / 2.0)
+    gaps = np.zeros((n_pairs, len(grid)))
+    slacks = np.zeros_like(gaps)
+    violations = []
+    for i in range(n_pairs):
+        lo, hi = projs[i], projs[i + 1]
+        for j, a in enumerate(grid):
+            h_lo = np.maximum(lo - a, 0.0)
+            h_hi = np.maximum(hi - a, 0.0)
+            se = math.hypot(
+                h_lo.std(ddof=1) / math.sqrt(len(lo)), h_hi.std(ddof=1) / math.sqrt(len(hi))
+            )
+            gaps[i, j] = h_hi.mean() - h_lo.mean()
+            slacks[i, j] = z_hinge * se
+            if gaps[i, j] > slacks[i, j]:
+                violations.append((ts[i], ts[i + 1], float(a), float(gaps[i, j] - slacks[i, j])))
+        se_mean = math.hypot(lo.std(ddof=1) / math.sqrt(len(lo)), hi.std(ddof=1) / math.sqrt(len(hi)))
+        mean_gap = abs(hi.mean() - lo.mean())
+        if mean_gap > z_mean * se_mean:
+            violations.append((ts[i], ts[i + 1], float("nan"), float(mean_gap - z_mean * se_mean)))
+    return grid, gaps, slacks, violations
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _battery_samples():
+    """A 1-D battery whose last pair breaks the order (threshold violations and
+    a mean mismatch), and a planar one read along a direction."""
+    line = [
+        (0.5, sample_measure(Beta(0.5, 0.5), 3000, RngStream(107, 0))),
+        (1.0, sample_dirichlet_mean(bernoulli(0.5), 1.0, 3000, rng=RngStream(107, 1))),
+        (2.0, sample_dirichlet_mean(bernoulli(0.5), 2.0, 2500, rng=RngStream(107, 2))),
+        (3.0, sample_measure(Beta(2.0, 5.0), 4000, RngStream(107, 3))),
+        (4.0, sample_measure(Beta(0.3, 0.3), 3000, RngStream(107, 4))),
+    ]
+    gen = RngStream(108).generator()
+    plane = [
+        (t, EmpiricalSample(2, gen.standard_normal((2000 + 500 * i, 2)) * scale, {}))
+        for i, (t, scale) in enumerate(((1.0, 1.0), (2.0, 0.8), (5.0, 1.3)))
+    ]
+    return line, plane
+
+
+@pytest.mark.parametrize("grid", [None, [0.9, 0.05, 0.3, 0.5, 0.71]], ids=["deciles", "given"])
+def test_convex_order_check_matches_the_per_threshold_loop(grid):
+    line, plane = _battery_samples()
+    for samples, f in ((line, None), (plane, [0.6, 0.8])):
+        for confidence in (0.99, 0.999):
+            report = convex_order_check(samples, f=f, grid=grid, confidence=confidence)
+            thresholds, gaps, slacks, violations = _reference_convex_order(samples, f, grid, confidence)
+            assert _same_bytes(report.thresholds, thresholds)
+            assert _same_bytes(report.gaps, gaps)
+            assert _same_bytes(report.slacks, slacks)
+            # repr is exact for floats: equal reprs are equal bits
+            assert repr(report.violations) == repr(violations)
+    report = convex_order_check(line, grid=grid)
+    assert any(math.isnan(a) for _, _, a, _ in report.violations)
+    assert any(not math.isnan(a) for _, _, a, _ in report.violations)
+
+
+@pytest.mark.parametrize("grid", [None, [0.9, 0.05, 0.3, 0.5, 0.71]], ids=["deciles", "given"])
+def test_hinge_curve_matches_its_reference(grid):
+    line, plane = _battery_samples()
+    cases = [(s, None) for _, s in line] + [(s, [0.6, 0.8]) for _, s in plane]
+    cases.append((sample_measure(UniformCircle(), 1500, RngStream(109)), [1.0, 0.0]))
+    for sample, f in cases:
+        for confidence in (0.99, 0.999):
+            curve = hinge_curve(sample, f=f, grid=grid, confidence=confidence)
+            thresholds, estimates, half_widths = _reference_hinge_curve(sample, f, grid, confidence)
+            assert _same_bytes(curve.thresholds, thresholds)
+            assert _same_bytes(curve.estimates, estimates)
+            assert _same_bytes(curve.half_widths, half_widths)
+            assert curve.n == sample.n
+
+
+def test_ndtri_gives_the_normal_quantiles_in_use():
+    for confidence in (0.99, 0.999):
+        p = 0.5 + confidence / 2.0
+        assert _same_bytes(ndtri(p), norm.ppf(p))
+        for n_comp in range(1, 201):
+            alpha_each = (1.0 - confidence) / n_comp
+            assert _same_bytes(-ndtri(alpha_each), norm.isf(alpha_each))
+            assert _same_bytes(-ndtri(alpha_each / 2.0), norm.isf(alpha_each / 2.0))
+
+
+def test_complex_mean_se_matches_the_cosine_sine_form():
+    proj = RngStream(110).generator().standard_cauchy(5000)
+    for r in (0.5, 1.0, 2.0):
+        old = math.sqrt((np.var(np.cos(r * proj)) + np.var(np.sin(r * proj))) / len(proj))
+        assert complex_mean_se(np.exp(1j * r * proj)) == old
+
+
+def test_importing_the_package_leaves_scipy_stats_out():
+    src = Path(dirichlet_curve.__file__).resolve().parents[1]
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import dirichlet_curve, dirichlet_curve.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(src)], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
