@@ -480,7 +480,8 @@ def _exp_beta_identity(cfg: ExperimentConfig):
 def _exp_limits(cfg: ExperimentConfig):
     """The curve runs from the base measure (t -> 0) to its mean point mass.
     Only the small-t cells read policy.*: the two t = 1000 variance cells
-    always run under tail_epsilon(1e-6), at min(n, 3e4) draws."""
+    always run under tail_epsilon(1e-6), at min(n, 3e4) draws, as its
+    `policy_notice` tells a config that sets policy.*."""
     rng = RngStream(cfg.seed)
     rows, checks = [], []
     (small_t,) = _grid(cfg, (0.01,))
@@ -540,7 +541,9 @@ class Experiment(NamedTuple):
     A config that sets what the experiment does not read is an error, not
     silently dropped. `default_t` is the largest t of its default grid and
     `fixed_t` the largest t it samples whatever the config says, both under
-    the configured policy; they bound the stick count of a run."""
+    the configured policy; they bound the stick count of a run. A config
+    that sets policy.* gets `policy_notice`, if any, on stderr: what of the
+    run the policy does not reach."""
 
     run: Callable
     description: str
@@ -550,6 +553,7 @@ class Experiment(NamedTuple):
     confidence: bool = False
     default_t: float = 0.0
     fixed_t: float = 0.0
+    policy_notice: str = ""
 
 
 EXPERIMENTS = {
@@ -604,6 +608,8 @@ EXPERIMENTS = {
         "the curve interpolates from the base measure at t -> 0 to the "
         "point mass at its mean as t -> infinity",
         ts=1, policy=True, confidence=True, default_t=0.01,
+        policy_notice="limits applies policy.* to its small-t cells only: its two "
+        "t = 1000 variance cells run under tail_epsilon(1e-6) at min(n, 3e4) draws",
     ),
     "james": Experiment(
         _exp_james,
@@ -678,7 +684,7 @@ def _build_config(args) -> ExperimentConfig:
         if not parts:
             raise ConfigError("empty t grid")
         ts = tuple(float(p) for p in parts)
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         experiment=experiment,
         seed=int(seed),
         n=int(n),
@@ -688,6 +694,10 @@ def _build_config(args) -> ExperimentConfig:
         out_dir=out_dir,
         confidence=None if confidence is None else float(confidence),
     )
+    notice = EXPERIMENTS[cfg.experiment].policy_notice
+    if policy is not None and notice:
+        print(f"note: {notice}", file=sys.stderr)
+    return cfg
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,11 @@ Three routes are implemented:
   splits, whose weight vector is exactly Dirichlet(t/2^k, ..., t/2^k). This
   is the finite Ishwaran-Zarepour (2002) approximation at level k, not the
   law mu(t*alpha) itself: its variance is sigma^2 (1 + t/2^k)/(t + 1) against
-  the exact sigma^2/(t + 1).
+  the exact sigma^2/(t + 1). Each row block is split into two row halves
+  whose trees grow at once, one on the calling thread and one on the
+  worker, each from a generator seeded from the caller's; the base points
+  stay on the calling thread. The draws do not depend on the threads, but
+  they are not those of a one-generator tree.
 
 `sample_james_aggregation` combines curves: with (Y_j) ~ Dirichlet(t_0..t_J)
 independent of X_j ~ mu(t_j alpha_j), the sum of Y_j X_j has law
@@ -25,6 +29,7 @@ mu(sum_j t_j alpha_j).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.random import Generator
+from numpy.random import Generator, Philox
 
 from .measures import (
     EmpiricalSample,
@@ -184,7 +189,7 @@ def _check_intensity(t: float) -> None:
         raise ValueError("t must be positive and finite")
 
 
-# (pid, executor) of the worker thread that computes stick weights
+# (pid, executor) of the worker thread that computes stick and dyadic weights
 _worker = None
 _worker_lock = threading.Lock()
 
@@ -201,7 +206,7 @@ def _submit(fn):
             if _worker is None or _worker[0] != os.getpid():
                 from concurrent.futures import ThreadPoolExecutor
 
-                _worker = (os.getpid(), ThreadPoolExecutor(1, "stick-weights"))
+                _worker = (os.getpid(), ThreadPoolExecutor(1, "weights"))
             worker = _worker
     return worker[1].submit(fn)
 
@@ -415,20 +420,16 @@ def sample_fixed_point(
     )
 
 
-def dyadic_weight_draws(t: float, k: int, m: int, gen: Generator) -> np.ndarray:
-    """m draws of (W_1..W_{2^k}) ~ Dirichlet(t/2^k, ..., t/2^k) via the binary tree.
-
-    Level h splits every node with an independent beta(t/2^h, t/2^h) stick;
-    leaf j = 1 + sum_h i_h 2^(h-1) follows the bit path (i_1, ..., i_k), with
-    i_h = 0 taking the (1 - Z) share at level h. A node of weight exactly 0
-    (small shapes underflow) is not split: both its children are 0 whatever Z
-    is, so its stick is not drawn. The sticks of the nonzero nodes of a level
-    are drawn in row-major order.
-    """
+def _check_dyadic(t: float, k: int) -> None:
     _check_intensity(t)
     if k < 1:
         raise ValueError("k must be at least 1")
-    w = np.zeros((m, 2**k))
+
+
+def _tree(t: float, k: int, gen: Generator, w: np.ndarray) -> np.ndarray:
+    """Draw the dyadic weights of `dyadic_weight_draws` into w, zeros of shape
+    (m, 2^k), and return it. It calls only gen and numpy on its own arrays, so
+    it may run on the worker thread with a generator of its own."""
     w[:, 0] = 1.0
     for h in range(1, k + 1):
         half = 2 ** (h - 1)
@@ -445,6 +446,20 @@ def dyadic_weight_draws(t: float, k: int, m: int, gen: Generator) -> np.ndarray:
     return w
 
 
+def dyadic_weight_draws(t: float, k: int, m: int, gen: Generator) -> np.ndarray:
+    """m draws of (W_1..W_{2^k}) ~ Dirichlet(t/2^k, ..., t/2^k) via the binary tree.
+
+    Level h splits every node with an independent beta(t/2^h, t/2^h) stick;
+    leaf j = 1 + sum_h i_h 2^(h-1) follows the bit path (i_1, ..., i_k), with
+    i_h = 0 taking the (1 - Z) share at level h. A node of weight exactly 0
+    (small shapes underflow) is not split: both its children are 0 whatever Z
+    is, so its stick is not drawn. The sticks of the nonzero nodes of a level
+    are drawn in row-major order.
+    """
+    _check_dyadic(t, k)
+    return _tree(t, k, gen, np.zeros((m, 2**k)))
+
+
 def dyadic_weights(t: float, k: int, rng: RngStream) -> np.ndarray:
     """One draw of the 2^k dyadic Dirichlet weights."""
     return dyadic_weight_draws(t, k, 1, rng.generator())[0]
@@ -453,14 +468,52 @@ def dyadic_weights(t: float, k: int, rng: RngStream) -> np.ndarray:
 def dyadic_mean_draws(
     measure: GoverningMeasure, t: float, k: int, n: int, gen: Generator
 ) -> np.ndarray:
+    """n draws of M = sum_j W_j B_j with dyadic Dirichlet weights at level k, as an
+    (n, d) array (open-generator core).
+
+    Rows run in blocks of 2^19 leaves (512 rows at k = 10, at most 20,000).
+    The stream of a block of m rows, in order:
+
+    * one call gen.integers(2^63, size=2) gives two seeds s0 and s1;
+    * the first ceil(m/2) rows draw their beta sticks from
+      Generator(Philox(s0)) on the calling thread, through
+      `dyadic_weight_draws`, while the last floor(m/2) rows draw theirs from
+      Generator(Philox(s1)) on the worker thread;
+    * one draw_measure(measure, m 2^k, gen) gives the base points, row by row
+      and leaf by leaf.
+
+    Each half has its own generator, and a half that the worker has not
+    started when the calling thread is done runs on the calling thread, so
+    the draws do not depend on the threads. The worker's weights go into one
+    buffer that the calling thread allocates once per call.
+    """
+    _check_dyadic(t, k)
     d = dimension_of(measure)
+    leaves = 2**k
     out = np.empty((n, d))
-    row_block = max(1, min(_ROW_BLOCK, _DYADIC_BLOCK_LEAVES // 2**k))
+    row_block = max(1, min(_ROW_BLOCK, _DYADIC_BLOCK_LEAVES // leaves))
+    # the worker's halves share one buffer: had each block freed a fresh one
+    # with its other arrays, malloc would give the free top of the heap back
+    # to the system and the next block would fault it in again (about 2000
+    # minor faults a block at k = 10)
+    other_rows = np.empty((min(row_block, n) // 2, leaves))
     for lo in range(0, n, row_block):
         m = min(row_block, n - lo)
-        w = dyadic_weight_draws(t, k, m, gen)
-        b = draw_measure(measure, m * 2**k, gen).reshape(m, 2**k, d)
-        out[lo : lo + m] = np.einsum("mk,mkd->md", w, b)
+        m_own = (m + 1) // 2
+        block = out[lo : lo + m]
+        own, other = (Generator(Philox(seed)) for seed in gen.integers(1 << 63, size=2))
+        w_other = other_rows[: m - m_own]
+        w_other.fill(0.0)
+        tree = functools.partial(_tree, t, k, other, w_other)
+        pending = _submit(tree)
+        w_own = dyadic_weight_draws(t, k, m_own, own)
+        b = draw_measure(measure, m * leaves, gen).reshape(m, leaves, d)
+        np.einsum("mk,mkd->md", w_own, b[:m_own], out=block[:m_own])
+        # a half that the worker has not started yet runs here instead
+        tree() if pending.cancel() else pending.result()
+        np.einsum("mk,mkd->md", w_other, b[m_own:], out=block[m_own:])
+        # free this block's weights and draws before the next block's
+        del w_own, b, tree, pending
     return out
 
 

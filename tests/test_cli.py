@@ -415,3 +415,17 @@ def test_limits_variance_cells_ignore_the_configured_policy(tmp_path):
     small_t = {name: [ln for ln in rows if b",ks_vs_base," in ln] for name, rows in lines.items()}
     assert len(small_t["default"]) == 2
     assert all(a != b for a, b in zip(small_t["default"], small_t["fixed"]))
+
+
+@pytest.mark.parametrize("policy", ["", "policy.mode = fixed_N\npolicy.N = 5\n", "policy.mode = tail_epsilon\n"])
+def test_limits_says_on_stderr_when_a_config_sets_policy(tmp_path, capsys, policy):
+    config = tmp_path / "limits.cfg"
+    config.write_text(f"experiment = limits\nseed = 1\nn = 100\n{policy}")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) in (0, 1)
+    out, err = capsys.readouterr()
+    notice = (
+        "note: limits applies policy.* to its small-t cells only: its two t = 1000 "
+        "variance cells run under tail_epsilon(1e-6) at min(n, 3e4) draws\n"
+    )
+    assert err == (notice if policy else "")
+    assert "note:" not in out

@@ -5,6 +5,8 @@ in-place draw is pinned against the expression it replaced, written out here,
 together with the generator state it leaves (the next uniform).
 """
 
+import resource
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,7 +29,7 @@ from dirichlet_curve.measures import (
     UniformCircle,
     bernoulli,
 )
-from dirichlet_curve.stickbreak import TruncationPolicy, stick_mean_draws
+from dirichlet_curve.stickbreak import TruncationPolicy, dyadic_mean_draws, stick_mean_draws
 
 
 def _traced_peak(fn) -> int:
@@ -186,3 +188,45 @@ def test_stick_block_peaks_below_its_bound(measure, scratch, t, policy):
     stick_mean_draws(measure, t, 10, policy, gen)
     peak = _traced_peak(lambda: stick_mean_draws(measure, t, a, policy, gen))
     assert peak < (1.5 + measure.dimension + scratch) * one_array
+
+
+# ---------------------------------------------------------------------------
+# Dyadic row blocks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "measure, scratch",
+    [(Uniform01(), 0), (bernoulli(0.5), 1), (UniformCircle(), 1)],
+    ids=["uniform", "bernoulli", "circle"],
+)
+@pytest.mark.parametrize("t", [1.0, 1000.0])
+@pytest.mark.parametrize("n", [512, 1536], ids=["one_block", "blocks_in_turn"])
+def test_dyadic_block_peaks_below_its_bound(measure, scratch, t, n):
+    # A row block of 512 rows at k = 10 holds its weights (one array of
+    # 512 x 1024 floats, half of it the worker's), its (2^19, d) base draws
+    # and the base draw's own scratch; one array more covers the trees'
+    # masks, sticks and products, at most 3/4 of an array for both halves at
+    # t = 1000, where no node dies. Two blocks alive at once, the previous
+    # block's weights and draws kept into the next, exceed it: a uniform
+    # base then peaked at 4.6 arrays and the circle at 6.0.
+    one_array = 512 * 1024 * 8
+    gen = RngStream(85).generator()
+    dyadic_mean_draws(measure, t, 10, 10, gen)
+    peak = _traced_peak(lambda: dyadic_mean_draws(measure, t, 10, n, gen))
+    assert peak < (2 + measure.dimension + scratch) * one_array
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_minflt")
+def test_dyadic_blocks_do_not_fault_their_memory_in_again():
+    # 40 blocks of 2^19 leaves, whose weights and base draws take 8 MB (2048
+    # pages of 4 kB) a block at d = 1. When a block freed all of them at
+    # once, malloc gave the top of the heap back to the system and every
+    # block faulted about 2000 pages in again (60,000-78,000 in all); the
+    # bound allows a quarter of a block's pages a block.
+    gen = RngStream(86).generator()
+    dyadic_mean_draws(Uniform01(), 1.0, 10, 1024, gen)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    dyadic_mean_draws(Uniform01(), 1.0, 10, 40 * 512, gen)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 40 * 512

@@ -698,3 +698,169 @@ def test_fixed_point_records_the_contraction_it_reached():
     # the depth cap of 10,000 steps leaves (t/(t+1))^depth = 0.368 at t = 1e4
     smp = sample_fixed_point(Uniform01(), 1e4, 1, rng=RngStream(82))
     assert smp.provenance["truncation"] == "contraction=0.368"
+
+
+# ---------------------------------------------------------------------------
+# Dyadic row halves on two threads
+# ---------------------------------------------------------------------------
+
+
+def _two_half_mean_draws(measure, t, k, n, gen):
+    """The dyadic mean's stream, written out on one thread: per row block of
+    2^19 leaves, two seeds from gen; the first ceil(m/2) rows' weights from a
+    Philox of the first seed, the last floor(m/2) rows' from a Philox of the
+    second; then one base draw of m 2^k points from gen."""
+    d = stickbreak.dimension_of(measure)
+    rows = min(20_000, 2**19 // 2**k)
+    out = []
+    for lo in range(0, n, rows):
+        m = min(rows, n - lo)
+        seeds = gen.integers(2**63, size=2)
+        w = np.concatenate([
+            dyadic_weight_draws(t, k, (m + 1) // 2, np.random.Generator(np.random.Philox(seeds[0]))),
+            dyadic_weight_draws(t, k, m // 2, np.random.Generator(np.random.Philox(seeds[1]))),
+        ])
+        b = draw_measure(measure, m * 2**k, gen).reshape(m, 2**k, d)
+        out.append(np.einsum("mk,mkd->md", w, b))
+    return np.concatenate(out)
+
+
+def _assert_two_half_bytes(measure, t, k, n, make_gen):
+    gen, ref_gen = make_gen(), make_gen()
+    got = dyadic_mean_draws(measure, t, k, n, gen)
+    ref = _two_half_mean_draws(measure, t, k, n, ref_gen)
+    assert got.shape == (n, stickbreak.dimension_of(measure))
+    assert got.tobytes() == ref.tobytes()
+    assert gen.random() == ref_gen.random()
+
+
+# three blocks of 512, 512 and 477 rows at k = 10, one odd block of 7 rows,
+# and n = 1, whose worker half has no rows
+_DYADIC_CASES = [(1.0, 10, 1501), (0.5, 3, 7), (2.0, 1, 1), (0.01, 12, 300)]
+
+
+@pytest.mark.parametrize("t, k, n", _DYADIC_CASES)
+@pytest.mark.parametrize("family", ["uniform", "bernoulli", "circle", "cauchy_rd"])
+def test_dyadic_mean_draws_follow_the_two_half_stream(family, t, k, n):
+    _assert_two_half_bytes(_FAMILIES[family], t, k, n, lambda: RngStream(90).generator())
+
+
+def test_dyadic_mean_draws_take_a_key_built_philox():
+    # Generator.spawn raises TypeError for a Philox built from a key
+    make = lambda: np.random.Generator(np.random.Philox(key=2**70 + 5))
+    with pytest.raises(TypeError):
+        make().spawn(1)
+    _assert_two_half_bytes(Uniform01(), 1.0, 10, 600, make)
+
+
+@pytest.mark.parametrize("path", ["inline", "never", "worker"])
+def test_every_dyadic_half_path_gives_the_same_bytes(monkeypatch, path):
+    monkeypatch.setattr(stickbreak, "_submit", getattr(_Submit, path))
+    for t, k, n in _DYADIC_CASES:
+        _assert_two_half_bytes(Uniform01(), t, k, n, lambda: RngStream(91).generator())
+
+
+def test_dyadic_halves_split_each_row_block(monkeypatch):
+    # the calling thread's half has ceil(m/2) rows and the worker's floor(m/2);
+    # the worker path waits for the worker's half, so it is recorded first
+    calls = []
+    real = stickbreak._tree
+    caller = threading.get_ident()
+
+    def tree(t, k, gen, out):
+        calls.append((out.shape[0], threading.get_ident() == caller))
+        return real(t, k, gen, out)
+
+    monkeypatch.setattr(stickbreak, "_tree", tree)
+    monkeypatch.setattr(stickbreak, "_submit", _Submit.worker)
+    for n, rows in ((1, [0, 1]), (7, [3, 4]), (1501, [256, 256, 256, 256, 238, 239])):
+        calls.clear()
+        dyadic_mean_draws(Uniform01(), 1.0, 10, n, RngStream(92).generator())
+        assert calls == [(m, i % 2 == 1) for i, m in enumerate(rows)]
+
+
+def test_dyadic_draws_repeat_across_calls_and_user_threads():
+    cases = [(Uniform01(), 1.0, 10, 1100, seed) for seed in range(93, 97)]
+    expected = {
+        seed: _two_half_mean_draws(measure, t, k, n, RngStream(seed).generator())
+        for measure, t, k, n, seed in cases
+    }
+    for measure, t, k, n, seed in cases[:2]:
+        for _ in range(2):
+            got = dyadic_mean_draws(measure, t, k, n, RngStream(seed).generator())
+            assert got.tobytes() == expected[seed].tobytes()
+    got = {}
+
+    def draw(measure, t, k, n, seed):
+        got[seed] = dyadic_mean_draws(measure, t, k, n, RngStream(seed).generator())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=draw, args=case) for case in cases]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in expected:
+        assert got[seed].tobytes() == expected[seed].tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_draws_the_same_dyadic_bytes():
+    expected = _two_half_mean_draws(Uniform01(), 1.0, 10, 600, RngStream(97).generator())
+    # the parent's worker is running when the child is forked
+    dyadic_mean_draws(Uniform01(), 1.0, 10, 600, RngStream(97).generator())
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            draws = dyadic_mean_draws(Uniform01(), 1.0, 10, 600, RngStream(97).generator())
+            os.write(write_end, draws.tobytes())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        ready, _, _ = select.select([pipe], [], [], 120)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        message = pipe.read() if ready else b""
+    os.waitpid(pid, 0)
+    assert message == expected.tobytes()
+
+
+@pytest.mark.parametrize("t, k", [(0.0, 3), (-1.0, 3), (math.inf, 3), (math.nan, 3), (1.0, 0), (1.0, -2)])
+def test_bad_dyadic_arguments_raise_before_anything_is_submitted(monkeypatch, t, k):
+    submitted = []
+    monkeypatch.setattr(stickbreak, "_submit", submitted.append)
+    gen = RngStream(98).generator()
+    message = "k must be at least 1" if k < 1 else "t must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        dyadic_mean_draws(Uniform01(), t, k, 10, gen)
+    assert submitted == []
+    assert gen.random() == RngStream(98).generator().random()
+
+
+@pytest.mark.parametrize("path", ["threaded", "worker"])
+def test_traced_dyadic_probes_run_on_the_calling_thread(monkeypatch, path):
+    # perfbench's tracer wraps dyadic_weight_draws and draw_measure, and its
+    # spans nest only on one thread; the worker runs the untraced _tree
+    calls = []
+
+    def recorder(name, real):
+        def probe(*args):
+            calls.append((name, threading.get_ident()))
+            return real(*args)
+
+        return probe
+
+    monkeypatch.setattr(stickbreak, "dyadic_weight_draws", recorder("weights", dyadic_weight_draws))
+    monkeypatch.setattr(stickbreak, "draw_measure", recorder("base", draw_measure))
+    monkeypatch.setattr(stickbreak, "_submit", getattr(_Submit, path))
+    dyadic_mean_draws(Uniform01(), 1.0, 10, 1500, RngStream(99).generator())
+    assert [name for name, _ in calls] == ["weights", "base"] * 3
+    assert {ident for _, ident in calls} == {threading.get_ident()}
