@@ -27,7 +27,6 @@ from .measures import (
     Uniform01,
     UniformCircle,
     bernoulli,
-    mean_of,
     point_mass,
     raw_moments,
     sample_measure,

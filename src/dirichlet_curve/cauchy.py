@@ -33,7 +33,6 @@ from .measures import (
     GoverningMeasure,
     RngStream,
     ScaledProduct,
-    describe,
     draw_measure,
 )
 from .stats import KSReport, ks_one_sample, ks_two_sample
@@ -104,17 +103,16 @@ def trefoil_spectrum() -> SpectralCauchy:
     )
 
 
-def uniform_spectrum(n_atoms: int = 720, d: int = 2) -> SpectralCauchy:
-    """Symmetric discretization of C * (uniform on the sphere), C = sqrt(pi)Gamma((d+1)/2)/Gamma(d/2).
+def uniform_spectrum(n_atoms: int = 720) -> SpectralCauchy:
+    """Symmetric discretization of C * (uniform on the unit circle), with
+    C = sqrt(pi) Gamma(3/2) / Gamma(1) = pi/2.
 
-    With this constant the law has w(f) = i |f|, the standard isotropic
-    Cauchy. Only d = 2 is supported; symmetry makes the centering exact.
+    With this constant the planar law has w(f) = i |f|, the standard isotropic
+    Cauchy; symmetry makes the centering exact.
     """
-    if d != 2:
-        raise ValueError("only d = 2 is supported")
     if n_atoms < 2 or n_atoms % 2:
         raise ValueError("n_atoms must be even and at least 2")
-    C = math.sqrt(math.pi) * math.gamma((d + 1) / 2.0) / math.gamma(d / 2.0)
+    C = math.pi / 2.0
     angles = 2.0 * np.pi * (np.arange(n_atoms) + 0.5) / n_atoms
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     half = dirs[: n_atoms // 2]
@@ -245,6 +243,6 @@ def verify_mult_invariance(
     lhs = stick_mean_draws(scaled, t, n, policy, gen)
     x = stick_mean_draws(radial, t, n, policy, gen)
     c = gen.standard_cauchy(n)[:, None]
-    lhs_sample = EmpiricalSample(1, lhs, {"measure": describe(scaled), "t": repr(float(t))})
-    rhs_sample = EmpiricalSample(1, c * x, {"measure": f"Cauchy * mean[{describe(radial)}]"})
+    lhs_sample = EmpiricalSample(1, lhs, {"measure": scaled.describe(), "t": repr(float(t))})
+    rhs_sample = EmpiricalSample(1, c * x, {"measure": f"Cauchy * mean[{radial.describe()}]"})
     return ks_two_sample(lhs_sample, rhs_sample, level=level)

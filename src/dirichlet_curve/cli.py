@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import cauchy as CY
 from . import exact as EX
@@ -32,7 +33,6 @@ from .measures import (
     UniformCircle,
     BetaPrime,
     bernoulli,
-    describe,
     measure_from_config,
     sample_measure,
     split_config,
@@ -165,7 +165,7 @@ def _exp_curve_ks(cfg: ExperimentConfig):
         law = EX.curve_of(measure, t)
         if law is None:
             raise ConfigError(
-                f"no closed-form law for {describe(measure)} at t={t:g}"
+                f"no closed-form law for {measure.describe()} at t={t:g}"
             )
         smp = SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng.substream(i))
         if isinstance(law, EX.RadialCircleLaw):
@@ -176,9 +176,9 @@ def _exp_curve_ks(cfg: ExperimentConfig):
             what = "X"
         rep = ST.ks_one_sample(data, lambda x: EX.cdf(law, x), level=cfg.level)
         rows.append(
-            (describe(measure), t, what, cfg.n, rep.statistic, rep.p_value, rep.passed)
+            (measure.describe(), t, what, cfg.n, rep.statistic, rep.p_value, rep.passed)
         )
-        checks.append(Check(rep.passed, f"{describe(measure)} t={t:g}: {_ks_text(rep)}"))
+        checks.append(Check(rep.passed, f"{measure.describe()} t={t:g}: {_ks_text(rep)}"))
     header = ("measure", "t", "statistic_of", "n", "ks_statistic", "p_value", "passed")
     return header, rows, checks
 
@@ -204,7 +204,7 @@ def _exp_convex_order(cfg: ExperimentConfig):
                 slack = rep.slacks[pi, ai]
                 rows.append(
                     (
-                        describe(measure),
+                        measure.describe(),
                         rep.intensities[pi],
                         rep.intensities[pi + 1],
                         a,
@@ -215,7 +215,7 @@ def _exp_convex_order(cfg: ExperimentConfig):
                 )
         checks.append(Check(
             rep.consistent,
-            f"{describe(measure)}: hinge means decrease along t in "
+            f"{measure.describe()}: hinge means decrease along t in "
             f"(0, {', '.join(f'{t:g}' for t in ts)}); {len(rep.violations)} violations",
         ))
         reversed_curve = sorted(
@@ -224,7 +224,7 @@ def _exp_convex_order(cfg: ExperimentConfig):
         neg = ST.convex_order_check(reversed_curve, confidence=cfg.confidence)
         checks.append(Check(
             not neg.consistent,
-            f"{describe(measure)}: reversed labels flagged with "
+            f"{measure.describe()}: reversed labels flagged with "
             f"{len(neg.violations)} violations",
         ))
     header = ("measure", "t_low", "t_high", "threshold", "gap", "slack", "violated")
@@ -244,7 +244,7 @@ def _exp_moments(cfg: ExperimentConfig):
             abs(table.ex[k - 1] - EX.law_raw_moment(law, k)) for k in range(1, 7)
         )
         good = err < 1e-12
-        rows.append((describe(bern), t, "recursion_vs_analytic", 6, err, 1e-12, good))
+        rows.append((bern.describe(), t, "recursion_vs_analytic", 6, err, 1e-12, good))
         checks.append(Check(
             good, f"Bernoulli(1/2) t={t:g}: recursion vs beta moments, max err {err:.2e}"
         ))
@@ -277,9 +277,9 @@ def _exp_moments(cfg: ExperimentConfig):
             se = math.sqrt((np.mean(c**4) - (n - 3) / (n - 1) * v**2) / n)
             z = (v - target) / se
             good = abs(z) < 3.0
-            rows.append((describe(measure), t, "variance_vs_mc", 2, v, target, good))
+            rows.append((measure.describe(), t, "variance_vs_mc", 2, v, target, good))
             checks.append(Check(
-                good, f"{describe(measure)} t={t:g}: var {v:.5g} vs {target:.5g} (z={z:+.2f})"
+                good, f"{measure.describe()} t={t:g}: var {v:.5g} vs {target:.5g} (z={z:+.2f})"
             ))
     header = ("measure", "t", "check", "order", "value", "reference", "passed")
     return header, rows, checks
@@ -297,6 +297,13 @@ def _exp_cr_identity(cfg: ExperimentConfig):
     points = [{"s": s} for s in (-2.0, -0.7, 0.7, 1.0, 3.0)] + [
         {"z": z} for z in (2j, 1.0 + 1.0j, 0.5 + 0.8j)
     ]
+    # A measure's row fails when any of its k points does, so each point gets
+    # the Bonferroni share P(|res|/se > n_se) <= level / k. |res|^2/se^2 is
+    # about l1 Z1^2 + l2 Z2^2 with l1 + l2 = 1, and P(l1 Z1^2 + l2 Z2^2 > x)
+    # is largest at l1 = 1 for x above 1.54 (Szekely & Bakirov 2003), so at
+    # x = n_se^2 (16 at the defaults) 2 Phi(-n_se) bounds it.
+    k = len(ts) * len(points)
+    n_se = -ndtri(cfg.level / (2 * k))
     rng = RngStream(cfg.seed)
     rows, checks = [], []
     idx = 0
@@ -309,16 +316,16 @@ def _exp_cr_identity(cfg: ExperimentConfig):
                     policy=cfg.policy, **point,
                 )
                 idx += 1
-                good = r.compatible_with_zero()
+                good = r.compatible_with_zero(n_se)
                 n_bad += not good
                 rows.append(
-                    (describe(measure), r.form, t, r.point.real, r.point.imag,
+                    (measure.describe(), r.form, t, r.point.real, r.point.imag,
                      r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag,
                      r.residual, r.mc_se, good)
                 )
         checks.append(Check(
             n_bad == 0,
-            f"{describe(measure)}: {len(ts) * len(points)} points, {n_bad} outside 3 mc se",
+            f"{measure.describe()}: {k} points, {n_bad} outside {n_se:.2f} mc se",
         ))
     header = (
         "measure", "form", "t", "point_re", "point_im", "lhs_re", "lhs_im",
@@ -344,23 +351,23 @@ def _exp_ode_residual(cfg: ExperimentConfig):
         for n in range(1, 6):
             res = abs(TR.ode_residual(cau, n, z))
             worst = max(worst, res)
-            rows.append((describe(cau), "ode", n, 0, z.real, z.imag, res, 1e-10, "below", res <= 1e-10))
+            rows.append((cau.describe(), "ode", n, 0, z.real, z.imag, res, 1e-10, "below", res <= 1e-10))
         for n, m in ((1, 2), (2, 3), (3, 5)):
             res = abs(TR.power_identity_residual(cau, n, m, z))
             worst = max(worst, res)
-            rows.append((describe(cau), "power", n, m, z.real, z.imag, res, 1e-10, "below", res <= 1e-10))
+            rows.append((cau.describe(), "power", n, m, z.real, z.imag, res, 1e-10, "below", res <= 1e-10))
     checks.append(Check(
         worst <= 1e-10,
         f"Cauchy: worst |residual| {worst:.2e} over 5 z, orders to 5, powers to (3,5)",
     ))
     for measure in (Beta(0.5, 0.5), bernoulli(0.5)):
         for z in (1j, 2j):
-            floor = _NON_CAUCHY_FLOORS.get((describe(measure), z), 0.01)
+            floor = _NON_CAUCHY_FLOORS.get((measure.describe(), z), 0.01)
             res = abs(TR.ode_residual(measure, 1, z))
             good = res > floor
-            rows.append((describe(measure), "ode", 1, 0, z.real, z.imag, res, floor, "above", good))
+            rows.append((measure.describe(), "ode", 1, 0, z.real, z.imag, res, floor, "above", good))
             checks.append(Check(
-                good, f"{describe(measure)} z={z}: |residual| {res:.4f} > {floor:g}"
+                good, f"{measure.describe()} z={z}: |residual| {res:.4f} > {floor:g}"
             ))
     header = ("measure", "kind", "n", "m", "z_re", "z_im", "abs_residual", "bound", "direction", "passed")
     return header, rows, checks
@@ -378,11 +385,11 @@ def _exp_cauchy_invariance(cfg: ExperimentConfig):
     smp = SB.sample_dirichlet_mean(shifted, 1.0, cfg.n, cfg.policy, rng.substream(10))
     rep = ST.ks_one_sample(smp, lambda x: EX.cdf(shifted, x), level=cfg.level)
     rows.append(("fixed_point_shifted", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
-    checks.append(Check(rep.passed, f"{describe(shifted)} t=1: {_ks_text(rep)}"))
+    checks.append(Check(rep.passed, f"{shifted.describe()} t=1: {_ks_text(rep)}"))
     for j, radial in enumerate((Uniform01(), Beta(2.0, 1.0))):
         rep = CY.verify_mult_invariance(radial, 1.0, cfg.n, rng.substream(20 + j), cfg.level, cfg.policy)
-        rows.append((f"radial_product[{describe(radial)}]", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
-        checks.append(Check(rep.passed, f"radial {describe(radial)} x Cauchy: {_ks_text(rep)}"))
+        rows.append((f"radial_product[{radial.describe()}]", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
+        checks.append(Check(rep.passed, f"radial {radial.describe()} x Cauchy: {_ks_text(rep)}"))
     smp = SB.sample_dirichlet_mean(Uniform01(), 1.0, cfg.n, cfg.policy, rng.substream(30))
     rep = ST.ks_one_sample(smp, lambda x: CY.cauchy_cdf(x, 1j), level=cfg.level)
     flagged = not rep.passed
@@ -489,9 +496,9 @@ def _exp_limits(cfg: ExperimentConfig):
     for i, measure in enumerate((Uniform01(), Beta(0.5, 0.5))):
         smp = SB.sample_dirichlet_mean(measure, small_t, cfg.n, cfg.policy, rng.substream(i))
         rep = ST.ks_one_sample(smp, lambda x: EX.cdf(measure, x), level=cfg.level)
-        rows.append((describe(measure), small_t, "ks_vs_base", rep.statistic, rep.p_value, rep.passed))
+        rows.append((measure.describe(), small_t, "ks_vs_base", rep.statistic, rep.p_value, rep.passed))
         checks.append(Check(
-            rep.passed, f"{describe(measure)} t={small_t:g}: KS vs base measure {_ks_text(rep)}"
+            rep.passed, f"{measure.describe()} t={small_t:g}: KS vs base measure {_ks_text(rep)}"
         ))
     big_t = 1000.0
     n_var = min(cfg.n, 3 * 10**4)
@@ -501,9 +508,9 @@ def _exp_limits(cfg: ExperimentConfig):
         v = smp.values().var(ddof=1)
         bound = 2.0 * sig2 / big_t
         good = v < bound
-        rows.append((describe(measure), big_t, "variance_collapse", v, bound, good))
+        rows.append((measure.describe(), big_t, "variance_collapse", v, bound, good))
         checks.append(Check(
-            good, f"{describe(measure)} t={big_t:g}: var {v:.3e} < {bound:.3e} (n={n_var})"
+            good, f"{measure.describe()} t={big_t:g}: var {v:.3e} < {bound:.3e} (n={n_var})"
         ))
     header = ("measure", "t", "check", "statistic", "reference", "passed")
     return header, rows, checks
@@ -579,7 +586,7 @@ EXPERIMENTS = {
         _exp_cr_identity,
         "E(1-isX)^(-t) and E(X-z)^(-t) over mean draws equal exponentials "
         "of base-measure log transforms",
-        measure=True, ts=None, policy=True, default_t=2.0,
+        measure=True, ts=None, policy=True, confidence=True, default_t=2.0,
     ),
     "ode-residual": Experiment(
         _exp_ode_residual,

@@ -42,7 +42,13 @@ __all__ = [
     "p_q_coefficients",
     "p_q_polynomials",
     "cr_density",
+    "QUAD_TOL",
 ]
+
+# The epsabs and epsrel of each adaptive integrate.quad call behind the
+# transforms and cr_density: a target per call, not a bound on the total
+# error of a transform built from several calls.
+QUAD_TOL = 1e-10
 
 
 class Law:
@@ -336,7 +342,7 @@ def p_q_polynomials(m, t: float):
     return pv, qv
 
 
-def beta_log_potential(a: float, b: float, x: float, tol: float) -> float:
+def beta_log_potential(a: float, b: float, x: float) -> float:
     """-integral of log|x - w| beta(a, b)(dw) with singularity-aware quadrature.
 
     The algebraic endpoint factors and the log factor at w = x are folded into
@@ -344,44 +350,29 @@ def beta_log_potential(a: float, b: float, x: float, tol: float) -> float:
     integrator is smooth.
     """
     norm = math.exp(-betaln(a, b))
+    opts = dict(epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
     total = 0.0
     if x > 0.0:
         # integral over [0, x]: weight w^(a-1) * log(x - w)
-        val, _ = integrate.quad(
-            lambda w: norm * (1.0 - w) ** (b - 1.0),
-            0.0,
-            x,
-            weight="alg-logb",
-            wvar=(a - 1.0, 0.0),
-            epsabs=tol,
-            epsrel=tol,
-            limit=200,
-        )
-        total += val
+        total += integrate.quad(lambda w: norm * (1.0 - w) ** (b - 1.0), 0.0, x,
+                                weight="alg-logb", wvar=(a - 1.0, 0.0), **opts)[0]
     if x < 1.0:
         # integral over [x, 1]: weight (1 - w)^(b-1) * log(w - x)
-        val, _ = integrate.quad(
-            lambda w: norm * w ** (a - 1.0),
-            x,
-            1.0,
-            weight="alg-loga",
-            wvar=(0.0, b - 1.0),
-            epsabs=tol,
-            epsrel=tol,
-            limit=200,
-        )
-        total += val
+        total += integrate.quad(lambda w: norm * w ** (a - 1.0), x, 1.0,
+                                weight="alg-loga", wvar=(0.0, b - 1.0), **opts)[0]
     return -total
 
 
-def cr_density(alpha, x: float, quadrature_tol: float = 1e-10) -> float:
+def cr_density(alpha, x: float) -> float:
     """Density of the Dirichlet mean at unit intensity, via the sine/potential form.
 
     f(x) = (1/pi) * sin(pi * alpha((x, inf))) * exp(g(x)) with
     g(x) = -integral of log|x - w| alpha(dw).  Valid at unit intensity only,
     for x interior to the support of the mean's law, with alpha continuous
-    near x (atoms exactly at x make the potential diverge).
+    near x (atoms exactly at x make the potential diverge).  For beta-type
+    alpha, g comes from adaptive quadrature at QUAD_TOL per call, which is
+    not a bound on the error of f(x).
     """
-    g = alpha.log_potential(float(x), quadrature_tol)
+    g = alpha.log_potential(float(x))
     tail = alpha.upper_tail(float(x))
     return math.sin(math.pi * tail) * math.exp(g) / math.pi

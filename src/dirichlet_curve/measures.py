@@ -11,8 +11,11 @@ closed-form curve law (`curve_law`), and the hooks of the transforms and of
 the unit-intensity density (`integrate`, the Cauchy closed forms,
 `log_potential`). A family without a hook inherits the default of
 `GoverningMeasure`, which raises. `ScaledProduct` composes the methods of
-its factors. The module functions (`draw_measure`, `describe`, `mean_of`,
-`raw_moments`, `parse_measure_config`, ...) delegate to these methods.
+its factors, and `Uniform01` is `Beta(1, 1)` with its own name and a
+one-uniform draw. Callers use the methods; the module functions add what a
+method does not: the sampling entry points (`draw_measure`, and
+`sample_measure` with its provenance), `raw_moments`, which checks its
+arguments, and the config parsers (`parse_measure_config`, ...).
 
 A family is also a law on the curve: `GoverningMeasure` derives from
 `exact.Law`, and the one-dimensional families carry its `cdf` (and `Beta`
@@ -47,10 +50,7 @@ __all__ = [
     "GoverningMeasure",
     "bernoulli",
     "point_mass",
-    "dimension_of",
-    "describe",
     "sample_measure",
-    "mean_of",
     "raw_moments",
     "parse_measure_config",
     "split_config",
@@ -90,23 +90,23 @@ class _Integrable:
     """The transforms of a one-dimensional measure, computed by its `integrate`
     hook; `transforms` validates the points and documents the formulas."""
 
-    def integrate(self, f, tol: float) -> complex:
+    def integrate(self, f) -> complex:
         """integral of f(w) alpha(dw)."""
         raise TypeError(f"no transform integration for {type(self).__name__}")
 
-    def stieltjes(self, z: complex, tol: float) -> complex:
-        return self.integrate(lambda w: 1.0 / (w - z), tol)
+    def stieltjes(self, z: complex) -> complex:
+        return self.integrate(lambda w: 1.0 / (w - z))
 
-    def stieltjes_derivative(self, k: int, z: complex, tol: float) -> complex:
-        return math.factorial(k) * self.integrate(lambda w: (w - z) ** (-(k + 1.0)), tol)
+    def stieltjes_derivative(self, k: int, z: complex) -> complex:
+        return math.factorial(k) * self.integrate(lambda w: (w - z) ** (-(k + 1.0)))
 
-    def log_transform(self, z: complex, tol: float) -> complex:
-        return -self.integrate(lambda w: np.log(w - z), tol)
+    def log_transform(self, z: complex) -> complex:
+        return -self.integrate(lambda w: np.log(w - z))
 
-    def log_fourier_mean(self, s: float, tol: float) -> complex:
+    def log_fourier_mean(self, s: float) -> complex:
         """integral of log(1 - i s x) alpha(dx); the argument of the log has real
         part 1, so the principal branch is unambiguous."""
-        return self.integrate(lambda x: np.log(1.0 - 1j * s * x), tol)
+        return self.integrate(lambda x: np.log(1.0 - 1j * s * x))
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class EmpiricalSample(_Integrable):
             raise ValueError("values() requires a one-dimensional sample")
         return self.draws[:, 0]
 
-    def integrate(self, f, tol: float) -> complex:
+    def integrate(self, f) -> complex:
         """The average of f over the draws."""
         if self.dimension != 1:
             raise ValueError("transforms are one-dimensional")
@@ -193,7 +193,7 @@ class GoverningMeasure(_Integrable, Law):
         """Closed-form law of the Dirichlet mean at intensity t, or None."""
         return None
 
-    def log_potential(self, x: float, tol: float) -> float:
+    def log_potential(self, x: float) -> float:
         """-integral of log|x - w| alpha(dw), for one-dimensional alpha."""
         raise TypeError(f"no log potential for {type(self).__name__}")
 
@@ -284,13 +284,13 @@ class DiscreteAtoms(GoverningMeasure):
             return DirichletLaw(tuple(alphas))
         return None
 
-    def integrate(self, f, tol):
+    def integrate(self, f):
         if self.dimension != 1:
             raise ValueError("transforms are one-dimensional")
         vals = np.array([f(w) for w in self.points[:, 0]])
         return complex(np.dot(self.weights, vals))
 
-    def log_potential(self, x, tol):
+    def log_potential(self, x):
         vals = self._line()
         if np.any(np.abs(vals - x) < 1e-300):
             raise ValueError("log potential diverges at an atom")
@@ -353,45 +353,32 @@ class Beta(GoverningMeasure):
             return dk_law()
         return None
 
-    def integrate(self, f, tol):
+    def integrate(self, f):
         from .transforms import beta_integral
 
-        return beta_integral(self.a, self.b, f, tol)
+        return beta_integral(self.a, self.b, f)
 
-    def log_potential(self, x, tol):
-        return beta_log_potential(self.a, self.b, x, tol)
+    def log_potential(self, x):
+        return beta_log_potential(self.a, self.b, x)
 
 
 @dataclass(frozen=True)
-class Uniform01(GoverningMeasure):
-    """Uniform on (0, 1)."""
+class Uniform01(Beta):
+    """Uniform on (0, 1): beta(1, 1) under its own name, drawn from one uniform
+    a draw rather than by gen.beta."""
 
-    dimension = 1
+    a: float = field(default=1.0, init=False, repr=False)
+    b: float = field(default=1.0, init=False, repr=False)
+
+    @classmethod
+    def from_config(cls, pairs, rows):
+        return cls()
 
     def describe(self) -> str:
         return "Uniform01"
 
     def draw(self, n, gen):
         return gen.random(n)[:, None]
-
-    def mean(self):
-        return np.array([0.5])
-
-    def raw_moments(self, n_max):
-        return 1.0 / (np.arange(n_max) + 2.0)
-
-    def cdf(self, x):
-        return np.clip(x, 0.0, 1.0)
-
-    def curve_law(self, t):
-        return dk_law() if t == 1.0 else None
-
-    # quadrature treats the uniform law as beta(1, 1)
-    def integrate(self, f, tol):
-        return Beta(1.0, 1.0).integrate(f, tol)
-
-    def log_potential(self, x, tol):
-        return Beta(1.0, 1.0).log_potential(x, tol)
 
 
 @dataclass(frozen=True)
@@ -441,10 +428,10 @@ class BetaPrime(GoverningMeasure):
     def curve_law(self, t):
         return BetaPrime(t + 0.5, 0.5) if self.a == 0.5 and self.b == 0.5 else None
 
-    def integrate(self, f, tol):
+    def integrate(self, f):
         from .transforms import beta_prime_integral
 
-        return beta_prime_integral(self.a, self.b, f, tol)
+        return beta_prime_integral(self.a, self.b, f)
 
 
 @dataclass(frozen=True)
@@ -493,16 +480,16 @@ class Cauchy1D(GoverningMeasure):
 
     # closed forms: integrating against this law evaluates a function holomorphic
     # in the lower (upper) half-plane at conj(w) (at w)
-    def stieltjes(self, z, tol):
+    def stieltjes(self, z):
         return 1.0 / (self.w.conjugate() - z)
 
-    def stieltjes_derivative(self, k, z, tol):
+    def stieltjes_derivative(self, k, z):
         return math.factorial(k) / (self.w.conjugate() - z) ** (k + 1)
 
-    def log_transform(self, z, tol):
+    def log_transform(self, z):
         return -np.log(self.w.conjugate() - z)
 
-    def log_fourier_mean(self, s, tol):
+    def log_fourier_mean(self, s):
         w = self.w if s > 0 else self.w.conjugate()
         return complex(np.log(1.0 - 1j * s * w))
 
@@ -634,15 +621,6 @@ def point_mass(point) -> DiscreteAtoms:
     return DiscreteAtoms(points=arr[None, :], weights=np.array([1.0]))
 
 
-def dimension_of(measure: GoverningMeasure) -> int:
-    return measure.dimension
-
-
-def describe(measure: GoverningMeasure) -> str:
-    """Short human-readable description used in provenance headers."""
-    return measure.describe()
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -657,18 +635,13 @@ def sample_measure(measure: GoverningMeasure, n: int, rng: RngStream) -> Empiric
     """n i.i.d. draws from alpha, reproducible given the stream."""
     return EmpiricalSample.generate(
         lambda m, gen: draw_measure(measure, m, gen),
-        n, rng, measure.dimension, describe(measure), "direct",
+        n, rng, measure.dimension, measure.describe(), "direct",
     )
 
 
 # ---------------------------------------------------------------------------
 # Analytic summaries
 # ---------------------------------------------------------------------------
-
-
-def mean_of(measure: GoverningMeasure) -> Optional[np.ndarray]:
-    """The mean vector of alpha, or None when no first moment exists."""
-    return measure.mean()
 
 
 def raw_moments(measure: GoverningMeasure, n_max: int) -> np.ndarray:

@@ -43,10 +43,7 @@ from .measures import (
     EmpiricalSample,
     GoverningMeasure,
     RngStream,
-    describe,
-    dimension_of,
     draw_measure,
-    mean_of,
 )
 
 __all__ = [
@@ -297,7 +294,7 @@ def _stick_mean_block(
     thread draws the block's base points. Every generator call stays on this
     thread, in the order of a serial run, so the draws do not depend on the
     threads."""
-    d = dimension_of(measure)
+    d = measure.dimension
     eps, block, budget = policy.columns(t)
     acc = np.zeros((m, d))
     tail = np.ones(m)
@@ -341,12 +338,12 @@ def stick_mean_draws(
     """n draws of the stick-breaking mean as an (n, d) array (open-generator core)."""
     _check_intensity(t)
     # renormalizing a dropped tail distorts heavy tails; require a finite mean
-    if policy.tail_handling == "drop_renormalize" and mean_of(measure) is None:
+    if policy.tail_handling == "drop_renormalize" and measure.mean() is None:
         raise PolicyError(
             "drop_renormalize is not allowed for measures without a mean; "
             "use absorb_into_fresh_atom"
         )
-    d = dimension_of(measure)
+    d = measure.dimension
     out = np.empty((n, d))
     for lo in range(0, n, _ROW_BLOCK):
         m = min(_ROW_BLOCK, n - lo)
@@ -364,15 +361,15 @@ def sample_dirichlet_mean(
     """n approximate draws of the Dirichlet mean X_t = sum W_n B_n."""
     return EmpiricalSample.generate(
         lambda m, gen: stick_mean_draws(measure, t, m, policy, gen),
-        n, rng, dimension_of(measure), describe(measure), "stick_breaking",
+        n, rng, measure.dimension, measure.describe(), "stick_breaking",
         t=t, truncation=policy.label(),
     )
 
 
-def default_fixed_point_depth(t: float, tol: float = 1e-12) -> int:
-    """Depth making the mean contraction factor (t/(t+1))^depth fall below tol,
+def default_fixed_point_depth(t: float) -> int:
+    """Depth making the mean contraction factor (t/(t+1))^depth fall below 1e-12,
     capped at 10,000 steps; `sample_fixed_point` records the factor reached."""
-    depth = math.ceil(math.log(tol) / math.log(t / (t + 1.0)))
+    depth = math.ceil(math.log(1e-12) / math.log(t / (t + 1.0)))
     return min(max(depth, 1), 10_000)
 
 
@@ -389,7 +386,7 @@ def fixed_point_draws(
     _check_intensity(t)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    d = dimension_of(measure)
+    d = measure.dimension
     x = np.zeros((n, d))
     for _ in range(depth):
         y = 1.0 - gen.random(n) ** (1.0 / t)  # beta(1, t) by inverse CDF
@@ -415,7 +412,7 @@ def sample_fixed_point(
         depth = default_fixed_point_depth(t)
     return EmpiricalSample.generate(
         lambda m, gen: fixed_point_draws(measure, t, m, depth, gen),
-        n, rng, dimension_of(measure), describe(measure), f"fixed_point(depth={depth})",
+        n, rng, measure.dimension, measure.describe(), f"fixed_point(depth={depth})",
         t=t, truncation=f"contraction={(t / (t + 1.0)) ** depth:.3g}",
     )
 
@@ -488,7 +485,7 @@ def dyadic_mean_draws(
     buffer that the calling thread allocates once per call.
     """
     _check_dyadic(t, k)
-    d = dimension_of(measure)
+    d = measure.dimension
     leaves = 2**k
     out = np.empty((n, d))
     row_block = max(1, min(_ROW_BLOCK, _DYADIC_BLOCK_LEAVES // leaves))
@@ -527,7 +524,7 @@ def sample_mean_dyadic(
     """n draws of M = sum_j W_j B_j with dyadic Dirichlet weights at level k."""
     return EmpiricalSample.generate(
         lambda m, gen: dyadic_mean_draws(measure, t, k, m, gen),
-        n, rng, dimension_of(measure), describe(measure), f"dyadic(k={k})", t=t,
+        n, rng, measure.dimension, measure.describe(), f"dyadic(k={k})", t=t,
     )
 
 
@@ -546,7 +543,7 @@ def sample_james_aggregation(
     ts = np.array([float(t) for t, _ in parts])
     for tj in ts:
         _check_intensity(tj)
-    dims = {dimension_of(m) for _, m in parts}
+    dims = {m.dimension for _, m in parts}
     if len(dims) != 1:
         raise ValueError("all parts must share one dimension")
     d = dims.pop()
@@ -559,7 +556,7 @@ def sample_james_aggregation(
             acc += y[:, j : j + 1] * x
         return acc
 
-    label = " + ".join(f"{tj!r}*[{describe(m)}]" for tj, m in parts)
+    label = " + ".join(f"{tj!r}*[{m.describe()}]" for tj, m in parts)
     return EmpiricalSample.generate(
         draw, n, rng, d, label, "james_aggregation", truncation=policy.label()
     )

@@ -5,6 +5,10 @@ All transforms are taken at points z in the open upper half-plane.  For real
 integration variables w, the difference w - z then lies strictly in the lower
 half-plane, so principal-branch logarithms and non-integer powers of (w - z)
 never cross the negative-real cut.
+
+Quadrature runs at `exact.QUAD_TOL`, the epsabs and epsrel of each adaptive
+`integrate.quad` call: a target per call, not a bound on a transform's total
+error.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from numpy.random import Generator
 from scipy import integrate
 from scipy.special import betaln
 
+from .exact import QUAD_TOL
 from .stats import complex_mean_se
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, stick_mean_draws
 
@@ -52,23 +57,21 @@ def _as_upper(z) -> complex:
     return UpperHalfPoint(complex(z)).z
 
 
-def _quad_complex(f, lo, hi, tol, **kw) -> complex:
-    re, _ = integrate.quad(lambda w: f(w).real, lo, hi, epsabs=tol, epsrel=tol,
-                           limit=200, **kw)
-    im, _ = integrate.quad(lambda w: f(w).imag, lo, hi, epsabs=tol, epsrel=tol,
-                           limit=200, **kw)
+def _quad_complex(f, lo, hi, **kw) -> complex:
+    kw.update(epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
+    re, _ = integrate.quad(lambda w: f(w).real, lo, hi, **kw)
+    im, _ = integrate.quad(lambda w: f(w).imag, lo, hi, **kw)
     return complex(re, im)
 
 
-def beta_integral(a: float, b: float, f, tol) -> complex:
+def beta_integral(a: float, b: float, f) -> complex:
     """integral of f(w) against the beta(a, b) density, with the algebraic
     endpoint factors w^(a-1) (1-w)^(b-1) folded into the quadrature weight."""
     norm = math.exp(-betaln(a, b))
-    return _quad_complex(lambda w: norm * f(w), 0.0, 1.0, tol,
-                         weight="alg", wvar=(a - 1.0, b - 1.0))
+    return _quad_complex(lambda w: norm * f(w), 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0))
 
 
-def beta_prime_integral(a: float, b: float, f, tol) -> complex:
+def beta_prime_integral(a: float, b: float, f) -> complex:
     """integral of f(w) against the beta prime(a, b) density, split at w = 1 so
     the possible algebraic singularity at 0 sits in a quadrature weight."""
     norm = math.exp(-betaln(a, b))
@@ -79,20 +82,20 @@ def beta_prime_integral(a: float, b: float, f, tol) -> complex:
     def tail(w):
         return norm * w ** (a - 1.0) * (1.0 + w) ** (-(a + b)) * f(w)
 
-    val = _quad_complex(head, 0.0, 1.0, tol, weight="alg", wvar=(a - 1.0, 0.0))
-    return val + _quad_complex(tail, 1.0, np.inf, tol)
+    val = _quad_complex(head, 0.0, 1.0, weight="alg", wvar=(a - 1.0, 0.0))
+    return val + _quad_complex(tail, 1.0, np.inf)
 
 
-def stieltjes(alpha, z, quadrature_tol: float = 1e-10) -> complex:
+def stieltjes(alpha, z) -> complex:
     """y(z) = integral of alpha(dw) / (w - z), Im z > 0.
 
     Closed form for Cauchy and atomic measures, weighted quadrature for
     beta-type densities, plain average for empirical samples.
     """
-    return alpha.stieltjes(_as_upper(z), quadrature_tol)
+    return alpha.stieltjes(_as_upper(z))
 
 
-def stieltjes_derivative(alpha, k: int, z, quadrature_tol: float = 1e-10) -> complex:
+def stieltjes_derivative(alpha, k: int, z) -> complex:
     """k-th derivative y^(k)(z) = k! * integral of alpha(dw) / (w - z)^(k+1).
 
     Computed from the integral representation, never by numeric
@@ -100,15 +103,15 @@ def stieltjes_derivative(alpha, k: int, z, quadrature_tol: float = 1e-10) -> com
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return alpha.stieltjes_derivative(k, _as_upper(z), quadrature_tol)
+    return alpha.stieltjes_derivative(k, _as_upper(z))
 
 
-def log_transform(alpha, z, quadrature_tol: float = 1e-10) -> complex:
+def log_transform(alpha, z) -> complex:
     """g(z) = -integral of log(w - z) alpha(dw), principal branch, Im z > 0.
 
     Satisfies g'(z) = y(z).  For Cauchy measures g(z) = -log(conj(w) - z).
     """
-    return alpha.log_transform(_as_upper(z), quadrature_tol)
+    return alpha.log_transform(_as_upper(z))
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,6 @@ def cr_identity_residual(
     s: Optional[float] = None,
     z: Optional[Union[complex, UpperHalfPoint]] = None,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    quadrature_tol: float = 1e-10,
 ) -> CRResidual:
     """Check the sampling identity for the Dirichlet mean at one test point.
 
@@ -166,13 +168,13 @@ def cr_identity_residual(
     x = stick_mean_draws(alpha, t, mc_n, policy, gen)[:, 0]
     if s is not None:
         vals = np.exp(-t * np.log(1.0 - 1j * s * x))
-        log_mean = alpha.log_fourier_mean(s, quadrature_tol) if s != 0.0 else 0j
+        log_mean = alpha.log_fourier_mean(s) if s != 0.0 else 0j
         rhs = np.exp(-t * log_mean)
         form, point = "fourier", complex(s)
     else:
         zz = _as_upper(z)
         vals = np.exp(-t * np.log(x - zz))
-        rhs = np.exp(t * log_transform(alpha, zz, quadrature_tol))
+        rhs = np.exp(t * log_transform(alpha, zz))
         form, point = "stieltjes", zz
     lhs = complex(vals.mean())
     return CRResidual(
@@ -187,7 +189,7 @@ def cr_identity_residual(
     )
 
 
-def ode_residual(alpha, n: int, z, quadrature_tol: float = 1e-10) -> complex:
+def ode_residual(alpha, n: int, z) -> complex:
     """n y(z) y^(n-1)(z) - y^(n)(z); identically zero iff alpha is Cauchy.
 
     For the Cauchy family y^(k) = k!/(conj(w) - z)^(k+1) turns the expression
@@ -197,19 +199,17 @@ def ode_residual(alpha, n: int, z, quadrature_tol: float = 1e-10) -> complex:
     if n < 1:
         raise ValueError("n must be >= 1")
     z = _as_upper(z)
-    y = stieltjes(alpha, z, quadrature_tol)
-    y_lo = stieltjes_derivative(alpha, n - 1, z, quadrature_tol)
-    y_hi = stieltjes_derivative(alpha, n, z, quadrature_tol)
+    y = stieltjes(alpha, z)
+    y_lo = stieltjes_derivative(alpha, n - 1, z)
+    y_hi = stieltjes_derivative(alpha, n, z)
     return n * y * y_lo - y_hi
 
 
-def power_identity_residual(
-    alpha, n: int, m: int, z, quadrature_tol: float = 1e-10
-) -> complex:
+def power_identity_residual(alpha, n: int, m: int, z) -> complex:
     """(y^(n-1)/(n-1)!)^m - (y^(m-1)/(m-1)!)^n for n < m; zero iff alpha is Cauchy."""
     if not 1 <= n < m:
         raise ValueError("need 1 <= n < m")
     z = _as_upper(z)
-    lo = stieltjes_derivative(alpha, n - 1, z, quadrature_tol) / math.factorial(n - 1)
-    hi = stieltjes_derivative(alpha, m - 1, z, quadrature_tol) / math.factorial(m - 1)
+    lo = stieltjes_derivative(alpha, n - 1, z) / math.factorial(n - 1)
+    hi = stieltjes_derivative(alpha, m - 1, z) / math.factorial(m - 1)
     return lo**m - hi**n

@@ -44,7 +44,6 @@ from dirichlet_curve.measures import (
     Uniform01,
     UniformCircle,
     bernoulli,
-    describe,
     draw_measure,
     raw_moments,
     sample_measure,
@@ -122,7 +121,7 @@ def stick_draws():
     cache = {}
 
     def get(measure, t, n=N):
-        key = (describe(measure), float(t), int(n))
+        key = (measure.describe(), float(t), int(n))
         if key not in cache:
             gen = _stream_for(f"stick|{key[0]}|{key[1]}|{key[2]}").generator()
             cache[key] = stick_mean_draws(measure, t, n, DEFAULT_POLICY, gen)
@@ -145,7 +144,7 @@ def test_criterion_01_closed_form_curves(stick_draws):
     failures = []
     for measure, t in CURVE_CELLS:
         law = curve_of(measure, t)
-        assert law is not None, f"no closed-form law for {describe(measure)} at t={t}"
+        assert law is not None, f"no closed-form law for {measure.describe()} at t={t}"
         draws = stick_draws(measure, t)
         if draws.shape[1] == 2:
             values = np.sum(draws**2, axis=1)
@@ -153,7 +152,7 @@ def test_criterion_01_closed_form_curves(stick_draws):
             values = draws[:, 0]
         rep = ks_one_sample(values, lambda x, law=law: cdf(law, x), level=LEVEL)
         if not rep.passed:
-            failures.append((describe(measure), t, rep.statistic, rep.p_value))
+            failures.append((measure.describe(), t, rep.statistic, rep.p_value))
     assert not failures, f"curve KS rejections: {failures}"
     _report(1)
 
@@ -163,7 +162,7 @@ def test_criterion_01_closed_form_curves(stick_draws):
 
 def _dyadic_shared(measures, t, n, k=10, block=4096):
     """Dyadic mean draws for several measures sharing one weight stream."""
-    names = [describe(m) for m in measures]
+    names = [m.describe() for m in measures]
     out = {name: np.empty(n) for name in names}
     wgen = _stream_for(f"dyadic-w|{t}").generator()
     bgens = {
@@ -186,7 +185,7 @@ def test_criterion_02_sampler_cross_validation(stick_draws):
     for t in (0.5, 1.0, 2.0):
         dyadic = _dyadic_shared(measures, t, N)
         for measure in measures:
-            name = describe(measure)
+            name = measure.describe()
             stick = stick_draws(measure, t)[:, 0]
             depth = default_fixed_point_depth(t)
             fgen = _stream_for(f"fixed|{name}|{t}").generator()
@@ -237,7 +236,7 @@ def test_criterion_03_moment_recursion(stick_draws):
             (np.mean(centered**4) - np.mean(centered**2) ** 2) / values.size
         )
         assert abs(v - target) <= 3.0 * se, (
-            f"{describe(measure)} t={t}: var {v:.6g} vs {target:.6g} (se {se:.2g})"
+            f"{measure.describe()} t={t}: var {v:.6g} vs {target:.6g} (se {se:.2g})"
         )
     _report(3)
 
@@ -255,7 +254,7 @@ def test_criterion_04_convex_order(stick_draws):
         (Uniform01(), lambda a: 0.5 * (1.0 - a) ** 2, None),
     )
     for measure, base_hinge, curve_law in cases:
-        name = describe(measure)
+        name = measure.describe()
         base = sample_measure(measure, N, _stream_for(f"base|{name}"))
         samples = [(0.0, base)]
         curves = {}
@@ -339,8 +338,8 @@ def test_criterion_06_cauchy_invariance(stick_draws):
         Uniform01(),
     )
     for radial, t in zip(radials, (1.0, 2.0)):
-        rep = verify_mult_invariance(radial, t, N, _stream_for(f"mult|{describe(radial)}"))
-        assert rep.passed, f"{describe(radial)}: D={rep.statistic:.4g}"
+        rep = verify_mult_invariance(radial, t, N, _stream_for(f"mult|{radial.describe()}"))
+        assert rep.passed, f"{radial.describe()}: D={rep.statistic:.4g}"
 
     # Control: a uniform-base curve draw is not Cauchy.
     values = stick_draws(Uniform01(), 1.0)[:, 0]
@@ -359,7 +358,7 @@ def test_criterion_07_cr_identity():
     z_points = (2.0j, 1.0 + 1.0j, 0.5 + 0.8j)
     failures = []
     for measure in measures:
-        name = describe(measure)
+        name = measure.describe()
         for i, s in enumerate(s_points):
             gen = _stream_for(f"cr-s|{name}|{i}").generator()
             res = cr_identity_residual(measure, 1.0, N, gen, s=s)
@@ -393,18 +392,18 @@ def test_criterion_08_ode_power_residuals():
     # 0.01 except for the arcsine law at z = 2i, where the true residual
     # magnitude is near 0.0063, so that cell uses a 0.005 floor.
     floors = {
-        (describe(Beta(0.5, 0.5)), 1.0j): 0.01,
-        (describe(Beta(0.5, 0.5)), 2.0j): 0.005,
-        (describe(bernoulli(0.5)), 1.0j): 0.01,
-        (describe(bernoulli(0.5)), 2.0j): 0.01,
+        (Beta(0.5, 0.5).describe(), 1.0j): 0.01,
+        (Beta(0.5, 0.5).describe(), 2.0j): 0.005,
+        (bernoulli(0.5).describe(), 1.0j): 0.01,
+        (bernoulli(0.5).describe(), 2.0j): 0.01,
     }
     for measure in (Beta(0.5, 0.5), bernoulli(0.5)):
         for z in (1.0j, 2.0j):
-            floor = floors[(describe(measure), z)]
+            floor = floors[(measure.describe(), z)]
             r_ode = abs(ode_residual(measure, 1, z))
             r_pow = abs(power_identity_residual(measure, 1, 2, z))
-            assert r_ode > floor, f"{describe(measure)} z={z}: ode {r_ode:.4g}"
-            assert r_pow > floor, f"{describe(measure)} z={z}: power {r_pow:.4g}"
+            assert r_ode > floor, f"{measure.describe()} z={z}: ode {r_ode:.4g}"
+            assert r_pow > floor, f"{measure.describe()} z={z}: power {r_pow:.4g}"
     _report(8)
 
 
@@ -463,7 +462,7 @@ def test_criterion_09_spectral_sampler():
 
 def test_criterion_10_limits():
     for measure in (Uniform01(), Beta(0.5, 0.5)):
-        name = describe(measure)
+        name = measure.describe()
         gen = _stream_for(f"limit-small|{name}").generator()
         curve = stick_mean_draws(measure, 0.01, N, DEFAULT_POLICY, gen)[:, 0]
         direct = sample_measure(measure, N, _stream_for(f"limit-base|{name}")).values()

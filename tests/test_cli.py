@@ -3,6 +3,7 @@ import csv
 import re
 
 import pytest
+from scipy.special import ndtri
 
 from dirichlet_curve import stickbreak as SB
 from dirichlet_curve.cli import EXPERIMENTS, ExperimentConfig, _build_config, list_experiments, main
@@ -223,7 +224,7 @@ def test_config_values_an_experiment_ignores_are_rejected(tmp_path, capsys, expe
 
 
 _READS_POLICY = {"curve-ks", "convex-order", "moments", "cr-identity", "cauchy-invariance", "limits", "james"}
-_READS_CONFIDENCE = {"curve-ks", "convex-order", "cauchy-invariance", "beta-identity", "limits", "james"}
+_READS_CONFIDENCE = {"curve-ks", "convex-order", "cr-identity", "cauchy-invariance", "beta-identity", "limits", "james"}
 
 
 @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
@@ -429,3 +430,23 @@ def test_limits_says_on_stderr_when_a_config_sets_policy(tmp_path, capsys, polic
     )
     assert err == (notice if policy else "")
     assert "note:" not in out
+
+
+@pytest.mark.parametrize("confidence", [0.999, 0.99])
+def test_cr_identity_points_share_the_row_level(tmp_path, capsys, confidence):
+    # a row of 16 points fails at level 1 - confidence when one point passes
+    # -ndtri((1 - confidence) / 32) Monte Carlo standard errors
+    n_se = -ndtri((1.0 - confidence) / 32)
+    argv = ["run", "cr-identity", "--seed", "1", "--n", "200", "--out", str(tmp_path)]
+    main(argv + ["--confidence", str(confidence)])
+    verdicts = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("  [")]
+    assert len(verdicts) == 3
+    assert all(ln.endswith(f" outside {n_se:.2f} mc se") for ln in verdicts)
+    if confidence == 0.999:
+        assert f"{n_se:.2f}" == "4.00"
+    with open(tmp_path / "cr-identity.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 48
+    for row in rows:
+        within = float(row["residual"]) <= n_se * float(row["mc_se"])
+        assert row["passed"] == ("true" if within else "false")

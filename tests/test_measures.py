@@ -13,9 +13,6 @@ from dirichlet_curve.measures import (
     Uniform01,
     UniformCircle,
     bernoulli,
-    describe,
-    dimension_of,
-    mean_of,
     parse_measure_config,
     point_mass,
     raw_moments,
@@ -80,16 +77,31 @@ def test_sample_measure_beta_prime_cdf():
 
 
 def test_mean_of():
-    assert mean_of(Uniform01()) == pytest.approx(0.5)
-    assert mean_of(Cauchy1D(0.0, 1.0)) is None
-    assert np.allclose(mean_of(bernoulli(0.5)), [0.5])
-    assert mean_of(BetaPrime(1.0, 0.5)) is None
-    assert mean_of(BetaPrime(1.0, 2.0))[0] == pytest.approx(1.0)
-    assert np.allclose(mean_of(UniformCircle()), [0.0, 0.0])
+    assert Uniform01().mean() == pytest.approx(0.5)
+    assert Cauchy1D(0.0, 1.0).mean() is None
+    assert np.allclose(bernoulli(0.5).mean(), [0.5])
+    assert BetaPrime(1.0, 0.5).mean() is None
+    assert BetaPrime(1.0, 2.0).mean()[0] == pytest.approx(1.0)
+    assert np.allclose(UniformCircle().mean(), [0.0, 0.0])
 
 
 def test_raw_moments_uniform():
     assert raw_moments(Uniform01(), 4) == pytest.approx([0.5, 1 / 3, 0.25, 0.2])
+
+
+def test_uniform01_inherits_beta_1_1_bit_for_bit():
+    # the cdf and moments Uniform01 takes from Beta(1, 1) equal, byte for byte,
+    # the np.clip(x, 0, 1) and 1 / (k + 1) it had of its own
+    sub = np.finfo(float).smallest_subnormal
+    x = np.array([
+        -np.inf, -1.0, -sub, 0.0, sub, 2 * sub, np.finfo(float).tiny, 1e-300,
+        0.25, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0, np.inf,
+    ])
+    x = np.concatenate([x, RngStream(8).generator().random(10**5)])
+    u = Uniform01()
+    assert isinstance(u, Beta) and (u.a, u.b) == (1.0, 1.0)
+    assert u.cdf(x).tobytes() == np.clip(x, 0.0, 1.0).tobytes()
+    assert raw_moments(u, 4).tolist() == [1 / 2, 1 / 3, 1 / 4, 1 / 5]
 
 
 def test_raw_moments_arcsine():
@@ -110,7 +122,7 @@ def test_raw_moments_missing():
 @pytest.mark.parametrize(
     "measure",
     [Uniform01(), Beta(2.0, 3.0), bernoulli(0.25), BetaPrime(1.0, 4.0)],
-    ids=describe,
+    ids=lambda m: m.describe(),
 )
 def test_moment_convergence(measure):
     smp = sample_measure(measure, 10**5, RngStream(3))
@@ -132,7 +144,7 @@ def test_uniform_circle_radius():
     smp = sample_measure(UniformCircle(), 10**4, RngStream(6))
     r = np.hypot(smp.draws[:, 0], smp.draws[:, 1])
     assert np.allclose(r, 1.0)
-    assert dimension_of(UniformCircle()) == 2
+    assert UniformCircle().dimension == 2
 
 
 def test_parse_measure_config_families():
@@ -140,7 +152,7 @@ def test_parse_measure_config_families():
     assert isinstance(m, Beta) and m.a == 0.5 and m.b == 0.5
     m = parse_measure_config("family=bernoulli\np=0.25")
     assert isinstance(m, DiscreteAtoms)
-    assert np.isclose(mean_of(m)[0], 0.25)
+    assert np.isclose(m.mean()[0], 0.25)
     m = parse_measure_config("family=cauchy1d\nlocation=1.0\nscale=2.0")
     assert isinstance(m, Cauchy1D) and m.w == 1.0 + 2.0j
 
@@ -212,7 +224,7 @@ def test_every_family_round_trips_through_config(text, cls, params, description)
             assert np.array_equal(value, expected)
         else:
             assert value == expected
-    assert describe(m) == description
+    assert m.describe() == description
 
 
 def test_scaled_product_rows_go_to_the_prefixed_factor():
@@ -270,7 +282,7 @@ def test_atom_draws_are_those_of_choice(k, d):
     "measure",
     [Uniform01(), bernoulli(0.3), DiscreteAtoms(np.arange(12.0), np.full(12, 1 / 12)),
      Beta(0.5, 0.5), UniformCircle()],
-    ids=describe,
+    ids=lambda m: m.describe(),
 )
 def test_stream_use_of_fixed_use_families(measure):
     # these families take exactly one uniform a draw; a change to that moves

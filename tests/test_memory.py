@@ -87,8 +87,12 @@ def _old_product(m, n, gen):
         (UniformCircle(), _old_circle),
         (ScaledProduct(Uniform01(), UniformCircle()), _old_product),
         (ScaledProduct(BetaPrime(0.5, 0.5), Cauchy1D(0.0, 1.0)), _old_product),
+        (Uniform01(), lambda m, n, gen: gen.random(n)[:, None]),
     ],
-    ids=["beta_prime_half", "beta_prime_2_3", "cauchy", "circle", "uniform_x_circle", "beta_prime_x_cauchy"],
+    ids=[
+        "beta_prime_half", "beta_prime_2_3", "cauchy", "circle", "uniform_x_circle",
+        "beta_prime_x_cauchy", "uniform",
+    ],
 )
 def test_in_place_draws_keep_their_bytes(measure, old, n):
     _same_draws_and_state(lambda gen: measure.draw(n, gen), lambda gen: old(measure, n, gen), 80)

@@ -339,7 +339,7 @@ def test_dyadic_variance_is_the_finite_approximation():
 
 def _two_mode_stick_mean_block(measure, t, m, policy, gen):
     """Reference stick kernel with one branch per truncation mode."""
-    d = stickbreak.dimension_of(measure)
+    d = measure.dimension
     acc = np.zeros((m, d))
     tail = np.ones(m)
     active = np.arange(m)
@@ -511,7 +511,7 @@ def _serial_stick_columns(tail, cols, t, gen):
 def _serial_stick_mean_block(measure, t, m, policy, gen):
     """The stick kernel as it ran on one thread, before the weight step moved to
     the worker: the reference that the threaded kernel must match byte for byte."""
-    d = stickbreak.dimension_of(measure)
+    d = measure.dimension
     eps, block, budget = policy.columns(t)
     acc = np.zeros((m, d))
     tail = np.ones(m)
@@ -710,7 +710,7 @@ def _two_half_mean_draws(measure, t, k, n, gen):
     2^19 leaves, two seeds from gen; the first ceil(m/2) rows' weights from a
     Philox of the first seed, the last floor(m/2) rows' from a Philox of the
     second; then one base draw of m 2^k points from gen."""
-    d = stickbreak.dimension_of(measure)
+    d = measure.dimension
     rows = min(20_000, 2**19 // 2**k)
     out = []
     for lo in range(0, n, rows):
@@ -729,7 +729,7 @@ def _assert_two_half_bytes(measure, t, k, n, make_gen):
     gen, ref_gen = make_gen(), make_gen()
     got = dyadic_mean_draws(measure, t, k, n, gen)
     ref = _two_half_mean_draws(measure, t, k, n, ref_gen)
-    assert got.shape == (n, stickbreak.dimension_of(measure))
+    assert got.shape == (n, measure.dimension)
     assert got.tobytes() == ref.tobytes()
     assert gen.random() == ref_gen.random()
 

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from dirichlet_curve.exact import QUAD_TOL, cr_density
 from dirichlet_curve.measures import (
     Beta,
+    BetaPrime,
     Cauchy1D,
     EmpiricalSample,
     RngStream,
@@ -156,3 +159,20 @@ def test_power_identity_order_validation():
         power_identity_residual(Cauchy1D(0.0, 1.0), 2, 2, 1j)
     with pytest.raises(ValueError):
         power_identity_residual(Cauchy1D(0.0, 1.0), 0, 1, 1j)
+
+
+def test_quad_tol_reaches_every_quadrature(monkeypatch):
+    quad, tols = integrate.quad, []
+
+    def recording_quad(*args, **kwargs):
+        tols.append((kwargs.get("epsabs"), kwargs.get("epsrel")))
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", recording_quad)
+    stieltjes(Beta(2.0, 3.0), 1.0 + 1j)
+    log_transform(BetaPrime(0.5, 1.5), 0.5 + 1j)
+    cr_density(Beta(0.5, 0.5), 0.3)
+    # real and imaginary parts: 2 calls on (0, 1), 4 split at 1; then 2 for the
+    # log potential, one on each side of x
+    assert len(tols) == 8
+    assert set(tols) == {(QUAD_TOL, QUAD_TOL)}
