@@ -734,7 +734,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
-    except (ConfigError, SB.PolicyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

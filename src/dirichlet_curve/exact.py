@@ -51,6 +51,12 @@ __all__ = [
 QUAD_TOL = 1e-10
 
 
+def _check_intensity(t: float) -> None:
+    """The one check of an intensity t, here and in the samplers."""
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
+
+
 class Law:
     """A probability law; the measure families and the laws below derive from it.
 
@@ -100,8 +106,7 @@ class RadialCircleLaw(Law):
     t: float
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("t must be positive")
+        _check_intensity(self.t)
 
     def cdf(self, x):
         u = np.clip(x, 0.0, 1.0)
@@ -194,8 +199,7 @@ def curve_of(measure, t: float) -> Optional[Law]:
     Returns None when no closed form is implemented for (measure, t); each
     family states its own in its `curve_law` method.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    _check_intensity(t)
     return measure.curve_law(t)
 
 
@@ -258,8 +262,7 @@ def moment_recursion(m, t: float) -> MomentTable:
 
     rising Pochhammer convention (a)_0 = 1, (a)_j = a(a+1)...(a+j-1).
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    _check_intensity(t)
     m = [float(v) for v in m]
     n = len(m)
     if n < 1:

@@ -39,6 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .exact import _check_intensity
 from .measures import (
     EmpiricalSample,
     GoverningMeasure,
@@ -50,7 +51,6 @@ __all__ = [
     "StickBreakWeights",
     "TruncationPolicy",
     "DEFAULT_POLICY",
-    "PolicyError",
     "stick_break_weights",
     "sample_dirichlet_mean",
     "sample_fixed_point",
@@ -97,23 +97,23 @@ class TruncationPolicy:
     T_N = prod_{k<=N}(1 - Y_k) falls below epsilon, or when its stick budget
     is spent. Mode 'tail_epsilon' has no budget; mode 'fixed_N' is the same
     kernel with epsilon 0 and a budget of N sticks, so it keeps exactly N.
-    The remaining mass is either multiplied onto one extra independent alpha
-    draw ('absorb_into_fresh_atom', unbiased in total mass) or dropped with
-    the kept weights renormalized by 1/(1 - T_N) ('drop_renormalize').
+
+    The tail mass T_N always goes onto one fresh alpha draw B*. The draw then
+    differs from the full series by T_N (X' - B*), where X' ~ mu(t*alpha) is
+    the series restarted after stick N and B* ~ alpha, both independent of
+    the sticks. The paper's convex order gives E|X' - m| <= E|B - m| about
+    the base mean m, so the Wasserstein-1 error is at most 2 epsilon E|B - m|
+    under 'tail_epsilon' and 2 (t/(t+1))^N E|B - m| under 'fixed_N'
+    (Ishwaran & James 2001).
     """
 
     mode: str
     N: Optional[int] = None
     epsilon: Optional[float] = None
-    tail_handling: str = "absorb_into_fresh_atom"
 
     def __post_init__(self):
         if self.mode not in ("fixed_N", "tail_epsilon"):
             raise ValueError("mode must be 'fixed_N' or 'tail_epsilon'")
-        if self.tail_handling not in ("absorb_into_fresh_atom", "drop_renormalize"):
-            raise ValueError(
-                "tail_handling must be 'absorb_into_fresh_atom' or 'drop_renormalize'"
-            )
         if self.mode == "fixed_N":
             if self.N is None or self.N < 1:
                 raise ValueError("fixed_N mode needs N >= 1")
@@ -122,19 +122,17 @@ class TruncationPolicy:
                 raise ValueError("tail_epsilon mode needs epsilon in (0, 1)")
 
     @classmethod
-    def fixed(cls, N: int, tail_handling: str = "absorb_into_fresh_atom") -> "TruncationPolicy":
-        return cls(mode="fixed_N", N=N, tail_handling=tail_handling)
+    def fixed(cls, N: int) -> "TruncationPolicy":
+        return cls(mode="fixed_N", N=N)
 
     @classmethod
-    def tail(
-        cls, epsilon: float = 1e-12, tail_handling: str = "absorb_into_fresh_atom"
-    ) -> "TruncationPolicy":
-        return cls(mode="tail_epsilon", epsilon=epsilon, tail_handling=tail_handling)
+    def tail(cls, epsilon: float = 1e-12) -> "TruncationPolicy":
+        return cls(mode="tail_epsilon", epsilon=epsilon)
 
     def label(self) -> str:
         if self.mode == "fixed_N":
-            return f"fixed_N(N={self.N}),{self.tail_handling}"
-        return f"tail_epsilon(eps={self.epsilon!r}),{self.tail_handling}"
+            return f"fixed_N(N={self.N})"
+        return f"tail_epsilon(eps={self.epsilon!r})"
 
     def columns(self, t: float) -> tuple[float, int, float]:
         """(epsilon, column block, stick budget) of the stick kernel at t; a
@@ -162,28 +160,18 @@ class TruncationPolicy:
             raise ValueError("policy.* keys need policy.mode")
         if mode not in ("fixed_N", "tail_epsilon"):
             raise ValueError(f"unknown policy.mode {mode!r}")
-        reads = {"mode", "tail_handling", "n" if mode == "fixed_N" else "epsilon"}
+        reads = {"mode", "n" if mode == "fixed_N" else "epsilon"}
         unread = ", ".join(f"policy.{key}" for key in sorted(pairs.keys() - reads))
         if unread:
             raise ValueError(f"policy.mode = {mode} does not read {unread}")
-        tail_handling = pairs.get("tail_handling", "absorb_into_fresh_atom")
         if mode == "tail_epsilon":
-            return cls.tail(float(pairs.get("epsilon", 1e-12)), tail_handling)
+            return cls.tail(float(pairs.get("epsilon", 1e-12)))
         if "n" not in pairs:
             raise ValueError("policy.mode = fixed_N needs policy.N")
-        return cls.fixed(int(pairs["n"]), tail_handling)
+        return cls.fixed(int(pairs["n"]))
 
 
 DEFAULT_POLICY = TruncationPolicy.tail(1e-12)
-
-
-class PolicyError(ValueError):
-    """A truncation policy that the base measure does not allow."""
-
-
-def _check_intensity(t: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
 
 
 # (pid, executor) of the worker thread that computes stick and dyadic weights
@@ -318,11 +306,8 @@ def _stick_mean_block(
         finished = active[stopped]
         if finished.size:
             t_fin = new_tail[stopped]
-            if policy.tail_handling == "absorb_into_fresh_atom":
-                extra = draw_measure(measure, finished.size, gen)
-                acc[finished] += t_fin[:, None] * extra
-            else:
-                acc[finished] /= (1.0 - t_fin)[:, None]
+            extra = draw_measure(measure, finished.size, gen)
+            acc[finished] += t_fin[:, None] * extra
         tail[active] = new_tail
         active = active[~stopped]
     return acc
@@ -337,12 +322,6 @@ def stick_mean_draws(
 ) -> np.ndarray:
     """n draws of the stick-breaking mean as an (n, d) array (open-generator core)."""
     _check_intensity(t)
-    # renormalizing a dropped tail distorts heavy tails; require a finite mean
-    if policy.tail_handling == "drop_renormalize" and measure.mean() is None:
-        raise PolicyError(
-            "drop_renormalize is not allowed for measures without a mean; "
-            "use absorb_into_fresh_atom"
-        )
     d = measure.dimension
     out = np.empty((n, d))
     for lo in range(0, n, _ROW_BLOCK):
@@ -369,8 +348,9 @@ def sample_dirichlet_mean(
 def default_fixed_point_depth(t: float) -> int:
     """Depth making the mean contraction factor (t/(t+1))^depth fall below 1e-12,
     capped at 10,000 steps; `sample_fixed_point` records the factor reached."""
-    depth = math.ceil(math.log(1e-12) / math.log(t / (t + 1.0)))
-    return min(max(depth, 1), 10_000)
+    # log(t/(t+1)) as -log1p(1/t), which stays nonzero where t/(t+1) rounds
+    # to 1; the quotient is capped before ceil, which cannot take inf
+    return max(1, math.ceil(min(math.log(1e12) / math.log1p(1.0 / t), 10_000)))
 
 
 def fixed_point_draws(

@@ -1,12 +1,20 @@
 import argparse
 import csv
 import re
+from pathlib import Path
 
 import pytest
 from scipy.special import ndtri
 
 from dirichlet_curve import stickbreak as SB
-from dirichlet_curve.cli import EXPERIMENTS, ExperimentConfig, _build_config, list_experiments, main
+from dirichlet_curve.cli import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    _build_config,
+    _parse_config_file,
+    list_experiments,
+    main,
+)
 
 
 def test_registry_and_listing(capsys):
@@ -133,10 +141,11 @@ def test_non_integer_policy_n_is_config_error(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_unknown_tail_handling_is_config_error(tmp_path, capsys):
-    lines = "policy.mode = tail_epsilon\npolicy.tail_handling = bogus\n"
+def test_tail_handling_is_a_key_that_nothing_reads(tmp_path, capsys):
+    lines = "policy.mode = tail_epsilon\npolicy.tail_handling = absorb_into_fresh_atom\n"
     assert _run_config(tmp_path, lines) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "config error: policy.mode = tail_epsilon does not read policy.tail_handling\n"
 
 
 def test_config_file_takes_measure_rows(tmp_path):
@@ -295,25 +304,6 @@ def test_policy_keys_of_the_other_mode_are_rejected(tmp_path, capsys, lines, mes
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-_DROP = "policy.mode = tail_epsilon\npolicy.tail_handling = drop_renormalize\n"
-
-
-@pytest.mark.parametrize(
-    "experiment, lines",
-    [
-        ("cauchy-invariance", ""),
-        ("curve-ks", ""),  # the default grid samples BetaPrime(0.5, 0.5)
-        ("cr-identity", ""),  # the default measures include Cauchy1D
-        ("convex-order", "measure.family = cauchy1d\n"),
-    ],
-    ids=lambda v: v.split()[-1] if v else "",
-)
-def test_drop_renormalize_on_a_base_without_mean_is_a_config_error(tmp_path, capsys, experiment, lines):
-    assert _run_lines(tmp_path, f"experiment = {experiment}\nseed = 1\nn = 20\n{_DROP}{lines}") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: drop_renormalize is not allowed")
-
-
 @pytest.mark.parametrize("t", ["inf", "nan", "1, inf", "-inf"])
 def test_intensity_that_is_not_finite_is_a_config_error(tmp_path, capsys, t):
     assert main(["run", "moments", "--seed", "1", "--n", "20", f"--t={t}", "--out", str(tmp_path)]) == 2
@@ -323,8 +313,8 @@ def test_intensity_that_is_not_finite_is_a_config_error(tmp_path, capsys, t):
 @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
 @pytest.mark.parametrize(
     "lines",
-    ["", "policy.mode = fixed_N\npolicy.N = 2\n", "policy.mode = tail_epsilon\npolicy.epsilon = 1e-3\n", _DROP],
-    ids=["default", "fixed_N", "tail_epsilon", "drop_renormalize"],
+    ["", "policy.mode = fixed_N\npolicy.N = 2\n", "policy.mode = tail_epsilon\npolicy.epsilon = 1e-3\n"],
+    ids=["default", "fixed_N", "tail_epsilon"],
 )
 def test_no_run_ends_in_a_traceback(tmp_path, experiment, lines):
     # whatever the policy, a run passes, fails or is a config error; it never raises
@@ -450,3 +440,27 @@ def test_cr_identity_points_share_the_row_level(tmp_path, capsys, confidence):
     for row in rows:
         within = float(row["residual"]) <= n_se * float(row["mc_se"])
         assert row["passed"] == ("true" if within else "false")
+
+
+_README = (Path(__file__).parents[1] / "README.md").read_text()
+# the README's fenced blocks that set measure.family
+_README_CONFIGS = [b for b in re.findall(r"^```\w*\n(.*?)^```", _README, re.M | re.S) if "measure.family" in b]
+
+
+@pytest.mark.parametrize("block", _README_CONFIGS, ids=lambda b: b.split()[2])
+def test_readme_config_examples_build(tmp_path, block):
+    # a stale key in a README example is a config error here
+    config = tmp_path / "exp.cfg"
+    config.write_text(block)
+    _, measure, _ = _parse_config_file(str(config))
+    assert measure is not None
+    if "experiment =" in block:
+        args = argparse.Namespace(
+            config=str(config), experiment=None, seed=None, n=None, t=None, out=None, confidence=None
+        )
+        cfg = _build_config(args)
+        assert isinstance(cfg, ExperimentConfig) and cfg.experiment == "curve-ks"
+
+
+def test_readme_has_the_exp_cfg_example():
+    assert len([b for b in _README_CONFIGS if "experiment =" in b]) == 1

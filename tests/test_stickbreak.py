@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-from dirichlet_curve import stickbreak
+from dirichlet_curve import exact, stickbreak
 from dirichlet_curve.cauchy import trefoil_spectrum
 from dirichlet_curve.measures import (
     Beta,
@@ -51,9 +51,7 @@ def test_policy_validation():
         TruncationPolicy.fixed(0)
     with pytest.raises(ValueError):
         TruncationPolicy.tail(1.5)
-    with pytest.raises(ValueError):
-        TruncationPolicy(mode="fixed_N", N=3, tail_handling="discard")
-    assert TruncationPolicy.fixed(7).label() == "fixed_N(N=7),absorb_into_fresh_atom"
+    assert TruncationPolicy.fixed(7).label() == "fixed_N(N=7)"
 
 
 def test_single_stick_is_uniform():
@@ -113,20 +111,9 @@ def test_mean_draws_circle_radius():
     assert rep.p_value > 0.001
 
 
-def test_tail_handlings_agree():
-    absorb = TruncationPolicy.tail(1e-12, "absorb_into_fresh_atom")
-    drop = TruncationPolicy.tail(1e-12, "drop_renormalize")
-    a = sample_dirichlet_mean(bernoulli(0.5), 1.0, 3 * 10**4, absorb, RngStream(23))
-    b = sample_dirichlet_mean(bernoulli(0.5), 1.0, 3 * 10**4, drop, RngStream(24))
-    assert ks_one_sample(a, ARCSINE_CDF).p_value > 0.001
-    assert ks_one_sample(b, ARCSINE_CDF).p_value > 0.001
-    assert ks_two_sample(a, b).p_value > 0.001
-
-
-def test_renormalize_rejected_without_mean():
-    policy = TruncationPolicy.tail(1e-12, "drop_renormalize")
-    with pytest.raises(ValueError):
-        sample_dirichlet_mean(Cauchy1D(0.0, 1.0), 1.0, 100, policy, RngStream(25))
+def test_absorbed_tail_gives_the_arcsine_law():
+    smp = sample_dirichlet_mean(bernoulli(0.5), 1.0, 3 * 10**4, TruncationPolicy.tail(1e-12), RngStream(23))
+    assert ks_one_sample(smp, ARCSINE_CDF).p_value > 0.001
 
 
 def test_mean_and_variance_laws():
@@ -145,8 +132,17 @@ def test_mean_and_variance_laws():
 
 
 def test_fixed_point_depth_default():
-    assert default_fixed_point_depth(1.0) == 40
+    assert [default_fixed_point_depth(t) for t in (0.5, 1.0, 2.0, 100.0)] == [26, 40, 69, 2777]
     assert default_fixed_point_depth(10**6) == 10_000
+    # t/(t+1) rounds to 1 here, so its log would be 0
+    assert default_fixed_point_depth(1e16) == 10_000
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(t=st.floats(min_value=5e-324, max_value=sys.float_info.max))
+def test_fixed_point_depth_is_a_capped_int_for_every_finite_t(t):
+    depth = default_fixed_point_depth(t)
+    assert isinstance(depth, int) and 1 <= depth <= 10_000
 
 
 def test_fixed_point_bernoulli():
@@ -373,10 +369,7 @@ def _two_mode_stick_mean_block(measure, t, m, policy, gen):
         finished = active[stopped]
         if finished.size:
             t_fin = new_tail[stopped]
-            if policy.tail_handling == "absorb_into_fresh_atom":
-                acc[finished] += t_fin[:, None] * draw_measure(measure, finished.size, gen)
-            else:
-                acc[finished] /= (1.0 - t_fin)[:, None]
+            acc[finished] += t_fin[:, None] * draw_measure(measure, finished.size, gen)
         tail[active] = new_tail
         active = active[~stopped]
     return acc
@@ -404,11 +397,9 @@ _KERNEL_POLICIES = [TruncationPolicy.fixed(N) for N in (1, 5, 256, 257, 600)] + 
 ]
 
 
-@pytest.mark.parametrize("tail_handling", ["absorb_into_fresh_atom", "drop_renormalize"])
-@pytest.mark.parametrize("policy", _KERNEL_POLICIES, ids=lambda p: p.label().split(",")[0])
+@pytest.mark.parametrize("policy", _KERNEL_POLICIES, ids=TruncationPolicy.label)
 @pytest.mark.parametrize("measure", [Uniform01(), UniformCircle()], ids=["d1", "d2"])
-def test_stick_kernel_matches_two_mode_reference(measure, policy, tail_handling):
-    policy = TruncationPolicy(policy.mode, policy.N, policy.epsilon, tail_handling)
+def test_stick_kernel_matches_two_mode_reference(measure, policy):
     for t in (0.3, 7.0, 120.0):
         gen, ref_gen = RngStream(70).generator(), RngStream(70).generator()
         got = stickbreak.stick_mean_draws(measure, t, 150, policy, gen)
@@ -417,7 +408,7 @@ def test_stick_kernel_matches_two_mode_reference(measure, policy, tail_handling)
         assert gen.random() == ref_gen.random()
 
 
-@pytest.mark.parametrize("policy", _KERNEL_POLICIES, ids=lambda p: p.label().split(",")[0])
+@pytest.mark.parametrize("policy", _KERNEL_POLICIES, ids=TruncationPolicy.label)
 def test_stick_break_weights_match_two_mode_reference(policy):
     for t in (0.3, 7.0, 120.0):
         for i in range(4):
@@ -443,15 +434,17 @@ def test_policy_columns():
 def test_policy_from_config():
     assert TruncationPolicy.from_config({}) is None
     assert TruncationPolicy.from_config({"mode": "tail_epsilon"}) == TruncationPolicy.tail(1e-12)
-    assert TruncationPolicy.from_config(
-        {"mode": "fixed_N", "n": "4", "tail_handling": "drop_renormalize"}
-    ) == TruncationPolicy.fixed(4, "drop_renormalize")
+    assert TruncationPolicy.from_config({"mode": "fixed_N", "n": "4"}) == TruncationPolicy.fixed(4)
     for pairs, message in (
         ({"epsilon": "1e-6"}, "policy.* keys need policy.mode"),
         ({"mode": "fixed"}, "unknown policy.mode 'fixed'"),
         ({"mode": "fixed_N"}, "policy.mode = fixed_N needs policy.N"),
         ({"mode": "fixed_N", "n": "5", "epsilon": "0.5"}, "policy.mode = fixed_N does not read policy.epsilon"),
         ({"mode": "tail_epsilon", "n": "5"}, "policy.mode = tail_epsilon does not read policy.n"),
+        (
+            {"mode": "tail_epsilon", "tail_handling": "absorb_into_fresh_atom"},
+            "policy.mode = tail_epsilon does not read policy.tail_handling",
+        ),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             TruncationPolicy.from_config(pairs)
@@ -468,16 +461,13 @@ def test_intensity_must_be_positive_and_finite(t):
         lambda: dyadic_weight_draws(t, 3, 10, gen),
         lambda: dyadic_mean_draws(Uniform01(), t, 3, 10, gen),
         lambda: sample_james_aggregation([(1.0, Uniform01()), (t, Uniform01())], 10, RngStream(72)),
+        lambda: exact.curve_of(Beta(0.5, 0.5), t),
+        lambda: exact.moment_recursion([0.5, 0.3], t),
+        lambda: exact.RadialCircleLaw(t),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="t must be positive and finite"):
             call()
-
-
-def test_renormalize_without_mean_is_a_policy_error():
-    policy = TruncationPolicy.tail(1e-12, "drop_renormalize")
-    with pytest.raises(stickbreak.PolicyError, match="drop_renormalize is not allowed"):
-        stickbreak.stick_mean_draws(Cauchy1D(0.0, 1.0), 1.0, 10, policy, RngStream(73).generator())
 
 
 @pytest.mark.parametrize("t", [0.3, 7.0])
@@ -533,10 +523,7 @@ def _serial_stick_mean_block(measure, t, m, policy, gen):
         finished = active[stopped]
         if finished.size:
             t_fin = new_tail[stopped]
-            if policy.tail_handling == "absorb_into_fresh_atom":
-                acc[finished] += t_fin[:, None] * draw_measure(measure, finished.size, gen)
-            else:
-                acc[finished] /= (1.0 - t_fin)[:, None]
+            acc[finished] += t_fin[:, None] * draw_measure(measure, finished.size, gen)
         tail[active] = new_tail
         active = active[~stopped]
     return acc
@@ -569,20 +556,10 @@ def _assert_serial_bytes(measure, t, n, policy, seed):
     assert gen.random() == ref_gen.random()
 
 
-@pytest.mark.parametrize("policy", _STEP_POLICIES, ids=lambda p: p.label().split(",")[0])
-@pytest.mark.parametrize(
-    "family, tail_handling",
-    [
-        (family, tail_handling)
-        for family, measure in _FAMILIES.items()
-        for tail_handling in ("absorb_into_fresh_atom", "drop_renormalize")
-        # drop_renormalize needs a mean
-        if tail_handling == "absorb_into_fresh_atom" or measure.mean() is not None
-    ],
-)
-def test_threaded_stick_kernel_matches_the_serial_kernel(family, tail_handling, policy):
+@pytest.mark.parametrize("policy", _STEP_POLICIES, ids=TruncationPolicy.label)
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_threaded_stick_kernel_matches_the_serial_kernel(family, policy):
     measure = _FAMILIES[family]
-    policy = TruncationPolicy(policy.mode, policy.N, policy.epsilon, tail_handling)
     for t in (0.3, 7.0, 120.0):
         _assert_serial_bytes(measure, t, 300, policy, 74)
 
