@@ -304,6 +304,23 @@ def test_policy_keys_of_the_other_mode_are_rejected(tmp_path, capsys, lines, mes
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "experiment, lines",
+    [
+        ("cauchy-invariance", ""),
+        ("curve-ks", ""),  # the default grid samples BetaPrime(0.5, 0.5)
+        ("cr-identity", ""),  # the default measures include Cauchy1D
+        ("convex-order", "measure.family = cauchy1d\n"),
+    ],
+    ids=lambda v: v.split()[-1] if v else "",
+)
+def test_a_base_without_mean_runs_under_the_tail_rule(tmp_path, capsys, experiment, lines):
+    # the tail mass goes onto a fresh base draw, which needs no mean of the base
+    text = f"experiment = {experiment}\nseed = 1\nn = 20\npolicy.mode = tail_epsilon\n{lines}"
+    assert _run_lines(tmp_path, text) in (0, 1)
+    assert "config error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("t", ["inf", "nan", "1, inf", "-inf"])
 def test_intensity_that_is_not_finite_is_a_config_error(tmp_path, capsys, t):
     assert main(["run", "moments", "--seed", "1", "--n", "20", f"--t={t}", "--out", str(tmp_path)]) == 2
@@ -313,8 +330,13 @@ def test_intensity_that_is_not_finite_is_a_config_error(tmp_path, capsys, t):
 @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
 @pytest.mark.parametrize(
     "lines",
-    ["", "policy.mode = fixed_N\npolicy.N = 2\n", "policy.mode = tail_epsilon\npolicy.epsilon = 1e-3\n"],
-    ids=["default", "fixed_N", "tail_epsilon"],
+    [
+        "",
+        "policy.mode = fixed_N\npolicy.N = 2\n",
+        "policy.mode = tail_epsilon\npolicy.epsilon = 1e-3\n",
+        "policy.mode = fixed_N\npolicy.N = 1\n",  # one stick, the rest on the fresh draw
+    ],
+    ids=["default", "fixed_N", "tail_epsilon", "one_stick"],
 )
 def test_no_run_ends_in_a_traceback(tmp_path, experiment, lines):
     # whatever the policy, a run passes, fails or is a config error; it never raises

@@ -116,6 +116,17 @@ def test_absorbed_tail_gives_the_arcsine_law():
     assert ks_one_sample(smp, ARCSINE_CDF).p_value > 0.001
 
 
+@pytest.mark.parametrize(
+    "policy", [TruncationPolicy.fixed(1), TruncationPolicy.fixed(5), TruncationPolicy.tail(1e-3)],
+    ids=TruncationPolicy.label,
+)
+def test_absorbed_tail_keeps_the_cauchy_law_at_any_truncation(policy):
+    # weights that sum to 1 on independent Cauchy draws give Cauchy(0, 1)
+    # again, so the tail put on a fresh draw makes the truncation exact here
+    smp = sample_dirichlet_mean(Cauchy1D(0.0, 1.0), 3.0, 2 * 10**4, policy, RngStream(24))
+    assert ks_one_sample(smp, lambda x: 0.5 + np.arctan(x) / np.pi).p_value > 0.001
+
+
 def test_mean_and_variance_laws():
     t = 3.0
     smp = sample_dirichlet_mean(Uniform01(), t, 10**5, rng=RngStream(26))
@@ -398,7 +409,12 @@ _KERNEL_POLICIES = [TruncationPolicy.fixed(N) for N in (1, 5, 256, 257, 600)] + 
 
 
 @pytest.mark.parametrize("policy", _KERNEL_POLICIES, ids=TruncationPolicy.label)
-@pytest.mark.parametrize("measure", [Uniform01(), UniformCircle()], ids=["d1", "d2"])
+@pytest.mark.parametrize(
+    "measure",
+    # the tail rule needs no mean of the base: Cauchy1D and BetaPrime(0.5, 0.5) have none
+    [Uniform01(), UniformCircle(), Cauchy1D(0.0, 1.0), BetaPrime(0.5, 0.5)],
+    ids=["d1", "d2", "d1_cauchy", "d1_beta_prime"],
+)
 def test_stick_kernel_matches_two_mode_reference(measure, policy):
     for t in (0.3, 7.0, 120.0):
         gen, ref_gen = RngStream(70).generator(), RngStream(70).generator()
@@ -556,12 +572,14 @@ def _assert_serial_bytes(measure, t, n, policy, seed):
     assert gen.random() == ref_gen.random()
 
 
+@pytest.mark.parametrize("n", [300, 1], ids=["rows_300", "one_row"])
 @pytest.mark.parametrize("policy", _STEP_POLICIES, ids=TruncationPolicy.label)
 @pytest.mark.parametrize("family", _FAMILIES)
-def test_threaded_stick_kernel_matches_the_serial_kernel(family, policy):
+def test_threaded_stick_kernel_matches_the_serial_kernel(family, policy, n):
+    # 300 rows span several chunks of a step; one row is a step of one chunk
     measure = _FAMILIES[family]
     for t in (0.3, 7.0, 120.0):
-        _assert_serial_bytes(measure, t, 300, policy, 74)
+        _assert_serial_bytes(measure, t, n, policy, 74)
 
 
 class _Submit:
