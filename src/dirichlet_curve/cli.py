@@ -65,6 +65,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.n < 10:
             raise ValueError("n must be at least 10")
         if self.confidence is not None and not 0.5 < self.confidence < 1.0:
@@ -159,14 +161,19 @@ def _exp_curve_ks(cfg: ExperimentConfig):
             + [(BetaPrime(0.5, 0.5), t) for t in _grid(cfg, (1.0, 2.0))]
             + [(UniformCircle(), t) for t in _grid(cfg, (1.0, 2.0))]
         )
+    # every law before the first draw: a cell that the KS test cannot take is
+    # refused before any sampling
+    laws = [EX.curve_of(measure, t) for measure, t in cells]
+    for (measure, t), law in zip(cells, laws):
+        if law is None:
+            raise ConfigError(f"no closed-form law for {measure.describe()} at t={t:g}")
+        if measure.dimension != 1 and not isinstance(law, EX.RadialCircleLaw):
+            raise ConfigError(
+                f"no one-dimensional statistic for the {type(law).__name__} of {measure.describe()} at t={t:g}"
+            )
     rng = RngStream(cfg.seed)
     rows, checks = [], []
-    for i, (measure, t) in enumerate(cells):
-        law = EX.curve_of(measure, t)
-        if law is None:
-            raise ConfigError(
-                f"no closed-form law for {measure.describe()} at t={t:g}"
-            )
+    for i, ((measure, t), law) in enumerate(zip(cells, laws)):
         smp = SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng.substream(i))
         if isinstance(law, EX.RadialCircleLaw):
             data = np.sum(smp.draws**2, axis=1)
@@ -187,6 +194,8 @@ def _exp_convex_order(cfg: ExperimentConfig):
     """Hinge means decrease in t; the base measure dominates the whole curve."""
     ts = _grid(cfg, (0.5, 1.0, 2.0, 4.0, 8.0))
     targets = [cfg.measure] if cfg.measure is not None else [bernoulli(0.5), Uniform01()]
+    if cfg.measure is not None and cfg.measure.dimension != 1:
+        raise ConfigError(f"convex-order checks one-dimensional bases, not {cfg.measure.describe()}")
     rng = RngStream(cfg.seed)
     rows, checks = [], []
     for mi, measure in enumerate(targets):
@@ -292,6 +301,15 @@ def _exp_cr_identity(cfg: ExperimentConfig):
         if cfg.measure is not None
         else [bernoulli(0.5), Beta(0.5, 0.5), Cauchy1D(0.0, 1.0)]
     )
+    for measure in measures:
+        if measure.dimension != 1:
+            raise ConfigError(f"cr-identity needs a one-dimensional base, not {measure.describe()}")
+        # the transform side draws nothing, so a base without transforms is
+        # refused here, before any sampling
+        try:
+            measure.log_transform(1j)
+        except TypeError as exc:
+            raise ConfigError(f"cr-identity needs the transforms of its base: {exc}") from None
     ts = _grid(cfg, (1.0, 2.0))
     # Fourier points s, then Stieltjes points z; each point has its own substream
     points = [{"s": s} for s in (-2.0, -0.7, 0.7, 1.0, 3.0)] + [

@@ -34,7 +34,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -91,84 +91,54 @@ class StickBreakWeights:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How to cut the infinite stick-breaking series.
+    """Where to cut the infinite stick-breaking series: each series stops at
+    the first N whose tail mass T_N = prod_{k<=N}(1 - Y_k) falls below epsilon.
 
-    Both modes run one kernel: a series stops at the first N whose tail mass
-    T_N = prod_{k<=N}(1 - Y_k) falls below epsilon, or when its stick budget
-    is spent. Mode 'tail_epsilon' has no budget; mode 'fixed_N' is the same
-    kernel with epsilon 0 and a budget of N sticks, so it keeps exactly N.
-
-    The tail mass T_N always goes onto one fresh alpha draw B*. The draw then
-    differs from the full series by T_N (X' - B*), where X' ~ mu(t*alpha) is
-    the series restarted after stick N and B* ~ alpha, both independent of
-    the sticks. The paper's convex order gives E|X' - m| <= E|B - m| about
-    the base mean m, so the Wasserstein-1 error is at most 2 epsilon E|B - m|
-    under 'tail_epsilon' and 2 (t/(t+1))^N E|B - m| under 'fixed_N'
-    (Ishwaran & James 2001).
+    The tail mass T_N goes onto one fresh alpha draw B*. The draw then differs
+    from the full series by T_N (X' - B*), where X' ~ mu(t*alpha) is the series
+    restarted after stick N and B* ~ alpha, both independent of the sticks. The
+    paper's convex order gives E|X' - m| <= E|B - m| about the base mean m, so
+    the Wasserstein-1 error is at most 2 epsilon E|B - m| (Ishwaran & James
+    2001). A cut after a fixed N sticks has the bound 2 (t/(t+1))^N E|B - m|,
+    its mean tail; the cut at epsilon = (t/(t+1))^N meets that bound with a
+    sure tail in every draw, at 1 + N t log(1 + 1/t) < N + 1 mean sticks.
     """
 
-    mode: str
-    N: Optional[int] = None
-    epsilon: Optional[float] = None
+    epsilon: float
+    # the name of the rule, which perfbench's stick counters read
+    mode: ClassVar[str] = "tail_epsilon"
 
     def __post_init__(self):
-        if self.mode not in ("fixed_N", "tail_epsilon"):
-            raise ValueError("mode must be 'fixed_N' or 'tail_epsilon'")
-        if self.mode == "fixed_N":
-            if self.N is None or self.N < 1:
-                raise ValueError("fixed_N mode needs N >= 1")
-        else:
-            if self.epsilon is None or not (0.0 < self.epsilon < 1.0):
-                raise ValueError("tail_epsilon mode needs epsilon in (0, 1)")
-
-    @classmethod
-    def fixed(cls, N: int) -> "TruncationPolicy":
-        return cls(mode="fixed_N", N=N)
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError("the tail cut needs epsilon in (0, 1)")
 
     @classmethod
     def tail(cls, epsilon: float = 1e-12) -> "TruncationPolicy":
-        return cls(mode="tail_epsilon", epsilon=epsilon)
+        return cls(epsilon)
 
     def label(self) -> str:
-        if self.mode == "fixed_N":
-            return f"fixed_N(N={self.N})"
         return f"tail_epsilon(eps={self.epsilon!r})"
 
-    def columns(self, t: float) -> tuple[float, int, float]:
-        """(epsilon, column block, stick budget) of the stick kernel at t; a
-        tail block is about 1.5 times the mean stick count t log(1/epsilon)."""
-        if self.mode == "fixed_N":
-            return 0.0, min(_COL_BLOCK, self.N), self.N
-        block = max(8, int(min(_COL_BLOCK, 2 + 1.5 * t * math.log(1.0 / self.epsilon))))
-        return self.epsilon, block, math.inf
+    def columns(self, t: float) -> int:
+        """Column block of the stick kernel at t: about 1.5 times the mean
+        stick count t log(1/epsilon)."""
+        return max(8, int(min(_COL_BLOCK, 2 + 1.5 * t * math.log(1.0 / self.epsilon))))
 
     def mean_sticks(self, t: float) -> float:
-        """Mean stick count of one series at t: N, or 1 + t log(1/epsilon) for a
-        tail cut, since -log T_n is a sum of n exponentials of mean 1/t."""
-        if self.mode == "fixed_N":
-            return float(self.N)
+        """Mean stick count of one series at t, 1 + t log(1/epsilon), since
+        -log T_n is a sum of n exponentials of mean 1/t."""
         return 1.0 + t * math.log(1.0 / self.epsilon)
 
     @classmethod
     def from_config(cls, pairs: dict) -> Optional["TruncationPolicy"]:
         """The policy of the lower-cased `policy.*` config keys, prefix stripped,
-        or None without any. A key that the mode does not read is an error."""
+        or None without any. `epsilon` is the one key."""
         if not pairs:
             return None
-        mode = pairs.get("mode")
-        if mode is None:
-            raise ValueError("policy.* keys need policy.mode")
-        if mode not in ("fixed_N", "tail_epsilon"):
-            raise ValueError(f"unknown policy.mode {mode!r}")
-        reads = {"mode", "n" if mode == "fixed_N" else "epsilon"}
-        unread = ", ".join(f"policy.{key}" for key in sorted(pairs.keys() - reads))
+        unread = ", ".join(f"policy.{key}" for key in sorted(pairs.keys() - {"epsilon"}))
         if unread:
-            raise ValueError(f"policy.mode = {mode} does not read {unread}")
-        if mode == "tail_epsilon":
-            return cls.tail(float(pairs.get("epsilon", 1e-12)))
-        if "n" not in pairs:
-            raise ValueError("policy.mode = fixed_N needs policy.N")
-        return cls.fixed(int(pairs["n"]))
+            raise ValueError(f"config keys that nothing reads: {unread} (policy.epsilon is the one policy key)")
+        return cls.tail(float(pairs["epsilon"]))
 
 
 DEFAULT_POLICY = TruncationPolicy.tail(1e-12)
@@ -211,7 +181,7 @@ def _weight_step(u: np.ndarray, tail: np.ndarray, t: float, eps: float):
     new_tail = np.empty(a)
     stop = np.empty(a, np.intp)
     tails = np.empty(min(rows, a) * cols)
-    below = np.empty(tails.size, bool) if eps > 0.0 else None
+    below = np.empty(tails.size, bool)
 
     def step():
         np.log(u, out=u)
@@ -255,16 +225,14 @@ def stick_break_weights(
     """One draw of the truncated stick-breaking weight sequence."""
     _check_intensity(t)
     gen = rng.generator()
-    eps, block, budget = policy.columns(t)
-    weights, tail, sticks_done = [], np.ones(1), 0
+    eps, block = policy.epsilon, policy.columns(t)
+    weights, tail = [], np.ones(1)
     while True:
-        cols = int(min(block, budget - sticks_done))
-        w = gen.random((1, cols))
+        w = gen.random((1, block))
         tail, stop = _weight_step(w, tail, t, eps)()
         stopped = tail[0] < eps
-        weights.append(w[0, : stop[0] + 1 if stopped else cols])
-        sticks_done += cols
-        if stopped or sticks_done >= budget:
+        weights.append(w[0, : stop[0] + 1 if stopped else block])
+        if stopped:
             return StickBreakWeights(t=t, weights=np.concatenate(weights), tail=float(tail[0]))
 
 
@@ -276,33 +244,29 @@ def _stick_mean_block(
     gen: Generator,
 ) -> np.ndarray:
     """m draws of the truncated series sum W_n B_n, vectorized over rows; a row
-    stops at its first tail mass below epsilon or when the stick budget is spent.
+    stops at its first tail mass below epsilon.
 
     The worker thread turns each block's uniforms into weights while this
     thread draws the block's base points. Every generator call stays on this
     thread, in the order of a serial run, so the draws do not depend on the
     threads."""
     d = measure.dimension
-    eps, block, budget = policy.columns(t)
+    eps, block = policy.epsilon, policy.columns(t)
     acc = np.zeros((m, d))
     tail = np.ones(m)
     active = np.arange(m)
-    sticks_done = 0
     while active.size:
         a = active.size
-        cols = int(min(block, budget - sticks_done))
-        w = gen.random((a, cols))
+        w = gen.random((a, block))
         step = _weight_step(w, tail[active], t, eps)
         weights = _submit(step)
-        b = draw_measure(measure, a * cols, gen).reshape(a, cols, d)
+        b = draw_measure(measure, a * block, gen).reshape(a, block, d)
         # a step that the worker has not started yet runs here instead
         new_tail, _ = step() if weights.cancel() else weights.result()
         acc[active] += np.einsum("ak,akd->ad", w, b)
         # free this block's weights, draws and step before the next block's uniforms
         del w, b, step
-        sticks_done += cols
         stopped = new_tail < eps
-        stopped |= sticks_done >= budget
         finished = active[stopped]
         if finished.size:
             t_fin = new_tail[stopped]
@@ -358,7 +322,7 @@ def fixed_point_draws(
 ) -> np.ndarray:
     """Iterate x -> (1-Y)x + YB from 0, vectorized over n chains.
 
-    `depth` steps from 0 give the fixed-N stick series with N = depth, in
+    `depth` steps from 0 give the stick series cut after N = depth sticks, in
     reversed order (the last step's draw carries the first stick), with the
     tail mass put at the origin. It is kept as the naive, independent reference
     that the sampler cross-validation checks stick breaking against.
@@ -385,15 +349,24 @@ def sample_fixed_point(
     """n draws by backward iteration of the distributional fixed point X ~ (1-Y)X + YB.
 
     Its `truncation` provenance is the contraction (t/(t+1))^depth reached:
-    the mean weight of the series tail that depth steps leave out. So a depth
-    that `default_fixed_point_depth` capped shows there."""
+    the mean weight of the series tail that depth steps leave out. Without a
+    depth, a t whose contraction the 10,000 steps of
+    `default_fixed_point_depth` leave above 1e-12 (t above about 361) is an
+    error; a depth that is passed runs whatever its contraction."""
     _check_intensity(t)
-    if depth is None:
+    by_default = depth is None
+    if by_default:
         depth = default_fixed_point_depth(t)
+    contraction = (t / (t + 1.0)) ** depth
+    if by_default and contraction > 1e-12:
+        raise ValueError(
+            f"at t = {t!r} the default depth of {depth} steps reaches the contraction "
+            f"{contraction:.3g}, above 1e-12; pass depth to run it"
+        )
     return EmpiricalSample.generate(
         lambda m, gen: fixed_point_draws(measure, t, m, depth, gen),
         n, rng, measure.dimension, measure.describe(), f"fixed_point(depth={depth})",
-        t=t, truncation=f"contraction={(t / (t + 1.0)) ** depth:.3g}",
+        t=t, truncation=f"contraction={contraction:.3g}",
     )
 
 

@@ -165,17 +165,18 @@ def cr_identity_residual(
     """
     if (s is None) == (z is None):
         raise ValueError("pass exactly one of s (Fourier) or z (Stieltjes)")
-    x = stick_mean_draws(alpha, t, mc_n, policy, gen)[:, 0]
+    # the transform side first: it draws nothing, so a base without
+    # transforms fails before any sampling
     if s is not None:
-        vals = np.exp(-t * np.log(1.0 - 1j * s * x))
         log_mean = alpha.log_fourier_mean(s) if s != 0.0 else 0j
         rhs = np.exp(-t * log_mean)
         form, point = "fourier", complex(s)
     else:
         zz = _as_upper(z)
-        vals = np.exp(-t * np.log(x - zz))
         rhs = np.exp(t * log_transform(alpha, zz))
         form, point = "stieltjes", zz
+    x = stick_mean_draws(alpha, t, mc_n, policy, gen)[:, 0]
+    vals = np.exp(-t * np.log(1.0 - 1j * s * x if s is not None else x - zz))
     lhs = complex(vals.mean())
     return CRResidual(
         form=form,

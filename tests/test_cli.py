@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtri
 
 from dirichlet_curve import stickbreak as SB
+from dirichlet_curve.measures import RngStream
 from dirichlet_curve.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -136,16 +137,19 @@ def test_out_of_range_measure_parameter_is_config_error(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_non_integer_policy_n_is_config_error(tmp_path, capsys):
-    assert _run_config(tmp_path, "policy.mode = fixed_N\npolicy.N = x\n") == 2
+def test_non_numeric_policy_epsilon_is_config_error(tmp_path, capsys):
+    assert _run_config(tmp_path, "policy.epsilon = x\n") == 2
     assert "config error:" in capsys.readouterr().err
 
 
 def test_tail_handling_is_a_key_that_nothing_reads(tmp_path, capsys):
-    lines = "policy.mode = tail_epsilon\npolicy.tail_handling = absorb_into_fresh_atom\n"
+    lines = "policy.epsilon = 1e-12\npolicy.tail_handling = absorb_into_fresh_atom\n"
     assert _run_config(tmp_path, lines) == 2
     err = capsys.readouterr().err
-    assert err == "config error: policy.mode = tail_epsilon does not read policy.tail_handling\n"
+    assert err == (
+        "config error: config keys that nothing reads: policy.tail_handling "
+        "(policy.epsilon is the one policy key)\n"
+    )
 
 
 def test_config_file_takes_measure_rows(tmp_path):
@@ -199,11 +203,6 @@ def test_verdict_contract(tmp_path, capsys, experiment, n_verdicts):
     assert rows and all(len(row) == len(header) for row in rows)
 
 
-def test_fixed_n_policy_without_n_is_named(tmp_path, capsys):
-    assert _run_config(tmp_path, "policy.mode = fixed_N\n") == 2
-    assert "policy.mode = fixed_N needs policy.N" in capsys.readouterr().err
-
-
 _READS_MEASURE = {"curve-ks", "convex-order", "cr-identity"}
 _READS_T_GRID = {"curve-ks", "convex-order", "moments", "cr-identity", "cauchy-invariance"}
 
@@ -240,9 +239,9 @@ _READS_CONFIDENCE = {"curve-ks", "convex-order", "cr-identity", "cauchy-invarian
 @pytest.mark.parametrize(
     "key, line, read_by",
     [
-        ("policy", "policy.mode = fixed_N\npolicy.N = 3\n", _READS_POLICY),
+        ("policy", "policy.epsilon = 1e-3\n", _READS_POLICY),
         # a key set to its default value is still a key the experiment drops
-        ("policy", "policy.mode = tail_epsilon\n", _READS_POLICY),
+        ("policy", "policy.epsilon = 1e-12\n", _READS_POLICY),
         ("confidence", "confidence = 0.9\n", _READS_CONFIDENCE),
         ("confidence", "confidence = 0.999\n", _READS_CONFIDENCE),
     ],
@@ -266,21 +265,21 @@ def test_confidence_flag_an_experiment_ignores_is_rejected(tmp_path, capsys):
     assert "experiment trefoil does not read confidence" in capsys.readouterr().err
 
 
-def test_policy_keys_without_mode_are_rejected(tmp_path, capsys):
-    assert _run_config(tmp_path, "policy.epsilon = 1e-6\n") == 2
-    assert "policy.* keys need policy.mode" in capsys.readouterr().err
+def test_policy_epsilon_alone_runs(tmp_path, capsys):
+    assert _run_config(tmp_path, "policy.epsilon = 1e-6\n") in (0, 1)
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_cauchy_invariance_applies_policy_to_every_sampled_check(tmp_path):
     rows = {}
-    for name, lines in (("default", ""), ("fixed", "policy.mode = fixed_N\npolicy.N = 2\n")):
+    for name, lines in (("default", ""), ("coarse", "policy.epsilon = 0.5\n")):
         config = tmp_path / f"{name}.cfg"
         config.write_text(f"experiment = cauchy-invariance\nseed = 1\nn = 500\n{lines}")
         main(["run", "--config", str(config), "--out", str(tmp_path / name)])
         with open(tmp_path / name / "cauchy-invariance.csv", newline="") as fh:
             rows[name] = list(csv.reader(fh))[1:]
     assert len(rows["default"]) == 6
-    assert all(a != b for a, b in zip(rows["default"], rows["fixed"]))
+    assert all(a != b for a, b in zip(rows["default"], rows["coarse"]))
 
 
 def _run_lines(tmp_path, text):
@@ -289,19 +288,45 @@ def _run_lines(tmp_path, text):
     return main(["run", "--config", str(config), "--out", str(tmp_path)])
 
 
-@pytest.mark.parametrize(
-    "lines, message",
-    [
-        ("policy.mode = fixed_N\npolicy.N = 5\npolicy.epsilon = 0.5\n",
-         "policy.mode = fixed_N does not read policy.epsilon"),
-        ("policy.mode = tail_epsilon\npolicy.N = 5\n",
-         "policy.mode = tail_epsilon does not read policy.n"),
-    ],
-    ids=["epsilon_under_fixed_N", "N_under_tail_epsilon"],
-)
-def test_policy_keys_of_the_other_mode_are_rejected(tmp_path, capsys, lines, message):
-    assert _run_lines(tmp_path, f"experiment = moments\nseed = 1\nn = 20\n{lines}") == 2
+_MESSAGES = {
+    "policy_mode": ("moments", "policy.mode = tail_epsilon\n",
+                    "config keys that nothing reads: policy.mode (policy.epsilon is the one policy key)"),
+    "policy_N": ("moments", "policy.epsilon = 1e-6\npolicy.N = 5\n",
+                 "config keys that nothing reads: policy.n (policy.epsilon is the one policy key)"),
+    "policy_N_alone": ("curve-ks", "policy.N = 5\n",
+                       "config keys that nothing reads: policy.n (policy.epsilon is the one policy key)"),
+    "fixed_N": ("curve-ks", "policy.mode = fixed_N\npolicy.N = 5\n",
+                "config keys that nothing reads: policy.mode, policy.n (policy.epsilon is the one policy key)"),
+    # the later seed line wins
+    "negative_seed": ("moments", "seed = -1\n", "seed must be a non-negative integer"),
+    "convex_order_circle": ("convex-order", "measure.family = uniform_circle\n",
+                            "convex-order checks one-dimensional bases, not UniformCircle"),
+    "cr_identity_circle": ("cr-identity", "measure.family = uniform_circle\n",
+                           "cr-identity needs a one-dimensional base, not UniformCircle"),
+    "cr_identity_cauchy_rd": ("cr-identity", "measure.family = cauchy_rd\n1, 0, 1\n-1, 0, 1\n",
+                              "cr-identity needs a one-dimensional base, not CauchyRd(atoms=2)"),
+    "cr_identity_product": (
+        "cr-identity",
+        "measure.family = scaled_product\nmeasure.radial.family = uniform01\nmeasure.direction.family = cauchy1d\n",
+        "cr-identity needs the transforms of its base: no transform integration for ScaledProduct",
+    ),
+    "curve_ks_basis_atoms": ("curve-ks", "measure.family = discrete_atoms\n1, 0, 0.5\n0, 1, 0.5\n",
+                             "no one-dimensional statistic for the DirichletLaw of "
+                             "DiscreteAtoms{(1.0,0.0):0.5; (0.0,1.0):0.5} at t=1"),
+}
+
+
+@pytest.mark.parametrize("case", _MESSAGES)
+def test_a_config_that_a_run_cannot_serve_is_named_before_any_draw(tmp_path, capsys, monkeypatch, case):
+    # every draw takes a generator from an RngStream, so none is made here
+    def no_draw(self):
+        raise AssertionError("a draw started")
+
+    monkeypatch.setattr(RngStream, "generator", no_draw)
+    experiment, lines, message = _MESSAGES[case]
+    assert _run_lines(tmp_path, f"experiment = {experiment}\nseed = 1\nn = 50\n{lines}") == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / f"{experiment}.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -316,7 +341,7 @@ def test_policy_keys_of_the_other_mode_are_rejected(tmp_path, capsys, lines, mes
 )
 def test_a_base_without_mean_runs_under_the_tail_rule(tmp_path, capsys, experiment, lines):
     # the tail mass goes onto a fresh base draw, which needs no mean of the base
-    text = f"experiment = {experiment}\nseed = 1\nn = 20\npolicy.mode = tail_epsilon\n{lines}"
+    text = f"experiment = {experiment}\nseed = 1\nn = 20\npolicy.epsilon = 1e-12\n{lines}"
     assert _run_lines(tmp_path, text) in (0, 1)
     assert "config error" not in capsys.readouterr().err
 
@@ -332,11 +357,11 @@ def test_intensity_that_is_not_finite_is_a_config_error(tmp_path, capsys, t):
     "lines",
     [
         "",
-        "policy.mode = fixed_N\npolicy.N = 2\n",
-        "policy.mode = tail_epsilon\npolicy.epsilon = 1e-3\n",
-        "policy.mode = fixed_N\npolicy.N = 1\n",  # one stick, the rest on the fresh draw
+        "policy.epsilon = 0.5\n",
+        "policy.epsilon = 1e-3\n",
+        "policy.epsilon = 0.999999\n",  # near one stick, the rest on the fresh draw
     ],
-    ids=["default", "fixed_N", "tail_epsilon", "one_stick"],
+    ids=["default", "coarse", "tail_epsilon", "one_stick"],
 )
 def test_no_run_ends_in_a_traceback(tmp_path, experiment, lines):
     # whatever the policy, a run passes, fails or is a config error; it never raises
@@ -349,20 +374,20 @@ def test_config_keys_that_nothing_reads_are_named(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: config keys that nothing reads: polcy.mode, sed\n"
 
 
-_HUGE_N = "policy.mode = fixed_N\npolicy.N = 1000000000000\n"
+_TINY_EPS = "policy.epsilon = 1e-300\n"
 
 
 @pytest.mark.parametrize(
     "experiment, t, lines, sticks",
     [
         ("moments", "1e9", "n = 20\n", "5.53e+11"),  # tail_epsilon(1e-12): 1 + 1e9 ln(1e12) a draw
-        ("moments", "1", "n = 20\n" + _HUGE_N, "2e+13"),
-        ("moments", None, "n = 20\n" + _HUGE_N, "2e+13"),  # fixed_N needs N sticks at any t
-        ("james", None, "n = 20\n" + _HUGE_N, "2e+13"),  # reads no t, samples t = 2
+        ("moments", "1", "n = 100000000\n" + _TINY_EPS, "6.92e+10"),  # 1 + ln(1e300) a draw
+        ("moments", None, "n = 20000000\n" + _TINY_EPS, "1.11e+11"),  # the default grid tops out at t = 8
+        ("james", None, "n = 10000000\n" + _TINY_EPS, "1.38e+10"),  # reads no t, samples t = 2
         # the default grid tops out at t = 8, where 1e8 draws need 2.2e10 sticks
         ("convex-order", None, "n = 100000000\n", "2.22e+10"),
     ],
-    ids=["tail_epsilon", "fixed_N", "fixed_N-no-t", "james-no-t", "default-grid"],
+    ids=["tail_epsilon", "tiny_epsilon", "tiny_epsilon-no-t", "james-no-t", "default-grid"],
 )
 def test_a_run_past_the_stick_bound_is_refused_before_it_starts(
     tmp_path, capsys, experiment, t, lines, sticks
@@ -417,20 +442,20 @@ def test_moments_at_a_tiny_t_ends_in_verdicts(tmp_path, capsys, n):
 def test_limits_variance_cells_ignore_the_configured_policy(tmp_path):
     # the two t = 1000 cells always run under tail_epsilon(1e-6) at min(n, 3e4) draws
     lines = {}
-    for name, policy in (("default", ""), ("fixed", "policy.mode = fixed_N\npolicy.N = 5\n")):
+    for name, policy in (("default", ""), ("coarse", "policy.epsilon = 0.5\n")):
         config = tmp_path / f"{name}.cfg"
         config.write_text(f"experiment = limits\nseed = 1\nn = 500\n{policy}")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / name)]) in (0, 1)
         lines[name] = (tmp_path / name / "limits.csv").read_bytes().splitlines()
     variance = {name: [ln for ln in rows if b",variance_collapse," in ln] for name, rows in lines.items()}
     assert len(variance["default"]) == 2
-    assert variance["fixed"] == variance["default"]
+    assert variance["coarse"] == variance["default"]
     small_t = {name: [ln for ln in rows if b",ks_vs_base," in ln] for name, rows in lines.items()}
     assert len(small_t["default"]) == 2
-    assert all(a != b for a, b in zip(small_t["default"], small_t["fixed"]))
+    assert all(a != b for a, b in zip(small_t["default"], small_t["coarse"]))
 
 
-@pytest.mark.parametrize("policy", ["", "policy.mode = fixed_N\npolicy.N = 5\n", "policy.mode = tail_epsilon\n"])
+@pytest.mark.parametrize("policy", ["", "policy.epsilon = 0.5\n", "policy.epsilon = 1e-12\n"])
 def test_limits_says_on_stderr_when_a_config_sets_policy(tmp_path, capsys, policy):
     config = tmp_path / "limits.cfg"
     config.write_text(f"experiment = limits\nseed = 1\nn = 100\n{policy}")

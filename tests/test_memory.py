@@ -175,15 +175,16 @@ def test_spectral_draw_peak_does_not_grow_with_n_times_atoms(n):
 )
 @pytest.mark.parametrize(
     "t, policy",
-    [(10.0, TruncationPolicy.fixed(256)), (100.0, TruncationPolicy.tail(1e-6))],
+    [(10.0, TruncationPolicy.tail(1e-8)), (100.0, TruncationPolicy.tail(1e-6))],
     ids=["one_block", "blocks_in_turn"],
 )
 def test_stick_block_peaks_below_its_bound(measure, scratch, t, policy):
     # A block of a x 256 sticks holds its weights, its (a * 256, d) base draws
     # and the base draw's own scratch arrays of a * 256 (the atom indices, the
     # circle's angles, 1 - z of beta prime); half an array more covers the masks
-    # and the output. fixed_N(256) is exactly one block; the tail cut at
-    # t = 100 runs about six in turn. With the tail matrix alive during the
+    # and the output. The cut at 1e-8 and t = 10 runs one block of 256
+    # columns for about 185 sticks a row; the cut at 1e-6 and t = 100 runs
+    # about six in turn. With the tail matrix alive during the
     # base draw, and the previous block's arrays alive into the next block,
     # a uniform base peaked at 3.0 and 4.0 arrays.
     a = 2000

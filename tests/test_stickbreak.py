@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -47,15 +48,18 @@ ARCSINE_CDF = lambda x: betainc(0.5, 0.5, np.clip(x, 0.0, 1.0))
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        TruncationPolicy.fixed(0)
-    with pytest.raises(ValueError):
-        TruncationPolicy.tail(1.5)
-    assert TruncationPolicy.fixed(7).label() == "fixed_N(N=7)"
+    for epsilon in (0.0, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=re.escape("the tail cut needs epsilon in (0, 1)")):
+            TruncationPolicy.tail(epsilon)
+    assert TruncationPolicy.tail(1e-3).label() == "tail_epsilon(eps=0.001)"
+    # one field: the cut at epsilon is the one rule
+    assert [field.name for field in dataclasses.fields(TruncationPolicy)] == ["epsilon"]
+    assert TruncationPolicy.tail(1e-3).mode == "tail_epsilon"
 
 
 def test_single_stick_is_uniform():
-    policy = TruncationPolicy.fixed(1)
+    # at t = 1 a series goes on past its first stick with probability 1 - epsilon
+    policy = TruncationPolicy.tail(1.0 - 1e-9)
     w1 = np.empty(2000)
     for i in range(w1.shape[0]):
         sbw = stick_break_weights(1.0, policy, RngStream(11, i))
@@ -83,13 +87,14 @@ def test_tail_epsilon_stopping():
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(
     t=st.floats(min_value=0.05, max_value=50.0),
-    n_sticks=st.integers(min_value=1, max_value=300),
+    epsilon=st.floats(min_value=1e-15, max_value=0.999),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_weights_telescope(t, n_sticks, seed):
-    sbw = stick_break_weights(t, TruncationPolicy.fixed(n_sticks), RngStream(seed))
-    assert sbw.weights.shape == (n_sticks,)
-    assert np.all(sbw.weights >= 0) and sbw.tail >= 0
+def test_weights_telescope(t, epsilon, seed):
+    # up to about 1700 sticks, in up to 7 blocks
+    sbw = stick_break_weights(t, TruncationPolicy.tail(epsilon), RngStream(seed))
+    assert sbw.weights.size >= 1
+    assert np.all(sbw.weights >= 0) and 0 <= sbw.tail < epsilon
     assert abs(sbw.weights.sum() + sbw.tail - 1.0) < 1e-12
 
 
@@ -117,7 +122,8 @@ def test_absorbed_tail_gives_the_arcsine_law():
 
 
 @pytest.mark.parametrize(
-    "policy", [TruncationPolicy.fixed(1), TruncationPolicy.fixed(5), TruncationPolicy.tail(1e-3)],
+    # at t = 3 a cut at 0.999 keeps one stick in 99.7% of draws
+    "policy", [TruncationPolicy.tail(0.999), TruncationPolicy.tail(0.5), TruncationPolicy.tail(1e-3)],
     ids=TruncationPolicy.label,
 )
 def test_absorbed_tail_keeps_the_cauchy_law_at_any_truncation(policy):
@@ -344,39 +350,27 @@ def test_dyadic_variance_is_the_finite_approximation():
     assert abs(v - sig2 / (t + 1.0)) > 4 * se_var
 
 
-def _two_mode_stick_mean_block(measure, t, m, policy, gen):
-    """Reference stick kernel with one branch per truncation mode."""
+def _reference_stick_mean_block(measure, t, m, policy, gen):
+    """Reference stick kernel, written with fresh arrays and masks."""
     d = measure.dimension
     acc = np.zeros((m, d))
     tail = np.ones(m)
     active = np.arange(m)
-    sticks_done = 0
-    if policy.mode == "tail_epsilon":
-        eps = policy.epsilon
-        block = max(8, min(256, int(2 + 1.5 * t * math.log(1.0 / eps))))
-    else:
-        eps = 0.0
-        block = min(256, policy.N)
+    eps = policy.epsilon
+    block = max(8, min(256, int(2 + 1.5 * t * math.log(1.0 / eps))))
     while active.size:
         a = active.size
-        cols = min(block, policy.N - sticks_done) if policy.mode == "fixed_N" else block
-        log_not_y = np.log(gen.random((a, cols))) / t
+        log_not_y = np.log(gen.random((a, block))) / t
         tails = tail[active, None] * np.exp(np.cumsum(log_not_y, axis=1))
         prev = np.concatenate([tail[active, None], tails[:, :-1]], axis=1)
         w = prev - tails
-        b = draw_measure(measure, a * cols, gen).reshape(a, cols, d)
-        if policy.mode == "tail_epsilon":
-            done = tails < eps
-            stopped = done.any(axis=1)
-            stop_col = np.where(stopped, done.argmax(axis=1), cols - 1)
-            keep = np.arange(cols)[None, :] <= stop_col[:, None]
-            acc[active] += np.einsum("ak,akd->ad", w * keep, b)
-            new_tail = tails[np.arange(a), stop_col]
-        else:
-            stopped = np.full(a, sticks_done + cols >= policy.N)
-            acc[active] += np.einsum("ak,akd->ad", w, b)
-            new_tail = tails[:, -1]
-            sticks_done += cols
+        b = draw_measure(measure, a * block, gen).reshape(a, block, d)
+        done = tails < eps
+        stopped = done.any(axis=1)
+        stop_col = np.where(stopped, done.argmax(axis=1), block - 1)
+        keep = np.arange(block)[None, :] <= stop_col[:, None]
+        acc[active] += np.einsum("ak,akd->ad", w * keep, b)
+        new_tail = tails[np.arange(a), stop_col]
         finished = active[stopped]
         if finished.size:
             t_fin = new_tail[stopped]
@@ -386,11 +380,8 @@ def _two_mode_stick_mean_block(measure, t, m, policy, gen):
     return acc
 
 
-def _two_mode_weights(t, policy, gen):
-    """Reference stick_break_weights: one pass for fixed_N, blocks for tail_epsilon."""
-    if policy.mode == "fixed_N":
-        tails = np.exp(np.cumsum(np.log(gen.random(policy.N)) / t))
-        return np.concatenate([[1.0], tails[:-1]]) - tails, float(tails[-1])
+def _reference_weights(t, policy, gen):
+    """Reference stick_break_weights, written with fresh arrays."""
     eps, weights, tail = policy.epsilon, [], 1.0
     block = max(8, min(256, int(2 + 1.5 * t * math.log(1.0 / eps))))
     while tail >= eps:
@@ -403,9 +394,9 @@ def _two_mode_weights(t, policy, gen):
     return np.concatenate(weights), tail
 
 
-_KERNEL_POLICIES = [TruncationPolicy.fixed(N) for N in (1, 5, 256, 257, 600)] + [
-    TruncationPolicy.tail(eps) for eps in (1e-12, 1e-3)
-]
+# near one stick (epsilon close to 1), rows that stop mid-block, and rows that
+# run past one block (at t = 120, about 830 sticks at 1e-3 and 3300 at 1e-12)
+_KERNEL_POLICIES = [TruncationPolicy.tail(eps) for eps in (0.999, 0.9, 0.5, 0.1, 1e-6, 1e-12, 1e-3)]
 
 
 @pytest.mark.parametrize("policy", _KERNEL_POLICIES, ids=TruncationPolicy.label)
@@ -415,52 +406,47 @@ _KERNEL_POLICIES = [TruncationPolicy.fixed(N) for N in (1, 5, 256, 257, 600)] + 
     [Uniform01(), UniformCircle(), Cauchy1D(0.0, 1.0), BetaPrime(0.5, 0.5)],
     ids=["d1", "d2", "d1_cauchy", "d1_beta_prime"],
 )
-def test_stick_kernel_matches_two_mode_reference(measure, policy):
+def test_stick_kernel_matches_the_reference(measure, policy):
     for t in (0.3, 7.0, 120.0):
         gen, ref_gen = RngStream(70).generator(), RngStream(70).generator()
         got = stickbreak.stick_mean_draws(measure, t, 150, policy, gen)
-        ref = _two_mode_stick_mean_block(measure, t, 150, policy, ref_gen)
+        ref = _reference_stick_mean_block(measure, t, 150, policy, ref_gen)
         assert got.tobytes() == ref.tobytes()
         assert gen.random() == ref_gen.random()
 
 
 @pytest.mark.parametrize("policy", _KERNEL_POLICIES, ids=TruncationPolicy.label)
-def test_stick_break_weights_match_two_mode_reference(policy):
+def test_stick_break_weights_match_the_reference(policy):
     for t in (0.3, 7.0, 120.0):
         for i in range(4):
             got = stick_break_weights(t, policy, RngStream(71, i))
-            ref_w, ref_tail = _two_mode_weights(t, policy, RngStream(71, i).generator())
-            if policy.mode == "fixed_N" and policy.N > 256:
-                # the cumsum restarts at each 256-column block: last bits move
-                np.testing.assert_allclose(got.weights, ref_w, rtol=1e-9, atol=1e-300)
-                assert got.tail == pytest.approx(ref_tail, rel=1e-9, abs=1e-300)
-            else:
-                assert got.weights.tobytes() == ref_w.tobytes()
-                assert got.tail == ref_tail
+            ref_w, ref_tail = _reference_weights(t, policy, RngStream(71, i).generator())
+            assert got.weights.tobytes() == ref_w.tobytes()
+            assert got.tail == ref_tail
 
 
 def test_policy_columns():
-    assert TruncationPolicy.fixed(5).columns(3.0) == (0.0, 5, 5)
-    assert TruncationPolicy.fixed(600).columns(3.0) == (0.0, 256, 600)
-    assert TruncationPolicy.tail(1e-3).columns(0.01) == (1e-3, 8, math.inf)
-    assert TruncationPolicy.tail(1e-12).columns(2.0) == (1e-12, 84, math.inf)
-    assert TruncationPolicy.tail(1e-12).columns(1e308) == (1e-12, 256, math.inf)
+    # 8 columns at least, 256 at most, else 2 + 1.5 t log(1/epsilon)
+    assert TruncationPolicy.tail(0.999).columns(1.0) == 8
+    assert TruncationPolicy.tail(1e-3).columns(0.01) == 8
+    assert TruncationPolicy.tail(1e-12).columns(2.0) == 84
+    assert TruncationPolicy.tail(1e-3).columns(120.0) == 256
+    assert TruncationPolicy.tail(1e-12).columns(1e308) == 256
 
 
 def test_policy_from_config():
     assert TruncationPolicy.from_config({}) is None
-    assert TruncationPolicy.from_config({"mode": "tail_epsilon"}) == TruncationPolicy.tail(1e-12)
-    assert TruncationPolicy.from_config({"mode": "fixed_N", "n": "4"}) == TruncationPolicy.fixed(4)
+    assert TruncationPolicy.from_config({"epsilon": "1e-6"}) == TruncationPolicy.tail(1e-6)
     for pairs, message in (
-        ({"epsilon": "1e-6"}, "policy.* keys need policy.mode"),
-        ({"mode": "fixed"}, "unknown policy.mode 'fixed'"),
-        ({"mode": "fixed_N"}, "policy.mode = fixed_N needs policy.N"),
-        ({"mode": "fixed_N", "n": "5", "epsilon": "0.5"}, "policy.mode = fixed_N does not read policy.epsilon"),
-        ({"mode": "tail_epsilon", "n": "5"}, "policy.mode = tail_epsilon does not read policy.n"),
+        ({"mode": "tail_epsilon"}, "config keys that nothing reads: policy.mode "),
+        ({"epsilon": "1e-6", "mode": "tail_epsilon"}, "config keys that nothing reads: policy.mode "),
+        ({"n": "5"}, "config keys that nothing reads: policy.n "),
+        ({"mode": "fixed_N", "n": "4"}, "config keys that nothing reads: policy.mode, policy.n "),
         (
-            {"mode": "tail_epsilon", "tail_handling": "absorb_into_fresh_atom"},
-            "policy.mode = tail_epsilon does not read policy.tail_handling",
+            {"epsilon": "1e-6", "tail_handling": "absorb_into_fresh_atom"},
+            "config keys that nothing reads: policy.tail_handling (policy.epsilon is the one policy key)",
         ),
+        ({"epsilon": "1.5"}, "the tail cut needs epsilon in (0, 1)"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             TruncationPolicy.from_config(pairs)
@@ -470,9 +456,9 @@ def test_policy_from_config():
 def test_intensity_must_be_positive_and_finite(t):
     gen = RngStream(72).generator()
     calls = [
-        lambda: stickbreak.stick_mean_draws(Uniform01(), t, 10, TruncationPolicy.fixed(5), gen),
+        lambda: stickbreak.stick_mean_draws(Uniform01(), t, 10, TruncationPolicy.tail(0.5), gen),
         lambda: stickbreak.stick_mean_draws(Uniform01(), t, 10, TruncationPolicy.tail(1e-6), gen),
-        lambda: stick_break_weights(t, TruncationPolicy.fixed(5), RngStream(72)),
+        lambda: stick_break_weights(t, TruncationPolicy.tail(0.5), RngStream(72)),
         lambda: stickbreak.fixed_point_draws(Uniform01(), t, 10, 5, gen),
         lambda: dyadic_weight_draws(t, 3, 10, gen),
         lambda: dyadic_mean_draws(Uniform01(), t, 3, 10, gen),
@@ -488,7 +474,9 @@ def test_intensity_must_be_positive_and_finite(t):
 
 @pytest.mark.parametrize("t", [0.3, 7.0])
 def test_policy_mean_sticks(t):
-    assert TruncationPolicy.fixed(5).mean_sticks(t) == 5.0
+    # the cut at the mean tail of 5 sticks takes fewer than 6 on average
+    assert TruncationPolicy.tail((t / (t + 1.0)) ** 5).mean_sticks(t) == pytest.approx(1.0 + 5.0 * t * math.log1p(1.0 / t))
+    assert TruncationPolicy.tail((t / (t + 1.0)) ** 5).mean_sticks(t) < 6.0
     policy = TruncationPolicy.tail(1e-3)
     counts = np.array([stick_break_weights(t, policy, RngStream(72, i)).weights.size for i in range(400)])
     se = counts.std(ddof=1) / np.sqrt(counts.size)
@@ -518,24 +506,20 @@ def _serial_stick_mean_block(measure, t, m, policy, gen):
     """The stick kernel as it ran on one thread, before the weight step moved to
     the worker: the reference that the threaded kernel must match byte for byte."""
     d = measure.dimension
-    eps, block, budget = policy.columns(t)
+    eps, block = policy.epsilon, policy.columns(t)
     acc = np.zeros((m, d))
     tail = np.ones(m)
     active = np.arange(m)
-    sticks_done = 0
     while active.size:
         a = active.size
-        cols = int(min(block, budget - sticks_done))
-        w, tails = _serial_stick_columns(tail[active], cols, t, gen)
+        w, tails = _serial_stick_columns(tail[active], block, t, gen)
         done = tails < eps
         stopped = done.any(axis=1)
-        stop_col = np.where(stopped, done.argmax(axis=1), cols - 1)
+        stop_col = np.where(stopped, done.argmax(axis=1), block - 1)
         new_tail = tails[np.arange(a), stop_col]
-        w *= np.arange(cols) <= stop_col[:, None]
-        b = draw_measure(measure, a * cols, gen).reshape(a, cols, d)
+        w *= np.arange(block) <= stop_col[:, None]
+        b = draw_measure(measure, a * block, gen).reshape(a, block, d)
         acc[active] += np.einsum("ak,akd->ad", w, b)
-        sticks_done += cols
-        stopped |= sticks_done >= budget
         finished = active[stopped]
         if finished.size:
             t_fin = new_tail[stopped]
@@ -558,10 +542,8 @@ _FAMILIES = {
     "cauchy_rd": CauchyRd(trefoil_spectrum()),
     "product": ScaledProduct(BetaPrime(2.0, 3.0), UniformCircle()),
 }
-# fixed_N across block edges, and tail cuts whose rows stop mid-block
-_STEP_POLICIES = [TruncationPolicy.fixed(N) for N in (1, 257, 600)] + [
-    TruncationPolicy.tail(eps) for eps in (1e-3, 1e-12)
-]
+# near one stick, and rows that stop mid-block or run past one block
+_STEP_POLICIES = [TruncationPolicy.tail(eps) for eps in (0.999, 0.5, 1e-6, 1e-3, 1e-12)]
 
 
 def _assert_serial_bytes(measure, t, n, policy, seed):
@@ -610,7 +592,7 @@ class _Submit:
 def test_every_step_path_gives_the_serial_bytes(monkeypatch, path):
     monkeypatch.setattr(stickbreak, "_submit", getattr(_Submit, path))
     for family in ("bernoulli", "cauchy_rd", "circle"):
-        for policy in (TruncationPolicy.fixed(257), TruncationPolicy.tail(1e-3)):
+        for policy in (TruncationPolicy.tail(1e-6), TruncationPolicy.tail(1e-3)):
             for t in (0.3, 120.0):
                 _assert_serial_bytes(_FAMILIES[family], t, 300, policy, 75)
 
@@ -651,7 +633,8 @@ def test_a_failing_step_reaches_the_caller_and_the_next_call_works(monkeypatch):
 
         return step
 
-    policy = TruncationPolicy.fixed(600)
+    # rows at t = 2 run past a block of 84 columns
+    policy = TruncationPolicy.tail(1e-12)
     with monkeypatch.context() as patch:
         patch.setattr(stickbreak, "_weight_step", failing_step)
         patch.setattr(stickbreak, "_submit", _Submit.worker)
@@ -690,9 +673,13 @@ def test_a_forked_child_draws_on_its_own_worker():
 def test_fixed_point_records_the_contraction_it_reached():
     smp = sample_fixed_point(Uniform01(), 1.0, 10, rng=RngStream(82))
     assert smp.provenance["truncation"] == f"contraction={0.5 ** 40:.3g}"
-    # the depth cap of 10,000 steps leaves (t/(t+1))^depth = 0.368 at t = 1e4
-    smp = sample_fixed_point(Uniform01(), 1e4, 1, rng=RngStream(82))
+    # 10,000 steps leave (t/(t+1))^depth = 0.368 at t = 1e4
+    smp = sample_fixed_point(Uniform01(), 1e4, 1, depth=10_000, rng=RngStream(82))
     assert smp.provenance["truncation"] == "contraction=0.368"
+    # the default depth is capped at 10,000 steps, so there it is an error
+    for t in (1e4, 1e16):
+        with pytest.raises(ValueError, match=re.escape(f"at t = {t!r} the default depth of 10000 steps reaches the contraction")):
+            sample_fixed_point(Uniform01(), t, 1, rng=RngStream(82))
 
 
 # ---------------------------------------------------------------------------
