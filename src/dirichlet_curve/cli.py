@@ -146,6 +146,14 @@ class Check:
     text: str
 
 
+def _refuse_point_mass(experiment: str, measure: GoverningMeasure) -> None:
+    """The curve of a point mass is that point mass, so the claims of
+    curve-ks, convex-order and cr-identity have no content there."""
+    if measure.is_point_mass:
+        raise ConfigError(f"{experiment} has nothing to check on a point mass, whose curve is itself: "
+                          f"{measure.describe()}")
+
+
 def _ks_text(rep) -> str:
     return f"D={rep.statistic:.5f} p={rep.p_value:.4g}"
 
@@ -163,6 +171,8 @@ def _exp_curve_ks(cfg: ExperimentConfig):
         )
     # every law before the first draw: a cell that the KS test cannot take is
     # refused before any sampling
+    for measure, _ in cells:
+        _refuse_point_mass("curve-ks", measure)
     laws = [EX.curve_of(measure, t) for measure, t in cells]
     for (measure, t), law in zip(cells, laws):
         if law is None:
@@ -194,8 +204,10 @@ def _exp_convex_order(cfg: ExperimentConfig):
     """Hinge means decrease in t; the base measure dominates the whole curve."""
     ts = _grid(cfg, (0.5, 1.0, 2.0, 4.0, 8.0))
     targets = [cfg.measure] if cfg.measure is not None else [bernoulli(0.5), Uniform01()]
-    if cfg.measure is not None and cfg.measure.dimension != 1:
-        raise ConfigError(f"convex-order checks one-dimensional bases, not {cfg.measure.describe()}")
+    if cfg.measure is not None:
+        if cfg.measure.dimension != 1:
+            raise ConfigError(f"convex-order checks one-dimensional bases, not {cfg.measure.describe()}")
+        _refuse_point_mass("convex-order", cfg.measure)
     rng = RngStream(cfg.seed)
     rows, checks = [], []
     for mi, measure in enumerate(targets):
@@ -304,6 +316,7 @@ def _exp_cr_identity(cfg: ExperimentConfig):
     for measure in measures:
         if measure.dimension != 1:
             raise ConfigError(f"cr-identity needs a one-dimensional base, not {measure.describe()}")
+        _refuse_point_mass("cr-identity", measure)
         # the transform side draws nothing, so a base without transforms is
         # refused here, before any sampling
         try:

@@ -14,6 +14,9 @@ and `hinge_mean` below delegate to those methods.
 The module also holds the raw-moment recursion with its associated
 polynomials, and a quadrature evaluator for the density of the mean at unit
 intensity built from the sine/log-potential representation.
+
+`scipy.integrate` loads at the first quadrature, through `integrate` below,
+not at import.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betaln
 
 __all__ = [
@@ -49,6 +51,22 @@ __all__ = [
 # transforms and cr_density: a target per call, not a bound on the total
 # error of a transform built from several calls.
 QUAD_TOL = 1e-10
+
+
+class _DeferredIntegrate:
+    """`scipy.integrate`, imported at the first attribute read: no sampler
+    integrates, and the import also loads scipy.optimize, linalg and sparse.
+    A plain import runs under the import lock, so threads that make their
+    first quadratures at once each see the whole module."""
+
+    def __getattr__(self, name):
+        from scipy import integrate as module
+
+        return getattr(module, name)
+
+
+# every quadrature here and in `transforms` reads its functions from this name
+integrate = _DeferredIntegrate()
 
 
 def _check_intensity(t: float) -> None:

@@ -193,6 +193,12 @@ class GoverningMeasure(_Integrable, Law):
         """Closed-form law of the Dirichlet mean at intensity t, or None."""
         return None
 
+    @property
+    def is_point_mass(self) -> bool:
+        """Whether all of the mass sits at one point, so that every point of
+        the curve is this measure."""
+        return False
+
     def log_potential(self, x: float) -> float:
         """-integral of log|x - w| alpha(dw), for one-dimensional alpha."""
         raise TypeError(f"no log potential for {type(self).__name__}")
@@ -255,6 +261,10 @@ class DiscreteAtoms(GoverningMeasure):
     def mean(self):
         return self.weights @ self.points
 
+    @property
+    def is_point_mass(self):
+        return bool((self.points == self.points[0]).all())
+
     def _line(self) -> np.ndarray:
         """The atoms as points of the line; only for one-dimensional atoms."""
         if self.dimension != 1:
@@ -269,7 +279,7 @@ class DiscreteAtoms(GoverningMeasure):
         return (np.asarray(x, dtype=float)[..., None] >= self._line()) @ self.weights
 
     def curve_law(self, t):
-        if len(self.weights) == 1:
+        if self.is_point_mass:
             return self
         k, d = self.points.shape
         vals = self.points[:, 0]

@@ -8,7 +8,8 @@ never cross the negative-real cut.
 
 Quadrature runs at `exact.QUAD_TOL`, the epsabs and epsrel of each adaptive
 `integrate.quad` call: a target per call, not a bound on a transform's total
-error.
+error. `integrate` is `exact.integrate`, which loads `scipy.integrate` at the
+first quadrature.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from typing import Optional, Union
 
 import numpy as np
 from numpy.random import Generator
-from scipy import integrate
 from scipy.special import betaln
 
-from .exact import QUAD_TOL
+from .exact import QUAD_TOL, integrate
 from .stats import complex_mean_se
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, stick_mean_draws
 

@@ -314,6 +314,18 @@ _MESSAGES = {
                              "no one-dimensional statistic for the DirichletLaw of "
                              "DiscreteAtoms{(1.0,0.0):0.5; (0.0,1.0):0.5} at t=1"),
 }
+# the curve of a point mass is that point mass: one atom, or atoms at one point
+_MESSAGES.update({
+    f"{experiment}_{name}": (
+        experiment, f"measure.family = discrete_atoms\n{rows}",
+        f"{experiment} has nothing to check on a point mass, whose curve is itself: {described}",
+    )
+    for experiment in ("curve-ks", "cr-identity", "convex-order")
+    for name, rows, described in (
+        ("one_atom", "0.3, 1\n", "DiscreteAtoms{(0.3):1.0}"),
+        ("atoms_at_one_point", "0.3, 0.5\n0.3, 0.5\n", "DiscreteAtoms{(0.3):0.5; (0.3):0.5}"),
+    )
+})
 
 
 @pytest.mark.parametrize("case", _MESSAGES)

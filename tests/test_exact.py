@@ -84,8 +84,10 @@ def test_curve_of_cauchy_is_its_fixed_point(t):
 
 @pytest.mark.parametrize("x", [-1.5, 0.0, 0.25])
 def test_curve_of_point_mass_is_the_point_mass(x):
+    at_one_point = DiscreteAtoms(points=np.array([x, x]), weights=np.array([0.5, 0.5]))
     for t in (0.01, 1.0, 1000.0):
         assert curve_of(point_mass(x), t) == point_mass(x)
+        assert curve_of(at_one_point, t) is at_one_point
 
 
 # every one-dimensional law with a cdf, and the x range its mass lies in

@@ -317,14 +317,31 @@ def test_complex_mean_se_matches_the_cosine_sine_form():
         assert complex_mean_se(np.exp(1j * r * proj)) == old
 
 
-def test_importing_the_package_leaves_scipy_stats_out():
+# scipy subpackages that no import of the package loads; scipy.integrate
+# pulls in the other three
+_LEFT_OUT = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+
+
+@pytest.mark.parametrize(
+    "prefixes, run",
+    [((prefix,), "") for prefix in _LEFT_OUT] + [(_LEFT_OUT, "curve-ks")],
+    ids=list(_LEFT_OUT) + ["after_curve_ks"],
+)
+def test_importing_the_package_leaves_scipy_stats_out(tmp_path, prefixes, run):
+    # curve-ks checks its laws through Beta cdfs and kolmogorov, so a run of
+    # it integrates nothing either
     src = Path(dirichlet_curve.__file__).resolve().parents[1]
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); "
-        "import dirichlet_curve, dirichlet_curve.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import dirichlet_curve, dirichlet_curve.cli\n"
+        "if sys.argv[3]:\n"
+        "    dirichlet_curve.cli.main(['run', sys.argv[3], '--seed', '1', '--n', '20', '--out', sys.argv[4]])\n"
+        "print(sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[2].split(',')))))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe, str(src)], capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, str(src), ",".join(prefixes), run, str(tmp_path)],
+        capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "curve-ks.csv").exists() == bool(run)

@@ -1,10 +1,15 @@
 import cmath
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import dirichlet_curve
+from dirichlet_curve import transforms
 from dirichlet_curve.exact import QUAD_TOL, cr_density
 from dirichlet_curve.measures import (
     Beta,
@@ -176,3 +181,64 @@ def test_quad_tol_reaches_every_quadrature(monkeypatch):
     # log potential, one on each side of x
     assert len(tols) == 8
     assert set(tols) == {(QUAD_TOL, QUAD_TOL)}
+
+
+def test_transforms_read_their_quadrature_from_one_name(monkeypatch):
+    # a stand-in for transforms.integrate sees every quadrature of a transform
+    calls = []
+
+    class CountingIntegrate:
+        def quad(self, *args, **kwargs):
+            calls.append(args[1:3])
+            return integrate.quad(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "integrate", CountingIntegrate())
+    Beta(2.0, 3.0).log_transform(1j)
+    # the real and the imaginary part, each on (0, 1)
+    assert calls == [(0.0, 1.0), (0.0, 1.0)]
+
+
+# two threads whose first quadratures start together, in a fresh interpreter
+# where scipy.integrate is not yet loaded unless argv[2] asks for it
+_FIRST_QUADRATURES = """
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+sys.setswitchinterval(1e-5)  # switch threads often inside the import
+if sys.argv[2] == "eager":
+    import scipy.integrate
+from dirichlet_curve import exact
+from dirichlet_curve.measures import Beta
+assert (sys.argv[2] == "eager") == ("scipy.integrate" in sys.modules)
+calls = {
+    "log_transform": lambda: Beta(2.0, 3.0).log_transform(0.3 + 0.5j),
+    "cr_density": lambda: complex(exact.cr_density(Beta(0.5, 0.5), 0.3)),
+}
+out, start = {}, threading.Barrier(len(calls))
+
+def run(name):
+    start.wait()
+    value = calls[name]()
+    out[name] = (value.real.hex(), value.imag.hex())
+
+threads = [threading.Thread(target=run, args=(name,)) for name in calls]
+for th in threads:
+    th.start()
+for th in threads:
+    th.join(60)
+assert not any(th.is_alive() for th in threads)
+print(sorted(out.items()))
+"""
+
+
+def test_first_quadratures_on_two_threads_give_the_bits_of_an_eager_import():
+    src = str(Path(dirichlet_curve.__file__).resolve().parents[1])
+
+    def values(mode):
+        return subprocess.run(
+            [sys.executable, "-c", _FIRST_QUADRATURES, src, mode],
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+
+    deferred = values("deferred")
+    assert deferred.count("0x") == 4
+    assert deferred == values("eager")
