@@ -35,7 +35,6 @@ from .stickbreak import (
     DEFAULT_POLICY,
     StickBreakWeights,
     TruncationPolicy,
-    dyadic_weights,
     sample_dirichlet_mean,
     sample_fixed_point,
     sample_james_aggregation,
@@ -46,7 +45,6 @@ from .stickbreak import (
 from .cauchy import (
     SpectralCauchy,
     draw_spectral_cauchy,
-    sample_cauchy_rd,
     trefoil_median,
     trefoil_spectrum,
     uniform_spectrum,
@@ -75,7 +73,6 @@ from .stats import (
     moment_inequality_check,
 )
 from .transforms import (
-    UpperHalfPoint,
     cr_identity_residual,
     log_transform,
     ode_residual,

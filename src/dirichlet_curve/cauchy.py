@@ -44,7 +44,6 @@ __all__ = [
     "uniform_spectrum",
     "w_of",
     "draw_spectral_cauchy",
-    "sample_cauchy_rd",
     "trefoil_median",
     "verify_yamato",
     "verify_mult_invariance",
@@ -178,15 +177,6 @@ def draw_spectral_cauchy(spec: SpectralCauchy, n: int, gen: Generator) -> np.nda
         np.matmul(z, scaled, out=out[lo : lo + z.shape[0]])
     out += spec.shift + drift
     return out
-
-
-def sample_cauchy_rd(spec: SpectralCauchy, n: int, rng: RngStream) -> EmpiricalSample:
-    """n i.i.d. draws of the spectral Cauchy law, reproducible given the stream."""
-    return EmpiricalSample.generate(
-        lambda m, gen: draw_spectral_cauchy(spec, m, gen),
-        n, rng, spec.dimension, f"SpectralCauchy(atoms={len(spec.intensities)})",
-        "spectral_stable",
-    )
 
 
 def trefoil_median(theta) -> np.ndarray | float:

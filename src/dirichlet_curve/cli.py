@@ -208,6 +208,9 @@ def _exp_convex_order(cfg: ExperimentConfig):
         if cfg.measure.dimension != 1:
             raise ConfigError(f"convex-order checks one-dimensional bases, not {cfg.measure.describe()}")
         _refuse_point_mass("convex-order", cfg.measure)
+        if cfg.measure.mean() is None:
+            raise ConfigError("convex-order has nothing to check on a base without a mean, whose hinge "
+                              f"means are infinite: {cfg.measure.describe()}")
     rng = RngStream(cfg.seed)
     rows, checks = [], []
     for mi, measure in enumerate(targets):
@@ -666,9 +669,13 @@ def list_experiments() -> str:
 
 def run(cfg: ExperimentConfig) -> int:
     """Run one experiment: write its CSV, print the summary, return exit status."""
-    header, rows, checks = EXPERIMENTS[cfg.experiment].run(cfg)
+    # the output directory first: a path that cannot be one is refused before any draw
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out}: {exc.strerror}") from None
+    header, rows, checks = EXPERIMENTS[cfg.experiment].run(cfg)
     path = out / f"{cfg.experiment}.csv"
     _write_csv(path, header, rows)
     print(f"experiment {cfg.experiment} (seed={cfg.seed}, n={cfg.n})")
@@ -690,7 +697,7 @@ def _parse_config_file(path: str) -> tuple:
     measure, policy = ({k[len(p):]: v for k, v in pairs.items() if k.startswith(p)} for p in prefixes)
     return (
         values,
-        measure_from_config(measure, rows) if measure or rows else None,
+        measure_from_config(measure, rows, "measure.") if measure or rows else None,
         SB.TruncationPolicy.from_config(policy),
     )
 

@@ -10,7 +10,8 @@ spelling (`from_config`), `describe`, `draw`, `mean`, `raw_moments`, its
 closed-form curve law (`curve_law`), and the hooks of the transforms and of
 the unit-intensity density (`integrate`, the Cauchy closed forms,
 `log_potential`). A family without a hook inherits the default of
-`GoverningMeasure`, which raises. `ScaledProduct` composes the methods of
+`GoverningMeasure`, which raises; the default `from_config` reads the
+dataclass fields. `ScaledProduct` composes the methods of
 its factors, and `Uniform01` is `Beta(1, 1)` with its own name and a
 one-uniform draw. Callers use the methods; the module functions add what a
 method does not: the sampling entry points (`draw_measure`, and
@@ -27,7 +28,7 @@ base itself for `Cauchy1D`, the curve's fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -185,9 +186,16 @@ class GoverningMeasure(_Integrable, Law):
     default to raising."""
 
     @classmethod
-    def from_config(cls, pairs: dict, rows: list) -> "GoverningMeasure":
-        """Build from the key=value pairs and (prefix, values) rows of a config."""
-        return cls()
+    def from_config(cls, pairs: dict, rows: dict) -> "GoverningMeasure":
+        """Build from the key=value pairs and the (prefix, values) rows, by
+        index, of a config, popping each key and row that it reads. The keys
+        are the dataclass fields, as floats; a field without a default is
+        required."""
+        return cls(**{
+            f.name: float(pairs.pop(f.name))
+            for f in fields(cls)
+            if f.init and (f.name in pairs or f.default is MISSING)
+        })
 
     def curve_law(self, t: float):
         """Closed-form law of the Dirichlet mean at intensity t, or None."""
@@ -320,10 +328,6 @@ class Beta(GoverningMeasure):
 
     dimension = 1
 
-    @classmethod
-    def from_config(cls, pairs, rows):
-        return cls(float(pairs["a"]), float(pairs["b"]))
-
     def describe(self) -> str:
         return f"Beta(a={self.a!r}, b={self.b!r})"
 
@@ -380,10 +384,6 @@ class Uniform01(Beta):
     a: float = field(default=1.0, init=False, repr=False)
     b: float = field(default=1.0, init=False, repr=False)
 
-    @classmethod
-    def from_config(cls, pairs, rows):
-        return cls()
-
     def describe(self) -> str:
         return "Uniform01"
 
@@ -403,10 +403,6 @@ class BetaPrime(GoverningMeasure):
             raise ValueError("beta-prime parameters must be positive")
 
     dimension = 1
-
-    @classmethod
-    def from_config(cls, pairs, rows):
-        return cls(float(pairs["a"]), float(pairs["b"]))
 
     def describe(self) -> str:
         return f"BetaPrime(a={self.a!r}, b={self.b!r})"
@@ -461,10 +457,6 @@ class Cauchy1D(GoverningMeasure):
     def w(self) -> complex:
         """Upper-half-plane parameter location + i*scale."""
         return complex(self.location, self.scale)
-
-    @classmethod
-    def from_config(cls, pairs, rows):
-        return cls(float(pairs.get("location", 0.0)), float(pairs.get("scale", 1.0)))
 
     def describe(self) -> str:
         return f"Cauchy1D(location={self.location!r}, scale={self.scale!r})"
@@ -546,7 +538,7 @@ class CauchyRd(GoverningMeasure):
         d = arr.shape[1] - 1
         shift = np.zeros(d)
         if "shift" in pairs:
-            shift = np.asarray([float(t) for t in pairs["shift"].split(",")], dtype=float)
+            shift = np.asarray([float(t) for t in pairs.pop("shift").split(",")], dtype=float)
         spec = SpectralCauchy(
             dimension=d, shift=shift, directions=arr[:, :-1], intensities=arr[:, -1]
         )
@@ -586,21 +578,29 @@ class ScaledProduct(GoverningMeasure):
     @classmethod
     def from_config(cls, pairs, rows):
         # keys `radial.<key>` and rows `radial: <row>` go to the radial factor,
-        # likewise for direction; rows without a prefix go to both factors
-        stray = {label.partition(":")[0] for label, _ in rows} - {"", "radial", "direction"}
+        # likewise for direction; rows without a prefix go to both factors, and
+        # a key or a row is read when a factor reads it
+        stray = {label.partition(":")[0] for label, _ in rows.values()} - {"", "radial", "direction"}
         if stray:
             raise ValueError(f"row prefix {min(stray)!r} is neither radial nor direction")
 
         def factor(name):
-            sub = {k[len(name) + 1:]: v for k, v in pairs.items() if k.startswith(name + ".")}
-            own = [
-                (label.partition(":")[2], values)
-                for label, values in rows
+            head = name + "."
+            sub = {k[len(head):]: pairs.pop(k) for k in list(pairs) if k.startswith(head)}
+            own = {
+                i: (label.partition(":")[2], values)
+                for i, (label, values) in rows.items()
                 if label.partition(":")[0] in ("", name)
-            ]
-            return measure_from_config(sub, own)
+            }
+            routed = set(own)
+            measure = _build(sub, own)
+            pairs.update((head + k, v) for k, v in sub.items())
+            return measure, routed - own.keys()
 
-        return cls(factor("radial"), factor("direction"))
+        (radial, read), (direction, also_read) = factor("radial"), factor("direction")
+        for i in read | also_read:
+            del rows[i]
+        return cls(radial, direction)
 
     def describe(self) -> str:
         return f"ScaledProduct({self.radial.describe()}, {self.direction.describe()})"
@@ -706,19 +706,21 @@ def parse_measure_config(text: str) -> GoverningMeasure:
     return measure_from_config(*split_config(text))
 
 
-def _atom_rows(rows: list, needs: str) -> np.ndarray:
-    """The rows of a family that takes atom rows, as one array."""
+def _atom_rows(rows: dict, needs: str) -> np.ndarray:
+    """The rows of a family that takes atom rows, as one array; it reads them all."""
     if not rows:
         raise ValueError(needs)
-    for label, _ in rows:
+    for label, _ in rows.values():
         if label:
             raise ValueError(f"row prefix {label!r} outside a scaled_product")
-    return np.asarray([values for _, values in rows], dtype=float)
+    arr = np.asarray([values for _, values in rows.values()], dtype=float)
+    rows.clear()
+    return arr
 
 
 # the config spelling of each family, and how to build it from (pairs, rows)
 _CONFIG_FAMILIES = {
-    "bernoulli": lambda pairs, rows: bernoulli(float(pairs["p"])),
+    "bernoulli": lambda pairs, rows: bernoulli(float(pairs.pop("p"))),
     "discrete_atoms": DiscreteAtoms.from_config,
     "beta": Beta.from_config,
     "uniform01": Uniform01.from_config,
@@ -730,9 +732,26 @@ _CONFIG_FAMILIES = {
 }
 
 
-def measure_from_config(pairs: dict, rows: list) -> GoverningMeasure:
-    """Build a measure from the (pairs, rows) that split_config returns."""
-    family = pairs.get("family")
+def measure_from_config(pairs: dict, rows: list, prefix: str = "") -> GoverningMeasure:
+    """Build a measure from the (pairs, rows) that split_config returns.
+
+    A key or a row that the measure does not read is an error, which names
+    each key with `prefix` (the config's own, as in `measure.`) before it."""
+    pairs, left = dict(pairs), dict(enumerate(rows))
+    measure = _build(pairs, left)
+    if pairs:
+        raise ValueError(f"config keys that nothing reads: {', '.join(prefix + k for k in sorted(pairs))}")
+    if left:
+        unread = "; ".join(
+            (f"{label}: " if label else "") + ", ".join(map(repr, values)) for label, values in left.values()
+        )
+        raise ValueError(f"config rows that nothing reads: {unread}")
+    return measure
+
+
+def _build(pairs: dict, rows: dict) -> GoverningMeasure:
+    """The measure of a config's pairs and rows; it pops what it reads from both."""
+    family = pairs.pop("family", None)
     if family is None:
         raise ValueError("measure config needs a 'family' key")
     family = family.lower()

@@ -55,7 +55,6 @@ __all__ = [
     "sample_dirichlet_mean",
     "sample_fixed_point",
     "default_fixed_point_depth",
-    "dyadic_weights",
     "sample_mean_dyadic",
     "sample_james_aggregation",
 ]
@@ -408,11 +407,6 @@ def dyadic_weight_draws(t: float, k: int, m: int, gen: Generator) -> np.ndarray:
     """
     _check_dyadic(t, k)
     return _tree(t, k, gen, np.zeros((m, 2**k)))
-
-
-def dyadic_weights(t: float, k: int, rng: RngStream) -> np.ndarray:
-    """One draw of the 2^k dyadic Dirichlet weights."""
-    return dyadic_weight_draws(t, k, 1, rng.generator())[0]
 
 
 def dyadic_mean_draws(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.random import Generator
@@ -27,7 +27,6 @@ from .stats import complex_mean_se
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, stick_mean_draws
 
 __all__ = [
-    "UpperHalfPoint",
     "stieltjes",
     "stieltjes_derivative",
     "log_transform",
@@ -38,23 +37,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    """A point z with Im z > 0, the domain of the transforms in this module."""
-
-    z: complex
-
-    def __post_init__(self):
-        z = complex(self.z)
-        if not z.imag > 0:
-            raise ValueError("Im z must be strictly positive")
-        object.__setattr__(self, "z", z)
-
-
 def _as_upper(z) -> complex:
-    if isinstance(z, UpperHalfPoint):
-        return z.z
-    return UpperHalfPoint(complex(z)).z
+    """z as a complex number with Im z > 0, the domain of the transforms in
+    this module."""
+    z = complex(z)
+    if not z.imag > 0:
+        raise ValueError("Im z must be strictly positive")
+    return z
 
 
 def _quad_complex(f, lo, hi, **kw) -> complex:
@@ -150,7 +139,7 @@ def cr_identity_residual(
     mc_n: int,
     gen: Generator,
     s: Optional[float] = None,
-    z: Optional[Union[complex, UpperHalfPoint]] = None,
+    z: Optional[complex] = None,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> CRResidual:
     """Check the sampling identity for the Dirichlet mean at one test point.

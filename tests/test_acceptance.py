@@ -17,7 +17,6 @@ import pytest
 from scipy import integrate
 
 from dirichlet_curve.cauchy import (
-    sample_cauchy_rd,
     trefoil_median,
     trefoil_spectrum,
     uniform_spectrum,
@@ -38,6 +37,7 @@ from dirichlet_curve.measures import (
     Beta,
     BetaPrime,
     Cauchy1D,
+    CauchyRd,
     DiscreteAtoms,
     EmpiricalSample,
     RngStream,
@@ -439,7 +439,7 @@ def test_criterion_09_spectral_sampler():
     radii = (0.5, 1.0, 2.0)
 
     trefoil = trefoil_spectrum()
-    big = sample_cauchy_rd(trefoil, 4 * 10**5, _stream_for("trefoil")).draws
+    big = sample_measure(CauchyRd(trefoil), 4 * 10**5, _stream_for("trefoil")).draws
     failures = _ecf_check(big[:N], trefoil, directions, radii)
     assert not failures, f"trefoil ECF gaps: {failures}"
 
@@ -451,7 +451,7 @@ def test_criterion_09_spectral_sampler():
     assert worst <= 0.02, f"worst median gap {worst:.4g}"
 
     uniform = uniform_spectrum()
-    draws = sample_cauchy_rd(uniform, N, _stream_for("uniform-spec")).draws
+    draws = sample_measure(CauchyRd(uniform), N, _stream_for("uniform-spec")).draws
     failures = _ecf_check(draws, uniform, directions, radii)
     assert not failures, f"uniform-spectrum ECF gaps: {failures}"
     _report(9)

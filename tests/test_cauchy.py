@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dirichlet_curve.cauchy import (
     SpectralCauchy,
     cauchy_cdf,
-    sample_cauchy_rd,
     trefoil_median,
     trefoil_spectrum,
     uniform_spectrum,
@@ -17,10 +16,12 @@ from dirichlet_curve.cauchy import (
     w_of,
 )
 from dirichlet_curve.measures import (
+    CauchyRd,
     DiscreteAtoms,
     RngStream,
     Uniform01,
     point_mass,
+    sample_measure,
 )
 from dirichlet_curve.stats import ks_one_sample
 from dirichlet_curve.stickbreak import sample_dirichlet_mean
@@ -80,21 +81,21 @@ def test_w_of_homogeneous(fx, fy, lam):
 
 
 def test_sampler_standard_cauchy_1d():
-    smp = sample_cauchy_rd(_pm_one_spec(), 10**5, RngStream(70))
+    smp = sample_measure(CauchyRd(_pm_one_spec()), 10**5, RngStream(70))
     assert smp.dimension == 1
     rep = ks_one_sample(smp, lambda x: cauchy_cdf(x, 1j))
     assert rep.p_value > 0.001
 
 
 def test_sampler_trefoil_median():
-    smp = sample_cauchy_rd(trefoil_spectrum(), 10**5, RngStream(71))
+    smp = sample_measure(CauchyRd(trefoil_spectrum()), 10**5, RngStream(71))
     med = np.median(smp.draws[:, 0])
     assert abs(med - trefoil_median(0.0)) < 0.02
 
 
 def test_sampler_matches_w_of_along_random_directions():
     spec = trefoil_spectrum()
-    smp = sample_cauchy_rd(spec, 3 * 10**4, RngStream(72))
+    smp = sample_measure(CauchyRd(spec), 3 * 10**4, RngStream(72))
     gen = RngStream(73).generator()
     for _ in range(5):
         theta = 2.0 * np.pi * gen.random()
@@ -106,7 +107,7 @@ def test_sampler_matches_w_of_along_random_directions():
 
 def test_sampler_characteristic_function():
     spec = uniform_spectrum()
-    smp = sample_cauchy_rd(spec, 5 * 10**4, RngStream(74))
+    smp = sample_measure(CauchyRd(spec), 5 * 10**4, RngStream(74))
     f = np.array([0.6, 0.8])
     proj = smp.draws @ f
     w = w_of(spec, f)

@@ -1,11 +1,14 @@
 import argparse
 import csv
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from scipy.special import ndtri
 
+import dirichlet_curve
 from dirichlet_curve import stickbreak as SB
 from dirichlet_curve.measures import RngStream
 from dirichlet_curve.cli import (
@@ -313,6 +316,32 @@ _MESSAGES = {
     "curve_ks_basis_atoms": ("curve-ks", "measure.family = discrete_atoms\n1, 0, 0.5\n0, 1, 0.5\n",
                              "no one-dimensional statistic for the DirichletLaw of "
                              "DiscreteAtoms{(1.0,0.0):0.5; (0.0,1.0):0.5} at t=1"),
+    # every measure key and row is read or refused
+    "measure_key": ("curve-ks", "measure.family = beta\nmeasure.a = 0.5\nmeasure.b = 0.5\nmeasure.scale = 7\n0.3, 1\n",
+                    "config keys that nothing reads: measure.scale"),
+    "measure_row": ("curve-ks", "measure.family = beta\nmeasure.a = 0.5\nmeasure.b = 0.5\n0.3, 1\n",
+                    "config rows that nothing reads: 0.3, 1.0"),
+    "factor_key": (
+        "curve-ks",
+        "measure.family = scaled_product\nmeasure.radial.family = uniform01\n"
+        "measure.direction.family = cauchy1d\nmeasure.direction.scal = 3\n",
+        "config keys that nothing reads: measure.direction.scal",
+    ),
+    "factor_row": (
+        "convex-order",
+        "measure.family = scaled_product\nmeasure.radial.family = uniform01\n"
+        "measure.direction.family = cauchy1d\nradial: 0.3, 1\n",
+        "config rows that nothing reads: radial: 0.3, 1.0",
+    ),
+    "cauchy_rd_key": ("cr-identity", "measure.family = cauchy_rd\nmeasure.shfit = 1, 0\n1, 0, 1\n-1, 0, 1\n",
+                      "config keys that nothing reads: measure.shfit"),
+    # the hinge means of a base without a mean are infinite
+    "convex_order_cauchy1d": ("convex-order", "measure.family = cauchy1d\n",
+                              "convex-order has nothing to check on a base without a mean, whose hinge "
+                              "means are infinite: Cauchy1D(location=0.0, scale=1.0)"),
+    "convex_order_beta_prime": ("convex-order", "measure.family = beta_prime\nmeasure.a = 0.5\nmeasure.b = 0.5\n",
+                                "convex-order has nothing to check on a base without a mean, whose hinge "
+                                "means are infinite: BetaPrime(a=0.5, b=0.5)"),
 }
 # the curve of a point mass is that point mass: one atom, or atoms at one point
 _MESSAGES.update({
@@ -347,7 +376,6 @@ def test_a_config_that_a_run_cannot_serve_is_named_before_any_draw(tmp_path, cap
         ("cauchy-invariance", ""),
         ("curve-ks", ""),  # the default grid samples BetaPrime(0.5, 0.5)
         ("cr-identity", ""),  # the default measures include Cauchy1D
-        ("convex-order", "measure.family = cauchy1d\n"),
     ],
     ids=lambda v: v.split()[-1] if v else "",
 )
@@ -378,6 +406,20 @@ def test_intensity_that_is_not_finite_is_a_config_error(tmp_path, capsys, t):
 def test_no_run_ends_in_a_traceback(tmp_path, experiment, lines):
     # whatever the policy, a run passes, fails or is a config error; it never raises
     assert _run_lines(tmp_path, f"experiment = {experiment}\nseed = 1\nn = 20\n{lines}") in (0, 1, 2)
+
+
+@pytest.mark.parametrize("sub", ["sub", ""], ids=["below_a_file", "a_file"])
+def test_an_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, monkeypatch, sub):
+    def no_draw(self):
+        raise AssertionError("a draw started")
+
+    monkeypatch.setattr(RngStream, "generator", no_draw)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / sub
+    assert main(["run", "ode-residual", "--seed", "1", "--out", str(out)]) == 2
+    reason = "Not a directory" if sub else "File exists"
+    assert capsys.readouterr().err == f"config error: cannot make the output directory {out}: {reason}\n"
 
 
 def test_config_keys_that_nothing_reads_are_named(tmp_path, capsys):
@@ -519,6 +561,20 @@ def test_readme_config_examples_build(tmp_path, block):
         )
         cfg = _build_config(args)
         assert isinstance(cfg, ExperimentConfig) and cfg.experiment == "curve-ks"
+
+
+def test_readme_quick_start_runs():
+    # a name that the README's Python example uses and the package no longer
+    # has fails here
+    (block,) = re.findall(r"^## Quick start\n\n```python\n(.*?)^```", _README, re.M | re.S)
+    src = str(Path(dirichlet_curve.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\nsys.path.insert(0, {src!r})\n{block}"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    statistic, p_value, passed = proc.stdout.split()
+    assert passed == "True"
 
 
 def test_readme_has_the_exp_cfg_example():

@@ -252,6 +252,41 @@ def test_row_prefix_errors():
         )
 
 
+_PRODUCT = "family=scaled_product\nradial.family=uniform01\ndirection.family=cauchy1d\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("family=beta\na=0.5\nb=0.5\nscale=7\n0.3, 1", "config keys that nothing reads: scale"),
+        ("family=beta\na=0.5\nb=0.5\n0.3, 1", "config rows that nothing reads: 0.3, 1.0"),
+        ("family=cauchy_rd\nshfit=1,0\n1,0,1\n-1,0,1", "config keys that nothing reads: shfit"),
+        ("family=bernoulli\np=0.5\nq=0.5\nscale=2", "config keys that nothing reads: q, scale"),
+        ("family=uniform01\n1, 1\n2, 1", "config rows that nothing reads: 1.0, 1.0; 2.0, 1.0"),
+        (_PRODUCT + "direction.scal=3", "config keys that nothing reads: direction.scal"),
+        (_PRODUCT + "radial.a=1\nscale=2", "config keys that nothing reads: radial.a, scale"),
+        # an unprefixed row goes to both factors, and neither reads rows
+        (_PRODUCT + "0.3, 1", "config rows that nothing reads: 0.3, 1.0"),
+        (_PRODUCT + "radial: 0.3, 1", "config rows that nothing reads: radial: 0.3, 1.0"),
+    ],
+    ids=["beta_key", "beta_row", "cauchy_rd_key", "bernoulli_keys", "uniform01_rows",
+         "factor_key", "factor_and_own_keys", "product_row", "factor_row"],
+)
+def test_config_keys_and_rows_that_nothing_reads_are_named(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_measure_config(text)
+    assert str(info.value) == message
+
+
+def test_a_row_is_read_when_one_factor_reads_it():
+    m = parse_measure_config(
+        "family=scaled_product\nradial.family=discrete_atoms\ndirection.family=cauchy1d\n"
+        "direction.scale=2\n1, 0.5\n2, 0.5"
+    )
+    assert np.array_equal(m.radial.points, [[1.0], [2.0]])
+    assert m.direction == Cauchy1D(0.0, 2.0)
+
+
 def test_atom_weight_message_prints_a_plain_float():
     with pytest.raises(ValueError, match=r"atom weights sum to 2\.0, not 1"):
         DiscreteAtoms(points=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))

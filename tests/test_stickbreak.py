@@ -36,7 +36,6 @@ from dirichlet_curve.stickbreak import (
     default_fixed_point_depth,
     dyadic_mean_draws,
     dyadic_weight_draws,
-    dyadic_weights,
     sample_dirichlet_mean,
     sample_fixed_point,
     sample_james_aggregation,
@@ -183,7 +182,7 @@ def test_fixed_point_cauchy_invariant():
 
 
 def test_dyadic_level_one():
-    w = dyadic_weights(2.0, 1, RngStream(40))
+    w = dyadic_weight_draws(2.0, 1, 1, RngStream(40).generator())[0]
     assert w.shape == (2,)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     draws = dyadic_weight_draws(2.0, 1, 2 * 10**4, RngStream(41).generator())
@@ -351,7 +350,8 @@ def test_dyadic_variance_is_the_finite_approximation():
 
 
 def _reference_stick_mean_block(measure, t, m, policy, gen):
-    """Reference stick kernel, written with fresh arrays and masks."""
+    """Reference stick kernel, written with fresh arrays and masks on one
+    thread: the threaded kernel must match it byte for byte."""
     d = measure.dimension
     acc = np.zeros((m, d))
     tail = np.ones(m)
@@ -488,47 +488,6 @@ def test_policy_mean_sticks(t):
 # ---------------------------------------------------------------------------
 
 
-def _serial_stick_columns(tail, cols, t, gen):
-    """The serial kernel's columns: weights and tail masses of the next cols sticks."""
-    tails = gen.random((tail.size, cols))
-    np.log(tails, out=tails)
-    tails /= t
-    np.cumsum(tails, axis=1, out=tails)
-    np.exp(tails, out=tails)
-    tails *= tail[:, None]
-    w = np.empty_like(tails)
-    np.subtract(tail, tails[:, 0], out=w[:, 0])
-    np.subtract(tails[:, :-1], tails[:, 1:], out=w[:, 1:])
-    return w, tails
-
-
-def _serial_stick_mean_block(measure, t, m, policy, gen):
-    """The stick kernel as it ran on one thread, before the weight step moved to
-    the worker: the reference that the threaded kernel must match byte for byte."""
-    d = measure.dimension
-    eps, block = policy.epsilon, policy.columns(t)
-    acc = np.zeros((m, d))
-    tail = np.ones(m)
-    active = np.arange(m)
-    while active.size:
-        a = active.size
-        w, tails = _serial_stick_columns(tail[active], block, t, gen)
-        done = tails < eps
-        stopped = done.any(axis=1)
-        stop_col = np.where(stopped, done.argmax(axis=1), block - 1)
-        new_tail = tails[np.arange(a), stop_col]
-        w *= np.arange(block) <= stop_col[:, None]
-        b = draw_measure(measure, a * block, gen).reshape(a, block, d)
-        acc[active] += np.einsum("ak,akd->ad", w, b)
-        finished = active[stopped]
-        if finished.size:
-            t_fin = new_tail[stopped]
-            acc[finished] += t_fin[:, None] * draw_measure(measure, finished.size, gen)
-        tail[active] = new_tail
-        active = active[~stopped]
-    return acc
-
-
 # every family; CauchyRd, BetaPrime, general Beta and a product with a BetaPrime
 # radius take a variable number of uniforms per draw
 _FAMILIES = {
@@ -546,10 +505,10 @@ _FAMILIES = {
 _STEP_POLICIES = [TruncationPolicy.tail(eps) for eps in (0.999, 0.5, 1e-6, 1e-3, 1e-12)]
 
 
-def _assert_serial_bytes(measure, t, n, policy, seed):
+def _assert_reference_bytes(measure, t, n, policy, seed):
     gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
     got = stickbreak.stick_mean_draws(measure, t, n, policy, gen)
-    ref = _serial_stick_mean_block(measure, t, n, policy, ref_gen)
+    ref = _reference_stick_mean_block(measure, t, n, policy, ref_gen)
     assert got.tobytes() == ref.tobytes()
     assert gen.random() == ref_gen.random()
 
@@ -561,7 +520,7 @@ def test_threaded_stick_kernel_matches_the_serial_kernel(family, policy, n):
     # 300 rows span several chunks of a step; one row is a step of one chunk
     measure = _FAMILIES[family]
     for t in (0.3, 7.0, 120.0):
-        _assert_serial_bytes(measure, t, n, policy, 74)
+        _assert_reference_bytes(measure, t, n, policy, 74)
 
 
 class _Submit:
@@ -594,7 +553,7 @@ def test_every_step_path_gives_the_serial_bytes(monkeypatch, path):
     for family in ("bernoulli", "cauchy_rd", "circle"):
         for policy in (TruncationPolicy.tail(1e-6), TruncationPolicy.tail(1e-3)):
             for t in (0.3, 120.0):
-                _assert_serial_bytes(_FAMILIES[family], t, 300, policy, 75)
+                _assert_reference_bytes(_FAMILIES[family], t, 300, policy, 75)
 
 
 def test_user_threads_drawing_at_once_get_the_serial_bytes():
@@ -603,7 +562,7 @@ def test_user_threads_drawing_at_once_get_the_serial_bytes():
     policy = TruncationPolicy.tail(1e-6)
     seeds = range(76, 80)
     expected = {
-        seed: _serial_stick_mean_block(Uniform01(), 50.0, 400, policy, RngStream(seed).generator())
+        seed: _reference_stick_mean_block(Uniform01(), 50.0, 400, policy, RngStream(seed).generator())
         for seed in seeds
     }
     got = {}
@@ -640,13 +599,13 @@ def test_a_failing_step_reaches_the_caller_and_the_next_call_works(monkeypatch):
         patch.setattr(stickbreak, "_submit", _Submit.worker)
         with pytest.raises(RuntimeError, match="step failed"):
             stickbreak.stick_mean_draws(Uniform01(), 2.0, 300, policy, RngStream(80).generator())
-    _assert_serial_bytes(Uniform01(), 2.0, 300, policy, 80)
+    _assert_reference_bytes(Uniform01(), 2.0, 300, policy, 80)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_draws_on_its_own_worker():
     policy = TruncationPolicy.tail(1e-6)
-    expected = _serial_stick_mean_block(Uniform01(), 50.0, 200, policy, RngStream(81).generator())
+    expected = _reference_stick_mean_block(Uniform01(), 50.0, 200, policy, RngStream(81).generator())
     # the parent's worker is running when the child is forked
     stickbreak.stick_mean_draws(Uniform01(), 50.0, 10, policy, RngStream(81).generator())
     read_end, write_end = os.pipe()

@@ -22,7 +22,6 @@ from dirichlet_curve.measures import (
     point_mass,
 )
 from dirichlet_curve.transforms import (
-    UpperHalfPoint,
     cr_identity_residual,
     log_transform,
     ode_residual,
@@ -33,12 +32,23 @@ from dirichlet_curve.transforms import (
 
 
 def test_upper_half_point_validation():
-    assert UpperHalfPoint(2j).z == 2j
-    assert UpperHalfPoint(1.0 + 0.5j).z == 1.0 + 0.5j
-    with pytest.raises(ValueError):
-        UpperHalfPoint(1.0)
-    with pytest.raises(ValueError):
-        UpperHalfPoint(1.0 - 1j)
+    # every transform takes z with Im z > 0, and refuses the rest before any draw
+    alpha = Cauchy1D(0.0, 1.0)
+    assert stieltjes(alpha, 2j) == 1.0 / (-1j - 2j)
+    assert log_transform(alpha, 1.0 + 0.5j) == -np.log(-1j - (1.0 + 0.5j))
+    gen = RngStream(60).generator()
+    for z in (1.0, 1.0 - 1j, 0j):
+        for call in (
+            lambda: stieltjes(alpha, z),
+            lambda: stieltjes_derivative(alpha, 1, z),
+            lambda: log_transform(alpha, z),
+            lambda: ode_residual(alpha, 1, z),
+            lambda: power_identity_residual(alpha, 1, 2, z),
+            lambda: cr_identity_residual(alpha, 1.0, 100, gen, z=z),
+        ):
+            with pytest.raises(ValueError, match="Im z must be strictly positive"):
+                call()
+    assert gen.random() == RngStream(60).generator().random()
 
 
 def test_stieltjes_cauchy_closed_form():
