@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import cauchy as CY
 from . import exact as EX
@@ -337,7 +336,7 @@ def _exp_cr_identity(cfg: ExperimentConfig):
     # is largest at l1 = 1 for x above 1.54 (Szekely & Bakirov 2003), so at
     # x = n_se^2 (16 at the defaults) 2 Phi(-n_se) bounds it.
     k = len(ts) * len(points)
-    n_se = -ndtri(cfg.level / (2 * k))
+    n_se = -EX.special.ndtri(cfg.level / (2 * k))
     rng = RngStream(cfg.seed)
     rows, checks = [], []
     idx = 0

@@ -15,18 +15,18 @@ The module also holds the raw-moment recursion with its associated
 polynomials, and a quadrature evaluator for the density of the mean at unit
 intensity built from the sine/log-potential representation.
 
-`scipy.integrate` loads at the first quadrature, through `integrate` below,
-not at import.
+The package's two scipy names are defined here, `integrate` and `special`:
+each loads its module at its first attribute read, not at import.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import betaln
 
 __all__ = [
     "Law",
@@ -53,20 +53,23 @@ __all__ = [
 QUAD_TOL = 1e-10
 
 
-class _DeferredIntegrate:
-    """`scipy.integrate`, imported at the first attribute read: no sampler
-    integrates, and the import also loads scipy.optimize, linalg and sparse.
-    A plain import runs under the import lock, so threads that make their
-    first quadratures at once each see the whole module."""
+class _Deferred:
+    """A scipy module imported at its first attribute read: no sampler calls
+    scipy, and its import costs more than numpy's. A plain import runs under
+    the import lock, so threads whose first reads start at once each see the
+    whole module."""
+
+    def __init__(self, module_name: str):
+        self._module_name = module_name
 
     def __getattr__(self, name):
-        from scipy import integrate as module
-
-        return getattr(module, name)
+        return getattr(importlib.import_module(self._module_name), name)
 
 
-# every quadrature here and in `transforms` reads its functions from this name
-integrate = _DeferredIntegrate()
+# every scipy function in the package is read from one of these two names;
+# scipy.integrate also loads scipy.optimize, linalg and sparse
+integrate = _Deferred("scipy.integrate")
+special = _Deferred("scipy.special")
 
 
 def _check_intensity(t: float) -> None:
@@ -370,7 +373,7 @@ def beta_log_potential(a: float, b: float, x: float) -> float:
     quadrature weight functions, so the remaining integrand passed to the
     integrator is smooth.
     """
-    norm = math.exp(-betaln(a, b))
+    norm = math.exp(-special.betaln(a, b))
     opts = dict(epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
     total = 0.0
     if x > 0.0:

@@ -33,9 +33,8 @@ from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import betainc
 
-from .exact import DirichletLaw, Law, RadialCircleLaw, beta_log_potential, dk_law
+from .exact import DirichletLaw, Law, RadialCircleLaw, beta_log_potential, dk_law, special
 
 __all__ = [
     "RngStream",
@@ -350,14 +349,14 @@ class Beta(GoverningMeasure):
         return np.cumprod((self.a + k) / (self.a + self.b + k))
 
     def cdf(self, x):
-        return betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
+        return special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
 
     def hinge_mean(self, a):
         a = np.asarray(a, dtype=float)
         m1 = self.a / (self.a + self.b)
         aa = np.clip(a, 0.0, 1.0)
-        tail_x = 1.0 - betainc(self.a + 1.0, self.b, aa)
-        tail_1 = 1.0 - betainc(self.a, self.b, aa)
+        tail_x = 1.0 - special.betainc(self.a + 1.0, self.b, aa)
+        tail_1 = 1.0 - special.betainc(self.a, self.b, aa)
         return m1 * tail_x - a * tail_1
 
     def curve_law(self, t):
@@ -429,7 +428,7 @@ class BetaPrime(GoverningMeasure):
     def cdf(self, x):
         # the finite upper clip makes cdf(inf) = 1 rather than betainc at inf/inf
         xp = np.clip(x, 0.0, np.finfo(float).max)
-        return betainc(self.a, self.b, xp / (1.0 + xp))
+        return special.betainc(self.a, self.b, xp / (1.0 + xp))
 
     def curve_law(self, t):
         return BetaPrime(t + 0.5, 0.5) if self.a == 0.5 and self.b == 0.5 else None

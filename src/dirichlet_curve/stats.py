@@ -7,8 +7,9 @@ hinge functions psi_a(x) = (x - a)_+ along a fixed direction; in higher
 dimension a finite direction battery is a necessary-condition check, not a
 full test. `hinge_curve` and `convex_order_check` share one hinge table: the
 means and standard deviations of (<f, X> - a)_+ at all thresholds, in one pass
-per sample. Normal quantiles come from `scipy.special.ndtri`; the package does
-not import `scipy.stats`.
+per sample. Normal quantiles come from `ndtri` and p-values from `kolmogorov`,
+both read from `exact.special`, which loads `scipy.special` at the first call;
+the package does not import `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import betaln, kolmogorov, ndtri
 
+from .exact import special
 from .measures import EmpiricalSample, GoverningMeasure, RngStream, draw_measure
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, stick_mean_draws
 
@@ -79,7 +80,7 @@ def ks_one_sample(sample, cdf: Callable[[np.ndarray], np.ndarray], level: float 
     d_plus = np.max((grid + 1.0) / n - f)
     d_minus = np.max(f - grid / n)
     d = max(d_plus, d_minus)
-    p = float(kolmogorov(math.sqrt(n) * d))
+    p = float(special.kolmogorov(math.sqrt(n) * d))
     return KSReport(statistic=float(d), n=n, m=None, p_value=p, level=level, passed=p > level)
 
 
@@ -95,7 +96,7 @@ def ks_two_sample(x, y, level: float = 0.001) -> KSReport:
     cdf_y = np.searchsorted(ys, pooled, side="right") / m
     d = float(np.max(np.abs(cdf_x - cdf_y)))
     en = math.sqrt(n * m / (n + m))
-    p = float(kolmogorov(en * d))
+    p = float(special.kolmogorov(en * d))
     return KSReport(statistic=d, n=n, m=m, p_value=p, level=level, passed=p > level)
 
 
@@ -142,7 +143,7 @@ def hinge_curve(
     """Hinge means along direction f at each threshold, with normal CIs."""
     f, grid, proj, est, sd = _hinge_table(sample, f, grid)
     n = proj.shape[0]
-    hw = ndtri(0.5 + confidence / 2.0) * sd / math.sqrt(n)
+    hw = special.ndtri(0.5 + confidence / 2.0) * sd / math.sqrt(n)
     return HingeCurve(
         direction=f, thresholds=grid, estimates=est, half_widths=hw, confidence=confidence, n=n
     )
@@ -196,8 +197,8 @@ def convex_order_check(
     n_pairs = len(samples) - 1
     n_comp = max(n_pairs * (len(grid) + 1), 1)
     alpha_each = (1.0 - confidence) / n_comp
-    z_hinge = -ndtri(alpha_each)
-    z_mean = -ndtri(alpha_each / 2.0)
+    z_hinge = -special.ndtri(alpha_each)
+    z_mean = -special.ndtri(alpha_each / 2.0)
 
     gaps = np.zeros((n_pairs, len(grid)))
     slacks = np.zeros_like(gaps)
@@ -334,7 +335,7 @@ def moment_inequality_check(
         satisfied = lhs <= rhs + 3.0 * math.hypot(lhs_se, rhs_se)
         kind = "direct"
     else:
-        bound = float(t * math.exp(betaln(t, s)))
+        bound = float(t * math.exp(special.betaln(t, s)))
         ratio = lhs / rhs
         ratio_se = ratio * math.hypot(lhs_se / lhs, rhs_se / rhs)
         satisfied = ratio <= bound + 3.0 * ratio_se

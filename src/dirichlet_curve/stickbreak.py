@@ -101,6 +101,12 @@ class TruncationPolicy:
     2001). A cut after a fixed N sticks has the bound 2 (t/(t+1))^N E|B - m|,
     its mean tail; the cut at epsilon = (t/(t+1))^N meets that bound with a
     sure tail in every draw, at 1 + N t log(1 + 1/t) < N + 1 mean sticks.
+
+    A base without a mean has no W1 bound. For `Cauchy1D`, the curve's fixed
+    point, X' and B* are independent draws of the base, so given T_N the
+    error T_N (X' - B*) is Cauchy(0, 2 T_N scale), whose scale is below
+    2 epsilon scale. For `BetaPrime` with b <= 1 and for `CauchyRd` no bound
+    on the error is given.
     """
 
     epsilon: float
@@ -254,17 +260,20 @@ def _stick_mean_block(
     acc = np.zeros((m, d))
     tail = np.ones(m)
     active = np.arange(m)
+    # one uniforms buffer for every block: a fresh one, freed each block, let
+    # malloc give its pages back and fault them in again for the next
+    buf = np.empty((m, block))
     while active.size:
         a = active.size
-        w = gen.random((a, block))
+        w = gen.random(out=buf[:a])
         step = _weight_step(w, tail[active], t, eps)
         weights = _submit(step)
         b = draw_measure(measure, a * block, gen).reshape(a, block, d)
         # a step that the worker has not started yet runs here instead
         new_tail, _ = step() if weights.cancel() else weights.result()
         acc[active] += np.einsum("ak,akd->ad", w, b)
-        # free this block's weights, draws and step before the next block's uniforms
-        del w, b, step
+        # free this block's draws and step scratch before the next block
+        del b, step
         stopped = new_tail < eps
         finished = active[stopped]
         if finished.size:

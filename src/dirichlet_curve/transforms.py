@@ -8,8 +8,8 @@ never cross the negative-real cut.
 
 Quadrature runs at `exact.QUAD_TOL`, the epsabs and epsrel of each adaptive
 `integrate.quad` call: a target per call, not a bound on a transform's total
-error. `integrate` is `exact.integrate`, which loads `scipy.integrate` at the
-first quadrature.
+error. `integrate` and `special` are `exact.integrate` and `exact.special`, the
+package's one deferral: each loads its scipy module at its first call.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from typing import Optional
 
 import numpy as np
 from numpy.random import Generator
-from scipy.special import betaln
 
-from .exact import QUAD_TOL, integrate
+from .exact import QUAD_TOL, integrate, special
 from .stats import complex_mean_se
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, stick_mean_draws
 
@@ -56,14 +55,14 @@ def _quad_complex(f, lo, hi, **kw) -> complex:
 def beta_integral(a: float, b: float, f) -> complex:
     """integral of f(w) against the beta(a, b) density, with the algebraic
     endpoint factors w^(a-1) (1-w)^(b-1) folded into the quadrature weight."""
-    norm = math.exp(-betaln(a, b))
+    norm = math.exp(-special.betaln(a, b))
     return _quad_complex(lambda w: norm * f(w), 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0))
 
 
 def beta_prime_integral(a: float, b: float, f) -> complex:
     """integral of f(w) against the beta prime(a, b) density, split at w = 1 so
     the possible algebraic singularity at 0 sits in a quadrature weight."""
-    norm = math.exp(-betaln(a, b))
+    norm = math.exp(-special.betaln(a, b))
 
     def head(w):
         return norm * (1.0 + w) ** (-(a + b)) * f(w)

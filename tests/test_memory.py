@@ -6,12 +6,15 @@ together with the generator state it leaves (the next uniform).
 """
 
 import resource
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dirichlet_curve
 from dirichlet_curve.cauchy import (
     _SPECTRAL_BLOCK,
     SpectralCauchy,
@@ -193,6 +196,37 @@ def test_stick_block_peaks_below_its_bound(measure, scratch, t, policy):
     stick_mean_draws(measure, t, 10, policy, gen)
     peak = _traced_peak(lambda: stick_mean_draws(measure, t, a, policy, gen))
     assert peak < (1.5 + measure.dimension + scratch) * one_array
+
+
+# three stick calls at t = 1000 in a fresh interpreter, whose malloc
+# thresholds no earlier allocation has raised; prints their minor faults
+_STICK_FAULTS = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from dirichlet_curve.measures import RngStream, Uniform01
+from dirichlet_curve.stickbreak import TruncationPolicy, stick_mean_draws
+gen = RngStream(87).generator()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    stick_mean_draws(Uniform01(), 1000.0, 500, TruncationPolicy.tail(1e-6), gen)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_minflt")
+def test_stick_blocks_do_not_fault_their_memory_in_again():
+    # The three calls run about 170 blocks of up to 500 x 256 sticks, whose
+    # uniforms and base draws take about 82,000 pages of 4 kB in all. When a
+    # block freed both at once, malloc gave the top of the heap back to the
+    # system and the calls faulted about 80,000 pages in again; with one
+    # uniforms buffer per call they fault about 1,600. The bound allows a
+    # tenth of the blocks' pages.
+    src = str(Path(dirichlet_curve.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _STICK_FAULTS, src],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert int(out) < 8_200
 
 
 # ---------------------------------------------------------------------------

@@ -317,25 +317,30 @@ def test_complex_mean_se_matches_the_cosine_sine_form():
         assert complex_mean_se(np.exp(1j * r * proj)) == old
 
 
-# scipy subpackages that no import of the package loads; scipy.integrate
-# pulls in the other three
+# scipy subpackages that no run of curve-ks loads; scipy.integrate pulls in
+# the other three
 _LEFT_OUT = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+_SAMPLERS = ("sample_dirichlet_mean", "sample_fixed_point", "sample_mean_dyadic")
 
 
 @pytest.mark.parametrize(
     "prefixes, run",
-    [((prefix,), "") for prefix in _LEFT_OUT] + [(_LEFT_OUT, "curve-ks")],
-    ids=list(_LEFT_OUT) + ["after_curve_ks"],
+    [(("scipy",), run) for run in ("",) + _SAMPLERS] + [(_LEFT_OUT, "curve-ks")],
+    ids=["import", *_SAMPLERS, "after_curve_ks"],
 )
 def test_importing_the_package_leaves_scipy_stats_out(tmp_path, prefixes, run):
-    # curve-ks checks its laws through Beta cdfs and kolmogorov, so a run of
-    # it integrates nothing either
+    # the package and its samplers load no scipy module; curve-ks checks its
+    # laws through Beta cdfs and kolmogorov, so a run of it integrates nothing
     src = Path(dirichlet_curve.__file__).resolve().parents[1]
     probe = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import dirichlet_curve, dirichlet_curve.cli\n"
-        "if sys.argv[3]:\n"
+        "if sys.argv[3].startswith('sample_'):\n"
+        "    sizes = (5, 20) if sys.argv[3] == 'sample_mean_dyadic' else (20,)\n"
+        "    sample = getattr(dirichlet_curve, sys.argv[3])\n"
+        "    sample(dirichlet_curve.Uniform01(), 1.0, *sizes, rng=dirichlet_curve.RngStream(1))\n"
+        "elif sys.argv[3]:\n"
         "    dirichlet_curve.cli.main(['run', sys.argv[3], '--seed', '1', '--n', '20', '--out', sys.argv[4]])\n"
         "print(sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[2].split(',')))))\n"
     )
@@ -344,4 +349,4 @@ def test_importing_the_package_leaves_scipy_stats_out(tmp_path, prefixes, run):
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.splitlines()[-1] == "[]"
-    assert (tmp_path / "curve-ks.csv").exists() == bool(run)
+    assert (tmp_path / "curve-ks.csv").exists() == (run == "curve-ks")

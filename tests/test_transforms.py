@@ -208,21 +208,33 @@ def test_transforms_read_their_quadrature_from_one_name(monkeypatch):
     assert calls == [(0.0, 1.0), (0.0, 1.0)]
 
 
-# two threads whose first quadratures start together, in a fresh interpreter
-# where scipy.integrate is not yet loaded unless argv[2] asks for it
-_FIRST_QUADRATURES = """
+# two threads whose first reads of one deferred scipy name start together, in
+# a fresh interpreter where its module (argv[2]) is not yet loaded unless
+# argv[3] asks for it
+_FIRST_CALLS = """
 import sys, threading
 sys.path.insert(0, sys.argv[1])
 sys.setswitchinterval(1e-5)  # switch threads often inside the import
-if sys.argv[2] == "eager":
-    import scipy.integrate
+module, mode = sys.argv[2], sys.argv[3]
+if mode == "eager":
+    __import__(module)
+import numpy as np
 from dirichlet_curve import exact
 from dirichlet_curve.measures import Beta
-assert (sys.argv[2] == "eager") == ("scipy.integrate" in sys.modules)
+from dirichlet_curve.stats import ks_two_sample
+assert (mode == "eager") == (module in sys.modules)
 calls = {
-    "log_transform": lambda: Beta(2.0, 3.0).log_transform(0.3 + 0.5j),
-    "cr_density": lambda: complex(exact.cr_density(Beta(0.5, 0.5), 0.3)),
-}
+    "scipy.integrate": {
+        "log_transform": lambda: Beta(2.0, 3.0).log_transform(0.3 + 0.5j),
+        "cr_density": lambda: complex(exact.cr_density(Beta(0.5, 0.5), 0.3)),
+    },
+    "scipy.special": {
+        "ks_two_sample": lambda: complex(
+            ks_two_sample(np.linspace(0.0, 1.0, 40), np.linspace(0.1, 1.1, 50)).p_value
+        ),
+        "beta_cdf": lambda: complex(Beta(2.0, 3.0).cdf(0.3)),
+    },
+}[module]
 out, start = {}, threading.Barrier(len(calls))
 
 def run(name):
@@ -240,12 +252,13 @@ print(sorted(out.items()))
 """
 
 
-def test_first_quadratures_on_two_threads_give_the_bits_of_an_eager_import():
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special"])
+def test_first_calls_on_two_threads_give_the_bits_of_an_eager_import(module):
     src = str(Path(dirichlet_curve.__file__).resolve().parents[1])
 
     def values(mode):
         return subprocess.run(
-            [sys.executable, "-c", _FIRST_QUADRATURES, src, mode],
+            [sys.executable, "-c", _FIRST_CALLS, src, module, mode],
             capture_output=True, text=True, check=True, timeout=120,
         ).stdout
 
