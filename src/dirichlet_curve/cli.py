@@ -89,15 +89,6 @@ class ExperimentConfig:
                 f"experiment {self.experiment} reads {reads.ts} t value, not {len(self.ts)}"
                 if reads.ts else f"experiment {self.experiment} does not read t"
             )
-        if reads.policy:
-            # the stick count grows with t, so the largest t sampled bounds it
-            t = max((self.ts or (reads.default_t,)) + (reads.fixed_t,))
-            sticks = self.n * self.policy.mean_sticks(t)
-            if sticks > _STICK_BOUND:
-                raise ValueError(
-                    f"t = {t!r} needs about {sticks:.3g} sticks for n = {self.n} draws "
-                    f"under {self.policy.label()}, more than the bound {_STICK_BOUND:.0e}"
-                )
 
     @property
     def level(self) -> float:
@@ -126,8 +117,22 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _grid(cfg: ExperimentConfig, default) -> tuple:
-    return cfg.ts if cfg.ts else tuple(default)
+def _grid(cfg: ExperimentConfig, default, fixed=()) -> tuple:
+    """The t values a run hands cfg.policy: the configured grid, or else
+    `default`. `fixed` holds the t values the run samples under cfg.policy
+    whatever the config says. The stick count of a series grows with t, so
+    a run whose n draws need more than _STICK_BOUND sticks on average at the
+    largest of these is refused here; every experiment that reads policy.*
+    calls this before its first draw."""
+    ts = cfg.ts if cfg.ts else tuple(default)
+    t = max(ts + tuple(fixed))
+    sticks = cfg.n * cfg.policy.mean_sticks(t)
+    if sticks > _STICK_BOUND:
+        raise ConfigError(
+            f"t = {t!r} needs about {sticks:.3g} sticks for n = {cfg.n} draws "
+            f"under {cfg.policy.label()}, more than the bound {_STICK_BOUND:.0e}"
+        )
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +207,9 @@ def _exp_curve_ks(cfg: ExperimentConfig):
 def _exp_convex_order(cfg: ExperimentConfig):
     """Hinge means decrease in t; the base measure dominates the whole curve."""
     ts = _grid(cfg, (0.5, 1.0, 2.0, 4.0, 8.0))
+    shown = ", ".join(f"{t:g}" for t in ts)
+    if any(lo >= hi for lo, hi in zip(ts, ts[1:])):
+        raise ConfigError(f"convex-order needs a strictly increasing t grid, not {shown}")
     targets = [cfg.measure] if cfg.measure is not None else [bernoulli(0.5), Uniform01()]
     if cfg.measure is not None:
         if cfg.measure.dimension != 1:
@@ -211,16 +219,20 @@ def _exp_convex_order(cfg: ExperimentConfig):
             raise ConfigError("convex-order has nothing to check on a base without a mean, whose hinge "
                               f"means are infinite: {cfg.measure.describe()}")
     rng = RngStream(cfg.seed)
+    # each measure's cells take a block of stream ids, the base its last; a
+    # grid of up to 99 values keeps the 100-wide blocks and so its bytes
+    stride = max(100, len(ts) + 1)
     rows, checks = [], []
     for mi, measure in enumerate(targets):
-        base = sample_measure(measure, cfg.n, rng.substream(100 * mi + 99))
+        base = sample_measure(measure, cfg.n, rng.substream(stride * mi + stride - 1))
         curve = [
-            (t, SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng.substream(100 * mi + i)))
+            (t, SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng.substream(stride * mi + i)))
             for i, t in enumerate(ts)
         ]
         # the base measure is the t -> 0 endpoint of the curve, so labeling it
         # with t = 0 folds "mean law is dominated by the base" into one battery
-        rep = ST.convex_order_check([(0.0, base)] + curve, confidence=cfg.confidence)
+        battery = [(0.0, base)] + curve
+        rep = ST.convex_order_check(battery, confidence=cfg.confidence)
         for pi in range(len(rep.intensities) - 1):
             for ai, a in enumerate(rep.thresholds):
                 gap = rep.gaps[pi, ai]
@@ -239,12 +251,14 @@ def _exp_convex_order(cfg: ExperimentConfig):
         checks.append(Check(
             rep.consistent,
             f"{measure.describe()}: hinge means decrease along t in "
-            f"(0, {', '.join(f'{t:g}' for t in ts)}); {len(rep.violations)} violations",
+            f"(0, {shown}); {len(rep.violations)} violations",
         ))
-        reversed_curve = sorted(
-            [(ts[-1] - t, smp) for t, smp in curve], key=lambda p: p[0]
+        # the control reverses the samples under the same labels, base
+        # included, so a one-t grid still has a pair out of order
+        neg = ST.convex_order_check(
+            [(t, smp) for (t, _), (_, smp) in zip(battery, reversed(battery))],
+            confidence=cfg.confidence,
         )
-        neg = ST.convex_order_check(reversed_curve, confidence=cfg.confidence)
         checks.append(Check(
             not neg.consistent,
             f"{measure.describe()}: reversed labels flagged with "
@@ -260,6 +274,9 @@ def _exp_moments(cfg: ExperimentConfig):
     rng = RngStream(cfg.seed)
     rows, checks = [], []
     bern = bernoulli(0.5)
+    # each measure's cells take a block of stream ids; a grid of up to 10
+    # values keeps the 10-wide blocks and so its bytes
+    stride = max(10, len(ts))
     for t in ts:
         table = EX.moment_recursion([0.5] * 6, t)
         law = Beta(t / 2.0, t / 2.0)
@@ -288,7 +305,7 @@ def _exp_moments(cfg: ExperimentConfig):
     ):
         for i, t in enumerate(ts):
             smp = SB.sample_dirichlet_mean(
-                measure, t, cfg.n, cfg.policy, rng.substream(10 * mi + i)
+                measure, t, cfg.n, cfg.policy, rng.substream(stride * mi + i)
             )
             x = smp.values()
             target = sig2 / (t + 1.0)
@@ -408,22 +425,26 @@ def _exp_ode_residual(cfg: ExperimentConfig):
 
 def _exp_cauchy_invariance(cfg: ExperimentConfig):
     """Cauchy laws are fixed points of the curve; radial products commute."""
+    ts = _grid(cfg, (1.0, 10.0), fixed=(1.0,))
     rng = RngStream(cfg.seed)
+    # the grid's cells take stream ids below k, the fixed cells k, 2k and 3k
+    # on; a grid of up to 10 values keeps k = 10 and so its bytes
+    k = max(10, len(ts))
     rows, checks = [], []
-    for i, t in enumerate(_grid(cfg, (1.0, 10.0))):
+    for i, t in enumerate(ts):
         rep = CY.verify_yamato(t, cfg.n, rng.substream(i), cfg.level, cfg.policy)
         rows.append(("fixed_point_standard", t, rep.statistic, rep.p_value, "pass", rep.passed))
         checks.append(Check(rep.passed, f"standard Cauchy t={t:g}: {_ks_text(rep)}"))
     shifted = Cauchy1D(1.0, 2.0)
-    smp = SB.sample_dirichlet_mean(shifted, 1.0, cfg.n, cfg.policy, rng.substream(10))
+    smp = SB.sample_dirichlet_mean(shifted, 1.0, cfg.n, cfg.policy, rng.substream(k))
     rep = ST.ks_one_sample(smp, lambda x: EX.cdf(shifted, x), level=cfg.level)
     rows.append(("fixed_point_shifted", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
     checks.append(Check(rep.passed, f"{shifted.describe()} t=1: {_ks_text(rep)}"))
     for j, radial in enumerate((Uniform01(), Beta(2.0, 1.0))):
-        rep = CY.verify_mult_invariance(radial, 1.0, cfg.n, rng.substream(20 + j), cfg.level, cfg.policy)
+        rep = CY.verify_mult_invariance(radial, 1.0, cfg.n, rng.substream(2 * k + j), cfg.level, cfg.policy)
         rows.append((f"radial_product[{radial.describe()}]", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
         checks.append(Check(rep.passed, f"radial {radial.describe()} x Cauchy: {_ks_text(rep)}"))
-    smp = SB.sample_dirichlet_mean(Uniform01(), 1.0, cfg.n, cfg.policy, rng.substream(30))
+    smp = SB.sample_dirichlet_mean(Uniform01(), 1.0, cfg.n, cfg.policy, rng.substream(3 * k))
     rep = ST.ks_one_sample(smp, lambda x: CY.cauchy_cdf(x, 1j), level=cfg.level)
     flagged = not rep.passed
     rows.append(("non_cauchy_control", 1.0, rep.statistic, rep.p_value, "reject", flagged))
@@ -551,6 +572,8 @@ def _exp_limits(cfg: ExperimentConfig):
 
 def _exp_james(cfg: ExperimentConfig):
     """Dirichlet-weighted aggregation of independent means matches the summed curve."""
+    # james reads no t: the direct draw at t = 2 is the largest it samples
+    _grid(cfg, (), fixed=(2.0,))
     rng = RngStream(cfg.seed)
     arc = Beta(0.5, 0.5)
     bern = bernoulli(0.5)
@@ -579,11 +602,8 @@ class Experiment(NamedTuple):
     `measure`, `policy` and `confidence`, whether it reads measure.*, policy.*
     and confidence; `ts`, how many t values it reads (None for a whole grid).
     A config that sets what the experiment does not read is an error, not
-    silently dropped. `default_t` is the largest t of its default grid and
-    `fixed_t` the largest t it samples whatever the config says, both under
-    the configured policy; they bound the stick count of a run. A config
-    that sets policy.* gets `policy_notice`, if any, on stderr: what of the
-    run the policy does not reach."""
+    silently dropped. A config that sets policy.* gets `policy_notice`, if
+    any, on stderr: what of the run the policy does not reach."""
 
     run: Callable
     description: str
@@ -591,8 +611,6 @@ class Experiment(NamedTuple):
     ts: Optional[int] = 0
     policy: bool = False
     confidence: bool = False
-    default_t: float = 0.0
-    fixed_t: float = 0.0
     policy_notice: str = ""
 
 
@@ -601,25 +619,25 @@ EXPERIMENTS = {
         _exp_curve_ks,
         "stick-breaking draws of the mean match its closed-form laws "
         "(beta, symmetric beta, beta prime, radial circle)",
-        measure=True, ts=None, policy=True, confidence=True, default_t=4.0,
+        measure=True, ts=None, policy=True, confidence=True,
     ),
     "convex-order": Experiment(
         _exp_convex_order,
         "the curve decreases in convex order: hinge means fall as t grows "
         "and the base measure dominates every mean law",
-        measure=True, ts=None, policy=True, confidence=True, default_t=8.0,
+        measure=True, ts=None, policy=True, confidence=True,
     ),
     "moments": Experiment(
         _exp_moments,
         "the moment recursion reproduces analytic beta moments, density "
         "quadrature, and Monte Carlo variances",
-        ts=None, policy=True, default_t=8.0,
+        ts=None, policy=True,
     ),
     "cr-identity": Experiment(
         _exp_cr_identity,
         "E(1-isX)^(-t) and E(X-z)^(-t) over mean draws equal exponentials "
         "of base-measure log transforms",
-        measure=True, ts=None, policy=True, confidence=True, default_t=2.0,
+        measure=True, ts=None, policy=True, confidence=True,
     ),
     "ode-residual": Experiment(
         _exp_ode_residual,
@@ -630,7 +648,7 @@ EXPERIMENTS = {
         _exp_cauchy_invariance,
         "Cauchy laws are fixed points of the curve at every intensity, "
         "including products with an independent radial factor",
-        ts=None, policy=True, confidence=True, default_t=10.0, fixed_t=1.0,
+        ts=None, policy=True, confidence=True,
     ),
     "trefoil": Experiment(
         _exp_trefoil,
@@ -647,7 +665,7 @@ EXPERIMENTS = {
         _exp_limits,
         "the curve interpolates from the base measure at t -> 0 to the "
         "point mass at its mean as t -> infinity",
-        ts=1, policy=True, confidence=True, default_t=0.01,
+        ts=1, policy=True, confidence=True,
         policy_notice="limits applies policy.* to its small-t cells only: its two "
         "t = 1000 variance cells run under tail_epsilon(1e-6) at min(n, 3e4) draws",
     ),
@@ -655,7 +673,7 @@ EXPERIMENTS = {
         _exp_james,
         "Dirichlet-weighted aggregations of independent means reproduce "
         "the mean law of the summed intensities",
-        policy=True, confidence=True, fixed_t=2.0,
+        policy=True, confidence=True,
     ),
 }
 

@@ -9,7 +9,6 @@ import pytest
 from scipy.special import ndtri
 
 import dirichlet_curve
-from dirichlet_curve import stickbreak as SB
 from dirichlet_curve.measures import RngStream
 from dirichlet_curve.cli import (
     EXPERIMENTS,
@@ -77,22 +76,20 @@ def test_flag_overrides_config(tmp_path):
     assert main(["run", "--config", str(config), "--n", "20000", "--out", str(out_a)]) == 0
 
 
-def test_deterministic_output(tmp_path):
-    dirs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        out.mkdir()
-        code = main(
-            ["run", "beta-identity", "--seed", "7", "--n", "50000", "--out", str(out)]
-        )
-        assert code == 0
-        dirs.append(out / "beta-identity.csv")
-    assert dirs[0].read_bytes() == dirs[1].read_bytes()
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_deterministic_output(tmp_path, capsys, experiment):
+    # the same seed gives the same CSV and stdout bytes, another seed other bytes
+    n = "50000" if experiment == "beta-identity" else "200"
 
-    out_c = tmp_path / "c"
-    out_c.mkdir()
-    main(["run", "beta-identity", "--seed", "8", "--n", "50000", "--out", str(out_c)])
-    assert (out_c / "beta-identity.csv").read_bytes() != dirs[0].read_bytes()
+    def run(seed):
+        code = main(["run", experiment, "--seed", seed, "--n", n, "--out", str(tmp_path)])
+        return code, (tmp_path / f"{experiment}.csv").read_bytes(), capsys.readouterr().out
+
+    first = run("7")
+    if experiment == "beta-identity":
+        assert first[0] == 0
+    assert run("7") == first
+    assert run("8")[1:] != first[1:]
 
 
 def test_missing_seed_is_config_error(tmp_path):
@@ -342,6 +339,9 @@ _MESSAGES = {
     "convex_order_beta_prime": ("convex-order", "measure.family = beta_prime\nmeasure.a = 0.5\nmeasure.b = 0.5\n",
                                 "convex-order has nothing to check on a base without a mean, whose hinge "
                                 "means are infinite: BetaPrime(a=0.5, b=0.5)"),
+    # the battery compares each t with the next larger one
+    "convex_order_unsorted_grid": ("convex-order", "t = 2, 1\n",
+                                   "convex-order needs a strictly increasing t grid, not 2, 1"),
 }
 # the curve of a point mass is that point mass: one atom, or atoms at one point
 _MESSAGES.update({
@@ -408,6 +408,53 @@ def test_no_run_ends_in_a_traceback(tmp_path, experiment, lines):
     assert _run_lines(tmp_path, f"experiment = {experiment}\nseed = 1\nn = 20\n{lines}") in (0, 1, 2)
 
 
+@pytest.fixture
+def stream_ids(monkeypatch):
+    """The stream id of every generator made, in order: every draw takes one."""
+    seen = []
+    generator = RngStream.generator
+
+    def record(self):
+        seen.append(self.stream_id)
+        return generator(self)
+
+    monkeypatch.setattr(RngStream, "generator", record)
+    return seen
+
+
+@pytest.mark.parametrize("experiment", sorted(_READS_T_GRID | {"limits"}))
+@pytest.mark.parametrize(
+    "t",
+    ["2, 0.5, 1", "1, 1", "0.5, 0.5, 1", "1", ", ".join(f"{0.5 * i:g}" for i in range(1, 12))],
+    ids=["unsorted", "repeated", "repeated_first", "single", "eleven"],
+)
+def test_no_t_grid_ends_in_a_traceback(tmp_path, stream_ids, experiment, t):
+    # whatever the grid, a run passes, fails or is a config error that no
+    # draw precedes
+    code = main(["run", experiment, "--seed", "1", "--n", "20", "--t", t, "--out", str(tmp_path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert not stream_ids and not (tmp_path / f"{experiment}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, n_ts",
+    [("moments", 11), ("cauchy-invariance", 11), ("cauchy-invariance", 31), ("convex-order", 100)],
+)
+def test_the_cells_of_a_long_grid_draw_from_distinct_streams(tmp_path, stream_ids, experiment, n_ts):
+    # RngStream asks for distinct stream ids for outputs that must be independent
+    grid = ", ".join(f"{0.05 * i:g}" for i in range(1, n_ts + 1))
+    assert main(["run", experiment, "--seed", "1", "--n", "20", "--t", grid, "--out", str(tmp_path)]) in (0, 1)
+    assert len(stream_ids) == len(set(stream_ids))
+
+
+def test_convex_order_control_is_flagged_on_a_one_t_grid(tmp_path, capsys):
+    # the control reverses the base with the curve, so one t leaves a pair to flag
+    assert main(["run", "convex-order", "--seed", "1", "--n", "2000", "--t", "1", "--out", str(tmp_path)]) == 0
+    controls = [ln for ln in capsys.readouterr().out.splitlines() if "reversed labels flagged" in ln]
+    assert len(controls) == 2 and all(ln.startswith("  [pass] ") for ln in controls)
+
+
 @pytest.mark.parametrize("sub", ["sub", ""], ids=["below_a_file", "a_file"])
 def test_an_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, monkeypatch, sub):
     def no_draw(self):
@@ -429,57 +476,52 @@ def test_config_keys_that_nothing_reads_are_named(tmp_path, capsys):
 
 
 _TINY_EPS = "policy.epsilon = 1e-300\n"
+_BETA_BASE = "measure.family = beta\nmeasure.a = 0.5\nmeasure.b = 0.5\n"
 
 
 @pytest.mark.parametrize(
-    "experiment, t, lines, sticks",
+    "experiment, t, lines, refusal",
     [
-        ("moments", "1e9", "n = 20\n", "5.53e+11"),  # tail_epsilon(1e-12): 1 + 1e9 ln(1e12) a draw
-        ("moments", "1", "n = 100000000\n" + _TINY_EPS, "6.92e+10"),  # 1 + ln(1e300) a draw
-        ("moments", None, "n = 20000000\n" + _TINY_EPS, "1.11e+11"),  # the default grid tops out at t = 8
-        ("james", None, "n = 10000000\n" + _TINY_EPS, "1.38e+10"),  # reads no t, samples t = 2
+        # tail_epsilon(1e-12): 1 + 1e9 ln(1e12) a draw
+        ("moments", "1e9", "n = 20\n", "t = 1000000000.0 needs about 5.53e+11 sticks for n = 20"),
+        # 1 + ln(1e300) a draw
+        ("moments", "1", "n = 100000000\n" + _TINY_EPS, "t = 1.0 needs about 6.92e+10 sticks for n = 100000000"),
+        # the default grid tops out at t = 8
+        ("moments", None, "n = 20000000\n" + _TINY_EPS, "t = 8.0 needs about 1.11e+11 sticks for n = 20000000"),
+        # reads no t, samples t = 2
+        ("james", None, "n = 10000000\n" + _TINY_EPS, "t = 2.0 needs about 1.38e+10 sticks for n = 10000000"),
         # the default grid tops out at t = 8, where 1e8 draws need 2.2e10 sticks
-        ("convex-order", None, "n = 100000000\n", "2.22e+10"),
+        ("convex-order", None, "n = 100000000\n", "t = 8.0 needs about 2.22e+10 sticks for n = 100000000"),
+        # its fixed cells sample t = 1 below any grid
+        ("cauchy-invariance", "0.5", "n = 500000000\n", "t = 1.0 needs about 1.43e+10 sticks for n = 500000000"),
+        # a configured base is sampled at t = 1 only, 2.9e9 sticks, not at
+        # the t = 4 of the default bases' grid
+        ("curve-ks", None, "n = 100000000\n" + _BETA_BASE, None),
     ],
-    ids=["tail_epsilon", "tiny_epsilon", "tiny_epsilon-no-t", "james-no-t", "default-grid"],
+    ids=["tail_epsilon", "tiny_epsilon", "tiny_epsilon-no-t", "james-no-t", "default-grid",
+         "cauchy-invariance-fixed-t", "curve-ks-configured-base"],
 )
 def test_a_run_past_the_stick_bound_is_refused_before_it_starts(
-    tmp_path, capsys, experiment, t, lines, sticks
+    tmp_path, capsys, monkeypatch, experiment, t, lines, refusal
 ):
-    # the config is refused when it is built, so no sampling starts
+    def no_draw(self):
+        raise AssertionError("a draw started")
+
+    monkeypatch.setattr(RngStream, "generator", no_draw)
     config = tmp_path / "exp.cfg"
     config.write_text(f"experiment = {experiment}\nseed = 1\n{lines}")
-    args = argparse.Namespace(
-        config=str(config), experiment=None, seed=None, n=None, t=t, out=None, confidence=None
-    )
-    with pytest.raises(ValueError, match=f"needs about {re.escape(sticks)} sticks for n = "):
-        _build_config(args)
     t_args = [] if t is None else ["--t", t]
-    assert main(["run", "--config", str(config), *t_args, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: t = ")
-
-
-@pytest.mark.parametrize("experiment", [name for name, exp in EXPERIMENTS.items() if exp.policy])
-def test_the_stick_bound_sees_the_largest_t_a_run_samples(tmp_path, monkeypatch, experiment):
-    # default_t and fixed_t are the largest t that the run hands the configured
-    # policy: with no t given, and with t = 0.5 given
-    policy = SB.TruncationPolicy.tail(1e-2)
-    seen = []
-    columns = SB.TruncationPolicy.columns
-
-    def record(self, t):
-        if self is policy:
-            seen.append(t)
-        return columns(self, t)
-
-    monkeypatch.setattr(SB.TruncationPolicy, "columns", record)
-    exp = EXPERIMENTS[experiment]
-    exp.run(ExperimentConfig(experiment, seed=1, n=20, policy=policy, out_dir=str(tmp_path)))
-    assert max(seen) == max(exp.default_t, exp.fixed_t)
-    if exp.ts != 0:
-        seen.clear()
-        exp.run(ExperimentConfig(experiment, seed=1, n=20, ts=(0.5,), policy=policy, out_dir=str(tmp_path)))
-        assert max(seen) == max(0.5, exp.fixed_t)
+    argv = ["run", "--config", str(config), *t_args, "--out", str(tmp_path)]
+    if refusal is None:
+        # within the bound, the run gets as far as its first draw
+        with pytest.raises(AssertionError, match="a draw started"):
+            main(argv)
+        return
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {refusal} draws under tail_epsilon(eps=")
+    assert err.endswith("), more than the bound 1e+10\n")
+    assert not (tmp_path / f"{experiment}.csv").exists()
 
 
 @pytest.mark.parametrize("n", [20, 1000])
