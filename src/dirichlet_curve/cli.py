@@ -573,7 +573,7 @@ def _exp_limits(cfg: ExperimentConfig):
 def _exp_james(cfg: ExperimentConfig):
     """Dirichlet-weighted aggregation of independent means matches the summed curve."""
     # james reads no t: the direct draw at t = 2 is the largest it samples
-    _grid(cfg, (), fixed=(2.0,))
+    _grid(cfg, (2.0,))
     rng = RngStream(cfg.seed)
     arc = Beta(0.5, 0.5)
     bern = bernoulli(0.5)

@@ -9,7 +9,9 @@ import pytest
 from scipy.special import ndtri
 
 import dirichlet_curve
-from dirichlet_curve.measures import RngStream
+from dirichlet_curve import cli
+from dirichlet_curve import stickbreak as SB
+from dirichlet_curve.measures import Beta, RngStream
 from dirichlet_curve.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -89,7 +91,13 @@ def test_deterministic_output(tmp_path, capsys, experiment):
     if experiment == "beta-identity":
         assert first[0] == 0
     assert run("7") == first
-    assert run("8")[1:] != first[1:]
+    other = run("8")
+    if experiment == "trefoil":
+        # its CSV is the closed-form locus: only the sampled ECF checks on
+        # stdout, below the header line that names the seed, read the seed
+        assert other[2].split("\n", 1)[1] != first[2].split("\n", 1)[1]
+    else:
+        assert other[1] != first[1]
 
 
 def test_missing_seed_is_config_error(tmp_path):
@@ -522,6 +530,48 @@ def test_a_run_past_the_stick_bound_is_refused_before_it_starts(
     assert err.startswith(f"config error: {refusal} draws under tail_epsilon(eps=")
     assert err.endswith("), more than the bound 1e+10\n")
     assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+_SAMPLES_POLICY = [name for name, exp in EXPERIMENTS.items() if exp.policy]
+
+
+@pytest.mark.parametrize(
+    "experiment, t, measure",
+    [(name, None, None) for name in _SAMPLES_POLICY]
+    + [(name, "0.5", None) for name in _SAMPLES_POLICY if EXPERIMENTS[name].ts != 0]
+    + [("curve-ks", None, Beta(0.5, 0.5))],
+    ids=lambda v: "" if v is None else str(v),
+)
+def test_the_stick_bound_sees_the_largest_t_a_run_samples(tmp_path, capsys, monkeypatch, experiment, t, measure):
+    # the t values a small run hands its policy, against the t that a run past
+    # the bound is refused at: none may be written apart from what is sampled
+    policy = SB.TruncationPolicy.tail(1e-2)
+    ts = () if t is None else (float(t),)
+    seen = []
+    columns = SB.TruncationPolicy.columns
+
+    def record(self, t):
+        if self is policy:
+            seen.append(t)
+        return columns(self, t)
+
+    monkeypatch.setattr(SB.TruncationPolicy, "columns", record)
+    EXPERIMENTS[experiment].run(ExperimentConfig(
+        experiment, seed=1, n=20, ts=ts, measure=measure, policy=policy, out_dir=str(tmp_path)
+    ))
+    assert seen
+
+    def no_draw(self):
+        raise AssertionError("a draw started")
+
+    monkeypatch.setattr(RngStream, "generator", no_draw)
+    monkeypatch.setattr(cli, "_STICK_BOUND", 0)
+    lines = _BETA_BASE if measure else ""
+    t_args = [] if t is None else ["--t", t]
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"experiment = {experiment}\nseed = 1\nn = 20\n{lines}")
+    assert main(["run", "--config", str(config), *t_args, "--out", str(tmp_path / "refused")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: t = {max(seen)!r} needs about ")
 
 
 @pytest.mark.parametrize("n", [20, 1000])
