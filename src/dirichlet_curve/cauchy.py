@@ -13,9 +13,11 @@ spectral atom as lambda_j s_j Z_j with Z_j standard totally-skewed 1-stable
 plus the deterministic drift (2/pi) sum_j lambda_j log(lambda_j) s_j that
 cancels the scale-induced logarithmic shift.
 
-The invariance checks at the bottom verify that one-dimensional Cauchy laws
-are fixed points of the Dirichlet curve, and that the curve commutes with
-independent Cauchy scaling.
+`ecf_gaps` and `trefoil_median_gap` check draws of a planar law against its
+closed forms: the characteristic function exp(i r w(f)) and the trefoil's
+median locus. The invariance checks at the bottom verify that
+one-dimensional Cauchy laws are fixed points of the Dirichlet curve, and that
+the curve commutes with independent Cauchy scaling.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .measures import (
     # until the benchmark revision (ROADMAP item 7) drops that expectation
     draw_measure,
 )
-from .stats import KSReport, ks_one_sample, ks_two_sample
+from .stats import KSReport, complex_mean_se, ks_one_sample, ks_two_sample
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, sample_dirichlet_mean, stick_mean_draws
 
 __all__ = [
@@ -48,6 +50,8 @@ __all__ = [
     "w_of",
     "draw_spectral_cauchy",
     "trefoil_median",
+    "ecf_gaps",
+    "trefoil_median_gap",
     "verify_yamato",
     "verify_mult_invariance",
 ]
@@ -78,10 +82,12 @@ class SpectralCauchy:
         lam = np.asarray(self.intensities, dtype=float)
         if dirs.ndim != 2 or dirs.shape[1] != self.dimension or dirs.shape[0] < 1:
             raise ValueError("directions must be a nonempty (J, d) array")
-        if lam.shape != (dirs.shape[0],) or np.any(lam <= 0):
-            raise ValueError("intensities must be positive, one per direction")
+        if not np.all(np.isfinite(shift)):
+            raise ValueError("shift must be finite")
+        if lam.shape != (dirs.shape[0],) or not np.all((lam > 0) & (lam < np.inf)):
+            raise ValueError("intensities must be positive and finite, one per direction")
         norms = np.linalg.norm(dirs, axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+        if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
             raise ValueError("directions must be unit vectors")
         center = lam @ dirs
         if np.linalg.norm(center) > _CENTER_TOL:
@@ -199,6 +205,27 @@ def trefoil_median(theta) -> np.ndarray | float:
     third = 2.0 * np.pi / 3.0
     out = g(theta) + g(theta - third) + g(theta + third)
     return float(out) if out.ndim == 0 else out
+
+
+def ecf_gaps(draws: np.ndarray, spec: SpectralCauchy, directions, radii):
+    """(f, r, |gap|, se) for each direction f and then each radius r: gap is the
+    mean of exp(i r <f, X>) over the (n, d) draws less exp(i r w(f)), and se
+    the standard error of that mean, complex_mean_se."""
+    for f in directions:
+        w = w_of(spec, f)
+        proj = draws @ f
+        for r in radii:
+            vals = np.exp(1j * r * proj)
+            yield f, r, abs(vals.mean() - np.exp(1j * r * w)), complex_mean_se(vals)
+
+
+def trefoil_median_gap(draws: np.ndarray, thetas) -> float:
+    """max over thetas of |median of <(cos theta, sin theta), X> - trefoil_median(theta)|
+    over the (n, 2) draws."""
+    return max(
+        abs(float(np.median(draws @ np.array([math.cos(th), math.sin(th)]))) - trefoil_median(th))
+        for th in thetas
+    )
 
 
 def cauchy_cdf(x, w: complex) -> np.ndarray:

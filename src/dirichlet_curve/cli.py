@@ -181,20 +181,17 @@ def _exp_curve_ks(cfg: ExperimentConfig):
     for (measure, t), law in zip(cells, laws):
         if law is None:
             raise ConfigError(f"no closed-form law for {measure.describe()} at t={t:g}")
-        if measure.dimension != 1 and not isinstance(law, EX.RadialCircleLaw):
+        try:
+            law.statistic(np.empty((0, measure.dimension)))
+        except ValueError:
             raise ConfigError(
                 f"no one-dimensional statistic for the {type(law).__name__} of {measure.describe()} at t={t:g}"
-            )
+            ) from None
     rng = RngStream(cfg.seed)
     rows, checks = [], []
     for i, ((measure, t), law) in enumerate(zip(cells, laws)):
         smp = SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng.substream(i))
-        if isinstance(law, EX.RadialCircleLaw):
-            data = np.sum(smp.draws**2, axis=1)
-            what = "|X|^2"
-        else:
-            data = smp.values()
-            what = "X"
+        what, data = law.statistic(smp.draws)
         rep = ST.ks_one_sample(data, lambda x: EX.cdf(law, x), level=cfg.level)
         rows.append(
             (measure.describe(), t, what, cfg.n, rep.statistic, rep.p_value, rep.passed)
@@ -205,7 +202,13 @@ def _exp_curve_ks(cfg: ExperimentConfig):
 
 
 def _exp_convex_order(cfg: ExperimentConfig):
-    """Hinge means decrease in t; the base measure dominates the whole curve."""
+    """Hinge means decrease in t; the base measure dominates the whole curve.
+
+    The reversed-label control needs a few hundred draws to be flagged. At
+    the default grid it went unflagged for both bases at n = 20, 50 and 100
+    (seeds 1-5); at n = 200 (Uniform01) in 5 of 6 seeds, at n = 300 in 3 of
+    6 and at n = 500 in 1 of 6; at n = 1000 in none of seeds 1-6. Such a run
+    exits 1 even when its battery holds."""
     ts = _grid(cfg, (0.5, 1.0, 2.0, 4.0, 8.0))
     shown = ", ".join(f"{t:g}" for t in ts)
     if any(lo >= hi for lo, hi in zip(ts, ts[1:])):
@@ -229,10 +232,7 @@ def _exp_convex_order(cfg: ExperimentConfig):
             (t, SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng.substream(stride * mi + i)))
             for i, t in enumerate(ts)
         ]
-        # the base measure is the t -> 0 endpoint of the curve, so labeling it
-        # with t = 0 folds "mean law is dominated by the base" into one battery
-        battery = [(0.0, base)] + curve
-        rep = ST.convex_order_check(battery, confidence=cfg.confidence)
+        rep, neg = ST.convex_order_battery(base, curve, confidence=cfg.confidence)
         for pi in range(len(rep.intensities) - 1):
             for ai, a in enumerate(rep.thresholds):
                 gap = rep.gaps[pi, ai]
@@ -253,12 +253,6 @@ def _exp_convex_order(cfg: ExperimentConfig):
             f"{measure.describe()}: hinge means decrease along t in "
             f"(0, {shown}); {len(rep.violations)} violations",
         ))
-        # the control reverses the samples under the same labels, base
-        # included, so a one-t grid still has a pair out of order
-        neg = ST.convex_order_check(
-            [(t, smp) for (t, _), (_, smp) in zip(battery, reversed(battery))],
-            confidence=cfg.confidence,
-        )
         checks.append(Check(
             not neg.consistent,
             f"{measure.describe()}: reversed labels flagged with "
@@ -278,11 +272,7 @@ def _exp_moments(cfg: ExperimentConfig):
     # values keeps the 10-wide blocks and so its bytes
     stride = max(10, len(ts))
     for t in ts:
-        table = EX.moment_recursion([0.5] * 6, t)
-        law = Beta(t / 2.0, t / 2.0)
-        err = max(
-            abs(table.ex[k - 1] - EX.law_raw_moment(law, k)) for k in range(1, 7)
-        )
+        err = EX.recursion_gap(bern.raw_moments(6), t, Beta(t / 2.0, t / 2.0))
         good = err < 1e-12
         rows.append((bern.describe(), t, "recursion_vs_analytic", 6, err, 1e-12, good))
         checks.append(Check(
@@ -336,11 +326,12 @@ def _exp_cr_identity(cfg: ExperimentConfig):
         if measure.dimension != 1:
             raise ConfigError(f"cr-identity needs a one-dimensional base, not {measure.describe()}")
         _refuse_point_mass("cr-identity", measure)
-        # the transform side draws nothing, so a base without transforms is
-        # refused here, before any sampling
+        # the transform side draws nothing, so a base without transforms, or
+        # with a shape that the beta quadrature cannot take, is refused here,
+        # before any sampling
         try:
             measure.log_transform(1j)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"cr-identity needs the transforms of its base: {exc}") from None
     ts = _grid(cfg, (1.0, 2.0))
     # Fourier points s, then Stieltjes points z; each point has its own substream
@@ -384,12 +375,6 @@ def _exp_cr_identity(cfg: ExperimentConfig):
     return header, rows, checks
 
 
-# the one arcsine point whose true residual sits below 0.01; see tests
-_NON_CAUCHY_FLOORS = {
-    ("Beta(a=0.5, b=0.5)", 2j): 0.005,
-}
-
-
 def _exp_ode_residual(cfg: ExperimentConfig):
     """Cauchy base measures satisfy the derivative identities; others do not."""
     rows, checks = [], []
@@ -412,7 +397,7 @@ def _exp_ode_residual(cfg: ExperimentConfig):
     ))
     for measure in (Beta(0.5, 0.5), bernoulli(0.5)):
         for z in (1j, 2j):
-            floor = _NON_CAUCHY_FLOORS.get((measure.describe(), z), 0.01)
+            floor = TR.non_cauchy_floor(measure, z)
             res = abs(TR.ode_residual(measure, 1, z))
             good = res > floor
             rows.append((measure.describe(), "ode", 1, 0, z.real, z.imag, res, floor, "above", good))
@@ -481,26 +466,15 @@ def _exp_trefoil(cfg: ExperimentConfig):
     ]
     gen = RngStream(cfg.seed).generator()
     x = CY.draw_spectral_cauchy(spec, cfg.n, gen)
-    for f in (np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.array([0.0, 1.0])):
-        wf = CY.w_of(spec, f)
-        proj = x @ f
-        for r in (0.5, 1.0, 2.0):
-            vals = np.exp(1j * r * proj)
-            ecf = vals.mean()
-            se = ST.complex_mean_se(vals)
-            diff = abs(ecf - np.exp(1j * r * wf))
-            checks.append(Check(
-                diff <= 3.0 * se,
-                f"ECF f=({f[0]:g},{f[1]:g}) r={r:g}: |diff| {diff:.5f} <= 3 se {3 * se:.5f}",
-            ))
+    directions = (np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.array([0.0, 1.0]))
+    for f, r, diff, se in CY.ecf_gaps(x, spec, directions, (0.5, 1.0, 2.0)):
+        checks.append(Check(
+            diff <= 3.0 * se,
+            f"ECF f=({f[0]:g},{f[1]:g}) r={r:g}: |diff| {diff:.5f} <= 3 se {3 * se:.5f}",
+        ))
     med_n = max(cfg.n, 4 * 10**5)
     xm = CY.draw_spectral_cauchy(spec, med_n, gen)
-    grid8 = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
-    worst = 0.0
-    for th in grid8:
-        f = np.array([math.cos(th), math.sin(th)])
-        med = float(np.median(xm @ f))
-        worst = max(worst, abs(med - CY.trefoil_median(th)))
+    worst = CY.trefoil_median_gap(xm, np.linspace(0.0, 2.0 * np.pi, 9)[:-1])
     checks.append(Check(
         worst <= 0.02,
         f"empirical medians on 8 angles (n={med_n}): worst |err| {worst:.4f} <= 0.02",

@@ -9,11 +9,13 @@ for BetaPrime(1/2, 1/2), and the base itself for a one-dimensional Cauchy law
 measure families are defined here: `DirichletLaw`, `RadialCircleLaw` and
 `DensityLaw`. All of them derive from `Law`, whose `cdf`, `raw_moments` and
 `hinge_mean` each law overrides where it has them; `cdf`, `law_raw_moment`
-and `hinge_mean` below delegate to those methods.
+and `hinge_mean` below delegate to those methods. `Law.statistic` is the one
+map from draws to the values that a law's `cdf` takes.
 
 The module also holds the raw-moment recursion with its associated
-polynomials, and a quadrature evaluator for the density of the mean at unit
-intensity built from the sine/log-potential representation.
+polynomials, `recursion_gap`, the one check of the recursion against a
+closed-form law, and a quadrature evaluator for the density of the mean at
+unit intensity built from the sine/log-potential representation.
 
 The package's two scipy names are defined here, `integrate` and `special`:
 each loads its module at its first attribute read, not at import.
@@ -41,6 +43,7 @@ __all__ = [
     "law_raw_moment",
     "hinge_mean",
     "moment_recursion",
+    "recursion_gap",
     "p_q_coefficients",
     "p_q_polynomials",
     "cr_density",
@@ -86,6 +89,14 @@ class Law:
     from `cdf`.
     """
 
+    def statistic(self, draws: np.ndarray) -> tuple[str, np.ndarray]:
+        """(name, values): the one-dimensional statistic of (n, d) draws of
+        this law whose distribution function `cdf` is; X itself on the line."""
+        if draws.ndim != 2 or draws.shape[1] != 1:
+            raise ValueError(f"no one-dimensional statistic of {draws.shape[-1]}-column draws "
+                             f"for {type(self).__name__}")
+        return "X", draws[:, 0]
+
     def cdf(self, x) -> np.ndarray:
         """P(X <= x), vectorized in x."""
         raise ValueError(f"no scalar distribution function for {type(self).__name__}")
@@ -128,6 +139,11 @@ class RadialCircleLaw(Law):
 
     def __post_init__(self):
         _check_intensity(self.t)
+
+    def statistic(self, draws):
+        if draws.ndim != 2 or draws.shape[1] != 2:
+            raise ValueError(f"no squared radius of {draws.shape[-1]}-column draws for {type(self).__name__}")
+        return "|X|^2", np.sum(draws**2, axis=1)
 
     def cdf(self, x):
         u = np.clip(x, 0.0, 1.0)
@@ -304,6 +320,14 @@ def moment_recursion(m, t: float) -> MomentTable:
     return MomentTable(t=t, m=tuple(m), ex=tuple(ex[1:]), p=p)
 
 
+def recursion_gap(m, t: float, law: Law) -> float:
+    """max over k = 1..len(m) of |E(X^k) - law_raw_moment(law, k)|, with E(X^k)
+    from moment_recursion(m, t): how far the recursion from the base moments
+    m falls from the closed-form curve law at t."""
+    ex = moment_recursion(m, t).ex
+    return max(abs(ex[k - 1] - law_raw_moment(law, k)) for k in range(1, len(ex) + 1))
+
+
 def _check_moment_consistency(m):
     """Reject moment vectors that cannot come from a probability on [0, inf)."""
     m = [float(v) for v in m]
@@ -366,6 +390,15 @@ def p_q_polynomials(m, t: float):
     return pv, qv
 
 
+def _quad_exponent(name: str, shape: float) -> float:
+    """shape - 1, the exponent of a beta-type quadrature weight. quad needs it
+    above -1, and a shape below 2^-54 (about 5.6e-17) rounds it to -1."""
+    if shape - 1.0 <= -1.0:
+        raise ValueError(f"the beta quadrature needs {name} - 1 above -1, which {name} = {shape!r} rounds "
+                         f"to -1; {name} must be at least about 5.6e-17")
+    return shape - 1.0
+
+
 def beta_log_potential(a: float, b: float, x: float) -> float:
     """-integral of log|x - w| beta(a, b)(dw) with singularity-aware quadrature.
 
@@ -379,11 +412,11 @@ def beta_log_potential(a: float, b: float, x: float) -> float:
     if x > 0.0:
         # integral over [0, x]: weight w^(a-1) * log(x - w)
         total += integrate.quad(lambda w: norm * (1.0 - w) ** (b - 1.0), 0.0, x,
-                                weight="alg-logb", wvar=(a - 1.0, 0.0), **opts)[0]
+                                weight="alg-logb", wvar=(_quad_exponent("a", a), 0.0), **opts)[0]
     if x < 1.0:
         # integral over [x, 1]: weight (1 - w)^(b-1) * log(w - x)
         total += integrate.quad(lambda w: norm * w ** (a - 1.0), x, 1.0,
-                                weight="alg-loga", wvar=(0.0, b - 1.0), **opts)[0]
+                                weight="alg-loga", wvar=(0.0, _quad_exponent("b", b)), **opts)[0]
     return -total
 
 

@@ -7,9 +7,11 @@ hinge functions psi_a(x) = (x - a)_+ along a fixed direction; in higher
 dimension a finite direction battery is a necessary-condition check, not a
 full test. `hinge_curve` and `convex_order_check` share one hinge table: the
 means and standard deviations of (<f, X> - a)_+ at all thresholds, in one pass
-per sample. Normal quantiles come from `ndtri` and p-values from `kolmogorov`,
-both read from `exact.special`, which loads `scipy.special` at the first call;
-the package does not import `scipy.stats`.
+per sample. `convex_order_battery` is the one check of the paper's claim: the
+base dominates the curve, which decreases in t, and the same samples under
+reversed labels are flagged. Normal quantiles come from `ndtri` and p-values
+from `kolmogorov`, both read from `exact.special`, which loads `scipy.special`
+at the first call; the package does not import `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "ks_two_sample",
     "hinge_curve",
     "convex_order_check",
+    "convex_order_battery",
     "beta_identity_check",
     "beta_identity_second_moments",
     "moment_inequality_check",
@@ -222,6 +225,30 @@ def convex_order_check(
         consistent=not violations,
         confidence=confidence,
     )
+
+
+def convex_order_battery(
+    base: EmpiricalSample,
+    curve: Sequence[tuple[float, EmpiricalSample]],
+    grid=None,
+    confidence: float = 0.99,
+) -> tuple[OrderReport, OrderReport]:
+    """(report, control): convex_order_check of [(0.0, base)] + curve, and of
+    the same samples under reversed labels.
+
+    The base measure is the t -> 0 end of the curve, so labelling its draws
+    t = 0 folds "every mean law is dominated by the base" into the decreasing
+    battery. The control reverses the samples, base included, so a one-t
+    curve still has a pair out of order; the claim holds when the report is
+    consistent and the control is not.
+    """
+    battery = [(0.0, base)] + list(curve)
+    report = convex_order_check(battery, grid=grid, confidence=confidence)
+    control = convex_order_check(
+        [(t, smp) for (t, _), (_, smp) in zip(battery, reversed(battery))],
+        grid=grid, confidence=confidence,
+    )
+    return report, control
 
 
 def _mixing_params(a: float, b: float, u_params) -> tuple[float, float]:

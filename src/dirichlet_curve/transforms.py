@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator
 
-from .exact import QUAD_TOL, integrate, special
+from .exact import QUAD_TOL, _quad_exponent, integrate, special
+from .measures import Beta
 from .stats import complex_mean_se
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, stick_mean_draws
 
@@ -33,6 +34,7 @@ __all__ = [
     "cr_identity_residual",
     "ode_residual",
     "power_identity_residual",
+    "non_cauchy_floor",
 ]
 
 
@@ -55,13 +57,15 @@ def _quad_complex(f, lo, hi, **kw) -> complex:
 def beta_integral(a: float, b: float, f) -> complex:
     """integral of f(w) against the beta(a, b) density, with the algebraic
     endpoint factors w^(a-1) (1-w)^(b-1) folded into the quadrature weight."""
+    wvar = (_quad_exponent("a", a), _quad_exponent("b", b))
     norm = math.exp(-special.betaln(a, b))
-    return _quad_complex(lambda w: norm * f(w), 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0))
+    return _quad_complex(lambda w: norm * f(w), 0.0, 1.0, weight="alg", wvar=wvar)
 
 
 def beta_prime_integral(a: float, b: float, f) -> complex:
     """integral of f(w) against the beta prime(a, b) density, split at w = 1 so
     the possible algebraic singularity at 0 sits in a quadrature weight."""
+    wvar = (_quad_exponent("a", a), 0.0)
     norm = math.exp(-special.betaln(a, b))
 
     def head(w):
@@ -70,7 +74,7 @@ def beta_prime_integral(a: float, b: float, f) -> complex:
     def tail(w):
         return norm * w ** (a - 1.0) * (1.0 + w) ** (-(a + b)) * f(w)
 
-    val = _quad_complex(head, 0.0, 1.0, weight="alg", wvar=(a - 1.0, 0.0))
+    val = _quad_complex(head, 0.0, 1.0, weight="alg", wvar=wvar)
     return val + _quad_complex(tail, 1.0, np.inf)
 
 
@@ -202,3 +206,11 @@ def power_identity_residual(alpha, n: int, m: int, z) -> complex:
     lo = stieltjes_derivative(alpha, n - 1, z) / math.factorial(n - 1)
     hi = stieltjes_derivative(alpha, m - 1, z) / math.factorial(m - 1)
     return lo**m - hi**n
+
+
+def non_cauchy_floor(alpha, z) -> float:
+    """The floor that |ode_residual(alpha, 1, z)| and |power_identity_residual(
+    alpha, 1, 2, z)| of a base that is not Cauchy must exceed: 0.01, except
+    for the arcsine law Beta(1/2, 1/2) at z = 2i, whose residuals sit near
+    0.0063 and get 0.005."""
+    return 0.005 if alpha == Beta(0.5, 0.5) and complex(z) == 2j else 0.01

@@ -18,6 +18,7 @@ from scipy import integrate
 
 from dirichlet_curve.cauchy import (
     trefoil_median,
+    trefoil_median_gap,
     trefoil_spectrum,
     uniform_spectrum,
     verify_mult_invariance,
@@ -30,8 +31,8 @@ from dirichlet_curve.exact import (
     curve_of,
     dk_density,
     hinge_mean,
-    law_raw_moment,
     moment_recursion,
+    recursion_gap,
 )
 from dirichlet_curve.measures import (
     Beta,
@@ -51,7 +52,7 @@ from dirichlet_curve.measures import (
 from dirichlet_curve.stats import (
     beta_identity_check,
     beta_identity_second_moments,
-    convex_order_check,
+    convex_order_battery,
     hinge_curve,
     ks_one_sample,
     ks_two_sample,
@@ -66,6 +67,7 @@ from dirichlet_curve.stickbreak import (
 )
 from dirichlet_curve.transforms import (
     cr_identity_residual,
+    non_cauchy_floor,
     ode_residual,
     power_identity_residual,
 )
@@ -145,11 +147,7 @@ def test_criterion_01_closed_form_curves(stick_draws):
     for measure, t in CURVE_CELLS:
         law = curve_of(measure, t)
         assert law is not None, f"no closed-form law for {measure.describe()} at t={t}"
-        draws = stick_draws(measure, t)
-        if draws.shape[1] == 2:
-            values = np.sum(draws**2, axis=1)
-        else:
-            values = draws[:, 0]
+        _, values = law.statistic(stick_draws(measure, t))
         rep = ks_one_sample(values, lambda x, law=law: cdf(law, x), level=LEVEL)
         if not rep.passed:
             failures.append((measure.describe(), t, rep.statistic, rep.p_value))
@@ -209,12 +207,7 @@ def test_criterion_02_sampler_cross_validation(stick_draws):
 def test_criterion_03_moment_recursion(stick_draws):
     # Exact check: Bernoulli(1/2) curve moments match Beta(t/2, t/2) to 1e-12.
     m = raw_moments(bernoulli(0.5), 6)
-    worst = 0.0
-    for t in (0.5, 1.0, 2.0, 4.0, 8.0):
-        table = moment_recursion(m, t)
-        law = Beta(t / 2.0, t / 2.0)
-        for k in range(1, 7):
-            worst = max(worst, abs(table.ex[k - 1] - law_raw_moment(law, k)))
+    worst = max(recursion_gap(m, t, Beta(t / 2.0, t / 2.0)) for t in (0.5, 1.0, 2.0, 4.0, 8.0))
     assert worst <= 1e-12, f"worst recursion gap {worst:.3e}"
 
     # Uniform base at t = 1: second moment 7/24 against density quadrature.
@@ -256,18 +249,16 @@ def test_criterion_04_convex_order(stick_draws):
     for measure, base_hinge, curve_law in cases:
         name = measure.describe()
         base = sample_measure(measure, N, _stream_for(f"base|{name}"))
-        samples = [(0.0, base)]
-        curves = {}
-        for t in TS5:
-            arr = stick_draws(measure, t)
-            sample = EmpiricalSample(1, arr)
-            samples.append((t, sample))
-            curves[t] = hinge_curve(sample, grid=grid, confidence=0.999)
+        samples = [(t, EmpiricalSample(1, stick_draws(measure, t))) for t in TS5]
+        curves = {t: hinge_curve(sample, grid=grid, confidence=0.999) for t, sample in samples}
 
         # Battery: alpha itself (labelled 0) dominates the whole curve and the
-        # curve decreases in t, all at Bonferroni-corrected confidence.
-        report = convex_order_check(samples, grid=grid, confidence=0.99)
+        # curve decreases in t, all at Bonferroni-corrected confidence; the
+        # control, the same samples under reversed labels, must be flagged.
+        report, control = convex_order_battery(base, samples, grid=grid, confidence=0.99)
         assert report.consistent, f"{name}: violations {report.violations}"
+        assert not control.consistent
+        assert len(control.violations) > 0
 
         # Oracle cross-check where the exact law is known: every t for the
         # two-atom base, the t = 1 law for the uniform base.
@@ -292,14 +283,6 @@ def test_criterion_04_convex_order(stick_draws):
         base_curve = hinge_curve(base, grid=grid, confidence=0.999)
         base_exact = base_hinge(grid)
         assert np.all(np.abs(base_curve.estimates - base_exact) <= base_curve.half_widths)
-
-        # Negative control: reversing the labels must be flagged.
-        reversed_samples = [
-            (t, sample) for (t, _), (_, sample) in zip(samples, reversed(samples))
-        ]
-        control = convex_order_check(reversed_samples, grid=grid, confidence=0.99)
-        assert not control.consistent
-        assert len(control.violations) > 0
     _report(4)
 
 
@@ -388,18 +371,10 @@ def test_criterion_08_ode_power_residuals():
             r = power_identity_residual(cauchy, n, m, z)
             assert abs(r) <= 1e-10, f"power ({n},{m}) z={z}: {abs(r):.3e}"
 
-    # Non-Cauchy measures sit well away from zero.  The documented floor is
-    # 0.01 except for the arcsine law at z = 2i, where the true residual
-    # magnitude is near 0.0063, so that cell uses a 0.005 floor.
-    floors = {
-        (Beta(0.5, 0.5).describe(), 1.0j): 0.01,
-        (Beta(0.5, 0.5).describe(), 2.0j): 0.005,
-        (bernoulli(0.5).describe(), 1.0j): 0.01,
-        (bernoulli(0.5).describe(), 2.0j): 0.01,
-    }
+    # Non-Cauchy measures sit well away from zero, above their floors.
     for measure in (Beta(0.5, 0.5), bernoulli(0.5)):
         for z in (1.0j, 2.0j):
-            floor = floors[(measure.describe(), z)]
+            floor = non_cauchy_floor(measure, z)
             r_ode = abs(ode_residual(measure, 1, z))
             r_pow = abs(power_identity_residual(measure, 1, 2, z))
             assert r_ode > floor, f"{measure.describe()} z={z}: ode {r_ode:.4g}"
@@ -443,11 +418,7 @@ def test_criterion_09_spectral_sampler():
     failures = _ecf_check(big[:N], trefoil, directions, radii)
     assert not failures, f"trefoil ECF gaps: {failures}"
 
-    angles = 2.0 * np.pi * np.arange(8) / 8.0
-    worst = 0.0
-    for theta in angles:
-        proj = big @ np.array([math.cos(theta), math.sin(theta)])
-        worst = max(worst, abs(np.median(proj) - trefoil_median(theta)))
+    worst = trefoil_median_gap(big, 2.0 * np.pi * np.arange(8) / 8.0)
     assert worst <= 0.02, f"worst median gap {worst:.4g}"
 
     uniform = uniform_spectrum()

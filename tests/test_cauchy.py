@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dirichlet_curve.cauchy import (
     SpectralCauchy,
     cauchy_cdf,
+    ecf_gaps,
     trefoil_median,
     trefoil_spectrum,
     uniform_spectrum,
@@ -108,13 +109,10 @@ def test_sampler_matches_w_of_along_random_directions():
 def test_sampler_characteristic_function():
     spec = uniform_spectrum()
     smp = sample_measure(CauchyRd(spec), 5 * 10**4, RngStream(74))
-    f = np.array([0.6, 0.8])
-    proj = smp.draws @ f
-    w = w_of(spec, f)
-    for r in (0.5, 1.0, 2.0):
-        vals = np.exp(1j * r * proj)
-        se = math.sqrt((vals.real.var() + vals.imag.var()) / len(vals))
-        assert abs(vals.mean() - np.exp(1j * r * w)) <= 3.0 * se
+    gaps = list(ecf_gaps(smp.draws, spec, [np.array([0.6, 0.8])], (0.5, 1.0, 2.0)))
+    assert len(gaps) == 3
+    for _, _, gap, se in gaps:
+        assert gap <= 3.0 * se
 
 
 def test_trefoil_median_values():

@@ -104,60 +104,10 @@ def test_missing_seed_is_config_error(tmp_path):
     assert main(["run", "moments", "--out", str(tmp_path)]) == 2
 
 
-def test_empty_t_grid_is_config_error(tmp_path):
-    code = main(["run", "moments", "--seed", "1", "--t", ",", "--out", str(tmp_path)])
-    assert code == 2
-
-
-def test_unknown_experiment_is_config_error(tmp_path):
-    assert main(["run", "not-an-experiment", "--seed", "1", "--out", str(tmp_path)]) == 2
-
-
-def test_unsupported_closed_form_is_config_error(tmp_path):
-    config = tmp_path / "exp.cfg"
-    config.write_text(
-        "experiment = curve-ks\nseed = 3\nn = 1000\nt = 1\n"
-        "measure.family = beta\nmeasure.a = 2\nmeasure.b = 3\n"
-    )
-    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
-
-
-def test_bad_confidence_is_config_error(tmp_path):
-    code = main(
-        ["run", "moments", "--seed", "1", "--confidence", "0.3", "--out", str(tmp_path)]
-    )
-    assert code == 2
-
-
 def _run_config(tmp_path, lines):
     config = tmp_path / "exp.cfg"
     config.write_text("experiment = curve-ks\nseed = 3\nn = 1000\nt = 1\n" + lines)
     return main(["run", "--config", str(config), "--out", str(tmp_path)])
-
-
-def test_non_numeric_t_is_config_error(tmp_path, capsys):
-    assert main(["run", "moments", "--seed", "1", "--t", "abc", "--out", str(tmp_path)]) == 2
-    assert "config error:" in capsys.readouterr().err
-
-
-def test_out_of_range_measure_parameter_is_config_error(tmp_path, capsys):
-    assert _run_config(tmp_path, "measure.family = bernoulli\nmeasure.p = 1.5\n") == 2
-    assert "config error:" in capsys.readouterr().err
-
-
-def test_non_numeric_policy_epsilon_is_config_error(tmp_path, capsys):
-    assert _run_config(tmp_path, "policy.epsilon = x\n") == 2
-    assert "config error:" in capsys.readouterr().err
-
-
-def test_tail_handling_is_a_key_that_nothing_reads(tmp_path, capsys):
-    lines = "policy.epsilon = 1e-12\npolicy.tail_handling = absorb_into_fresh_atom\n"
-    assert _run_config(tmp_path, lines) == 2
-    err = capsys.readouterr().err
-    assert err == (
-        "config error: config keys that nothing reads: policy.tail_handling "
-        "(policy.epsilon is the one policy key)\n"
-    )
 
 
 def test_config_file_takes_measure_rows(tmp_path):
@@ -169,19 +119,6 @@ def test_config_file_takes_measure_rows(tmp_path):
         "1, 0.5\n"
     )
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) in (0, 1)
-
-
-@pytest.mark.parametrize(
-    "family, keys, missing",
-    [("beta", {"a": 0.5}, "b"), ("bernoulli", {}, "p"), ("beta_prime", {"b": 1.5}, "a")],
-)
-def test_missing_measure_key_is_named(tmp_path, capsys, family, keys, missing):
-    lines = f"measure.family = {family}\n" + "".join(
-        f"measure.{k} = {v}\n" for k, v in keys.items()
-    )
-    assert _run_config(tmp_path, lines) == 2
-    err = capsys.readouterr().err
-    assert family in err and f"'{missing}'" in err
 
 
 # (experiment, number of verdict lines at the default grids)
@@ -297,6 +234,17 @@ def _run_lines(tmp_path, text):
 
 
 _MESSAGES = {
+    "empty_t_grid": ("moments", "t = ,\n", "empty t grid"),
+    "unknown_experiment": ("not-an-experiment", "", "unknown experiment 'not-an-experiment'"),
+    "unsupported_closed_form": ("curve-ks", "t = 1\nmeasure.family = beta\nmeasure.a = 2\nmeasure.b = 3\n",
+                                "no closed-form law for Beta(a=2.0, b=3.0) at t=1"),
+    "out_of_range_measure_parameter": ("curve-ks", "measure.family = bernoulli\nmeasure.p = 1.5\n",
+                                       "p must lie in (0, 1)"),
+    "non_numeric_t": ("moments", "t = abc\n", "could not convert string to float: 'abc'"),
+    "non_numeric_policy_epsilon": ("curve-ks", "policy.epsilon = x\n", "could not convert string to float: 'x'"),
+    "bad_confidence": ("moments", "confidence = 0.3\n", "confidence must lie in (0.5, 1)"),
+    "tail_handling": ("curve-ks", "policy.epsilon = 1e-12\npolicy.tail_handling = absorb_into_fresh_atom\n",
+                      "config keys that nothing reads: policy.tail_handling (policy.epsilon is the one policy key)"),
     "policy_mode": ("moments", "policy.mode = tail_epsilon\n",
                     "config keys that nothing reads: policy.mode (policy.epsilon is the one policy key)"),
     "policy_N": ("moments", "policy.epsilon = 1e-6\npolicy.N = 5\n",
@@ -351,6 +299,53 @@ _MESSAGES = {
     "convex_order_unsorted_grid": ("convex-order", "t = 2, 1\n",
                                    "convex-order needs a strictly increasing t grid, not 2, 1"),
 }
+# a missing measure key is named with its family
+_MESSAGES.update({
+    f"missing_measure_key_{family}": (
+        "curve-ks", f"measure.family = {family}\n{lines}", f"{family} measure config needs the key {missing!r}"
+    )
+    for family, lines, missing in (
+        ("beta", "measure.a = 0.5\n", "b"), ("bernoulli", "", "p"), ("beta_prime", "measure.b = 1.5\n", "a"),
+    )
+})
+_MESSAGES.update({
+    f"intensity_{name}": ("moments", f"t = {t}\n", "intensities must be positive and finite")
+    for name, t in (("inf", "inf"), ("nan", "nan"), ("one_inf", "1, inf"), ("minus_inf", "-inf"))
+})
+# a measure family refuses parameters that are not finite, before any draw
+_MESSAGES.update({
+    "convex_order_beta_inf": ("convex-order", "measure.family = beta\nmeasure.a = inf\nmeasure.b = 1\n",
+                              "beta parameters must be positive and finite: a=inf, b=1.0"),
+    "convex_order_atom_at_inf": ("convex-order", "measure.family = discrete_atoms\ninf, 0.5\n1, 0.5\n",
+                                 "atom points must be finite"),
+    "convex_order_nan_weight": ("convex-order", "measure.family = discrete_atoms\n0, nan\n1, 0.5\n",
+                                "atom weights must be positive and finite"),
+    "curve_ks_cauchy_scale_inf": ("curve-ks", "measure.family = cauchy1d\nmeasure.scale = inf\n",
+                                  "Cauchy location must be finite and scale positive and finite: "
+                                  "location=0.0, scale=inf"),
+    "cr_identity_cauchy_location_inf": ("cr-identity", "measure.family = cauchy1d\nmeasure.location = inf\n",
+                                        "Cauchy location must be finite and scale positive and finite: "
+                                        "location=inf, scale=1.0"),
+    "cr_identity_cauchy_rd_nan": ("cr-identity", "measure.family = cauchy_rd\n1, 0, nan\n-1, 0, 1\n",
+                                  "intensities must be positive and finite, one per direction"),
+    # nearly every beta draw rounds to 1, where the beta prime is infinite
+    "cr_identity_beta_prime_tiny_b": ("cr-identity", "measure.family = beta_prime\nmeasure.a = 2\nmeasure.b = 1e-17\n",
+                                      "BetaPrime(a=2.0, b=1e-17): about 1 of its beta draws round to 1, "
+                                      "where z/(1-z) is infinite, more than 1/2; b must be larger or a smaller"),
+})
+# a shape whose weight exponent s - 1 rounds to -1 has no beta quadrature
+_MESSAGES.update({
+    f"cr_identity_{family}_tiny_{name}": (
+        "cr-identity", f"measure.family = {family}\n{lines}",
+        f"cr-identity needs the transforms of its base: the beta quadrature needs {name} - 1 above -1, "
+        f"which {name} = 1e-17 rounds to -1; {name} must be at least about 5.6e-17",
+    )
+    for family, name, lines in (
+        ("beta", "a", "measure.a = 1e-17\nmeasure.b = 1\n"),
+        ("beta", "b", "measure.a = 1\nmeasure.b = 1e-17\n"),
+        ("beta_prime", "a", "measure.a = 1e-17\nmeasure.b = 1\n"),
+    )
+})
 # the curve of a point mass is that point mass: one atom, or atoms at one point
 _MESSAGES.update({
     f"{experiment}_{name}": (
@@ -392,12 +387,6 @@ def test_a_base_without_mean_runs_under_the_tail_rule(tmp_path, capsys, experime
     text = f"experiment = {experiment}\nseed = 1\nn = 20\npolicy.epsilon = 1e-12\n{lines}"
     assert _run_lines(tmp_path, text) in (0, 1)
     assert "config error" not in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("t", ["inf", "nan", "1, inf", "-inf"])
-def test_intensity_that_is_not_finite_is_a_config_error(tmp_path, capsys, t):
-    assert main(["run", "moments", "--seed", "1", "--n", "20", f"--t={t}", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "config error: intensities must be positive and finite\n"
 
 
 @pytest.mark.parametrize("experiment", list(EXPERIMENTS))

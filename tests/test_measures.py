@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import betainc
+
+from dirichlet_curve.cauchy import SpectralCauchy
 
 from dirichlet_curve.measures import (
     Beta,
@@ -12,6 +16,7 @@ from dirichlet_curve.measures import (
     ScaledProduct,
     Uniform01,
     UniformCircle,
+    _rounding_mass,
     bernoulli,
     parse_measure_config,
     point_mass,
@@ -290,6 +295,56 @@ def test_a_row_is_read_when_one_factor_reads_it():
 def test_atom_weight_message_prints_a_plain_float():
     with pytest.raises(ValueError, match=r"atom weights sum to 2\.0, not 1"):
         DiscreteAtoms(points=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))
+
+
+def _spectral(intensities=(1.0, 1.0), shift=(0.0, 0.0), second=(-1.0, 0.0)):
+    return SpectralCauchy(dimension=2, shift=np.array(shift), directions=np.array([[1.0, 0.0], second]),
+                          intensities=np.array(intensities))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Beta(math.inf, 1.0), "beta parameters must be positive and finite"),
+        (lambda: Beta(1.0, math.nan), "beta parameters must be positive and finite"),
+        (lambda: BetaPrime(1.0, math.inf), "beta-prime parameters must be positive and finite"),
+        (lambda: BetaPrime(math.nan, 1.0), "beta-prime parameters must be positive and finite"),
+        (lambda: Cauchy1D(math.inf, 1.0), "Cauchy location must be finite"),
+        (lambda: Cauchy1D(math.nan, 1.0), "Cauchy location must be finite"),
+        (lambda: Cauchy1D(0.0, math.inf), "scale positive and finite"),
+        (lambda: DiscreteAtoms(np.array([math.inf, 1.0]), np.array([0.5, 0.5])), "atom points must be finite"),
+        (lambda: DiscreteAtoms(np.array([0.0, 1.0]), np.array([math.nan, 0.5])), "atom weights must be positive and finite"),
+        (lambda: DiscreteAtoms(np.array([0.0, 1.0]), np.array([math.inf, 0.5])), "atom weights must be positive and finite"),
+        (lambda: _spectral(intensities=(math.nan, math.nan)), "intensities must be positive and finite"),
+        (lambda: _spectral(intensities=(math.inf, math.inf)), "intensities must be positive and finite"),
+        (lambda: _spectral(shift=(math.nan, 0.0)), "shift must be finite"),
+        (lambda: _spectral(second=(math.nan, 0.0)), "directions must be unit vectors"),
+    ],
+    ids=["beta-a-inf", "beta-b-nan", "beta_prime-b-inf", "beta_prime-a-nan", "cauchy-location-inf",
+         "cauchy-location-nan", "cauchy-scale-inf", "atoms-point-inf", "atoms-weight-nan", "atoms-weight-inf",
+         "spectral-intensity-nan", "spectral-intensity-inf", "spectral-shift-nan", "spectral-direction-nan"],
+)
+def test_a_family_refuses_parameters_that_are_not_finite(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1e-17), (2.0, 0.01), (1e20, 1.0)])
+def test_a_beta_prime_whose_draws_round_to_one_is_refused(a, b):
+    with pytest.raises(ValueError, match="of its beta draws round to 1"):
+        BetaPrime(a, b)
+
+
+def test_the_rounding_mass_of_a_beta_prime():
+    # 2^(-53 b) / (b B(a, b)) against the measured share of beta draws that are 1
+    assert _rounding_mass(0.5, 0.5) == pytest.approx(6.71e-9, rel=1e-3)
+    assert _rounding_mass(2.0, 0.01) == pytest.approx(0.699, rel=1e-3)
+    z = RngStream(81).generator().beta(1.0, 0.1, size=10**5)
+    assert np.mean(z >= 1.0) == pytest.approx(_rounding_mass(1.0, 0.1), rel=0.1)
+    # lgamma's range ends near 2.5e305, and a + b rounds to a when b is far smaller
+    assert _rounding_mass(1e306, 1e306) == 0.0
+    assert _rounding_mass(1e306, 1.0) == 1.0
+    assert BetaPrime(1.0, 0.1).b == 0.1
 
 
 def test_arcsine_draws_follow_the_arcsine_law():

@@ -24,6 +24,7 @@ from dirichlet_curve.measures import (
 from dirichlet_curve.transforms import (
     cr_identity_residual,
     log_transform,
+    non_cauchy_floor,
     ode_residual,
     power_identity_residual,
     stieltjes,
@@ -153,9 +154,21 @@ def test_ode_residual_cauchy_identity():
 
 
 def test_ode_residual_non_cauchy():
-    assert abs(ode_residual(Beta(0.5, 0.5), 1, 1j)) > 0.01
-    assert abs(ode_residual(Beta(0.5, 0.5), 1, 2j)) > 0.005
-    assert abs(ode_residual(bernoulli(0.5), 1, 1j)) > 0.01
+    for alpha, z in ((Beta(0.5, 0.5), 1j), (Beta(0.5, 0.5), 2j), (bernoulli(0.5), 1j)):
+        assert abs(ode_residual(alpha, 1, z)) > non_cauchy_floor(alpha, z)
+
+
+def test_non_cauchy_floor_values():
+    # 0.01 everywhere but at the arcsine law's z = 2i, whose residual is near 0.0063
+    assert non_cauchy_floor(Beta(0.5, 0.5), 2j) == 0.005
+    assert non_cauchy_floor(Beta(0.5, 0.5), 1j) == non_cauchy_floor(bernoulli(0.5), 2j) == 0.01
+    assert non_cauchy_floor(Uniform01(), 2j) == 0.01
+
+
+@pytest.mark.parametrize("alpha, name", [(Beta(1e-17, 1.0), "a"), (Beta(1.0, 1e-17), "b"), (BetaPrime(1e-17, 1.0), "a")])
+def test_the_beta_quadrature_refuses_a_shape_whose_exponent_rounds_to_minus_one(alpha, name):
+    with pytest.raises(ValueError, match=f"needs {name} - 1 above -1, which {name} = 1e-17 rounds to -1"):
+        log_transform(alpha, 1j)
 
 
 def test_power_identity_cauchy():
