@@ -13,6 +13,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -39,11 +40,12 @@ from .measures import (
 
 __all__ = ["Check", "Experiment", "ExperimentConfig", "list_experiments", "run", "main"]
 
-# a run whose n draws need more sticks than this on average at the largest t
-# it samples is refused before any sampling: a stick with its base draw takes
-# about 35-115 ns at t = 1000 and 60-180 ns at t = 10 (Uniform01 cheapest,
-# UniformCircle dearest; wall time of stick_mean_draws per mean stick at the
-# default epsilon) on a shared 2-vCPU Xeon, so that many take 6 to 30 minutes
+# _run_cells refuses a run before any draw when a cell's n draws need more
+# sticks than this on average at its t under its policy: a stick with its
+# base draw takes about 35-115 ns at t = 1000 and 60-180 ns at t = 10
+# (Uniform01 cheapest, UniformCircle dearest; wall time of stick_mean_draws
+# per mean stick at the default epsilon) on a shared 2-vCPU Xeon, so that
+# many take 6 to 30 minutes
 _STICK_BOUND = 1e10
 
 
@@ -117,29 +119,13 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _grid(cfg: ExperimentConfig, default, fixed=()) -> tuple:
-    """The t values a run hands cfg.policy: the configured grid, or else
-    `default`. `fixed` holds the t values the run samples under cfg.policy
-    whatever the config says. The stick count of a series grows with t, so
-    a run whose n draws need more than _STICK_BOUND sticks on average at the
-    largest of these is refused here; every experiment that reads policy.*
-    calls this before its first draw."""
-    ts = cfg.ts if cfg.ts else tuple(default)
-    t = max(ts + tuple(fixed))
-    sticks = cfg.n * cfg.policy.mean_sticks(t)
-    if sticks > _STICK_BOUND:
-        raise ConfigError(
-            f"t = {t!r} needs about {sticks:.3g} sticks for n = {cfg.n} draws "
-            f"under {cfg.policy.label()}, more than the bound {_STICK_BOUND:.0e}"
-        )
-    return ts
-
-
 # ---------------------------------------------------------------------------
 # experiments
 #
-# Each experiment returns (header, rows, checks): the CSV header and rows, and
-# one Check per summary line; run() prints the checks and sets the exit status.
+# Each experiment returns (header, cells): the CSV header and the Cells whose
+# rows and Checks make up its run. Every refusal of the config is raised while
+# the cells are built, before any draw. run() hands the cells to _run_cells,
+# writes the rows, prints one line per Check and sets the exit status.
 
 
 @dataclass(frozen=True)
@@ -148,6 +134,47 @@ class Check:
 
     passed: bool
     text: str
+
+
+class Cell(NamedTuple):
+    """A piece of a run. `run` takes one RngStream per entry of `streams`, a
+    substream id of the run's seed or None for its root stream, and returns
+    the cell's CSV rows and Checks. `t`, `n` and `policy` state the largest
+    t the cell hands a stick series and its draws at that t; a cell without
+    a policy breaks no sticks."""
+
+    run: Callable
+    streams: tuple = ()
+    t: float = 0.0
+    n: int = 0
+    policy: Optional[SB.TruncationPolicy] = None
+
+    def sticks(self) -> float:
+        """About how many sticks the cell's draws at its t need."""
+        return 0.0 if self.policy is None else self.n * self.policy.mean_sticks(self.t)
+
+
+def _run_cells(cfg: ExperimentConfig, cells) -> tuple:
+    """The rows and Checks of the cells, run in order on cfg.seed's streams.
+    Before the first draw, two cells that share a stream id are refused, and
+    so is a run whose cell needs more than _STICK_BOUND sticks."""
+    ids = [s for cell in cells for s in cell.streams]
+    if len(set(ids)) < len(ids):
+        shared = next(s for s in ids if ids.count(s) > 1)
+        raise ValueError(f"two cells of {cfg.experiment} share the stream id {shared}")
+    worst = max(cells, key=Cell.sticks)
+    if worst.sticks() > _STICK_BOUND:
+        raise ConfigError(
+            f"t = {worst.t!r} needs about {worst.sticks():.3g} sticks for n = {worst.n} draws "
+            f"under {worst.policy.label()}, more than the bound {_STICK_BOUND:.0e}"
+        )
+    rng = RngStream(cfg.seed)
+    rows, checks = [], []
+    for cell in cells:
+        cell_rows, cell_checks = cell.run(*(rng if s is None else rng.substream(s) for s in cell.streams))
+        rows += cell_rows
+        checks += cell_checks
+    return rows, checks
 
 
 def _refuse_point_mass(experiment: str, measure: GoverningMeasure) -> None:
@@ -165,20 +192,26 @@ def _ks_text(rep) -> str:
 def _exp_curve_ks(cfg: ExperimentConfig):
     """One-sample KS of stick-breaking draws against every known closed form."""
     if cfg.measure is not None:
-        cells = [(cfg.measure, t) for t in _grid(cfg, (1.0,))]
+        pairs = [(cfg.measure, t) for t in cfg.ts or (1.0,)]
     else:
-        cells = (
-            [(bernoulli(0.5), t) for t in _grid(cfg, (0.5, 1.0, 2.0, 4.0))]
-            + [(Beta(0.5, 0.5), t) for t in _grid(cfg, (1.0, 2.0))]
-            + [(BetaPrime(0.5, 0.5), t) for t in _grid(cfg, (1.0, 2.0))]
-            + [(UniformCircle(), t) for t in _grid(cfg, (1.0, 2.0))]
+        pairs = (
+            [(bernoulli(0.5), t) for t in cfg.ts or (0.5, 1.0, 2.0, 4.0)]
+            + [(Beta(0.5, 0.5), t) for t in cfg.ts or (1.0, 2.0)]
+            + [(BetaPrime(0.5, 0.5), t) for t in cfg.ts or (1.0, 2.0)]
+            + [(UniformCircle(), t) for t in cfg.ts or (1.0, 2.0)]
         )
-    # every law before the first draw: a cell that the KS test cannot take is
-    # refused before any sampling
-    for measure, _ in cells:
+
+    def ks(measure, t, law, rng):
+        smp = SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng)
+        what, data = law.statistic(smp.draws)
+        rep = ST.ks_one_sample(data, lambda x: EX.cdf(law, x), level=cfg.level)
+        row = (measure.describe(), t, what, cfg.n, rep.statistic, rep.p_value, rep.passed)
+        return [row], [Check(rep.passed, f"{measure.describe()} t={t:g}: {_ks_text(rep)}")]
+
+    cells = []
+    for i, (measure, t) in enumerate(pairs):
         _refuse_point_mass("curve-ks", measure)
-    laws = [EX.curve_of(measure, t) for measure, t in cells]
-    for (measure, t), law in zip(cells, laws):
+        law = EX.curve_of(measure, t)
         if law is None:
             raise ConfigError(f"no closed-form law for {measure.describe()} at t={t:g}")
         try:
@@ -187,18 +220,9 @@ def _exp_curve_ks(cfg: ExperimentConfig):
             raise ConfigError(
                 f"no one-dimensional statistic for the {type(law).__name__} of {measure.describe()} at t={t:g}"
             ) from None
-    rng = RngStream(cfg.seed)
-    rows, checks = [], []
-    for i, ((measure, t), law) in enumerate(zip(cells, laws)):
-        smp = SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng.substream(i))
-        what, data = law.statistic(smp.draws)
-        rep = ST.ks_one_sample(data, lambda x: EX.cdf(law, x), level=cfg.level)
-        rows.append(
-            (measure.describe(), t, what, cfg.n, rep.statistic, rep.p_value, rep.passed)
-        )
-        checks.append(Check(rep.passed, f"{measure.describe()} t={t:g}: {_ks_text(rep)}"))
+        cells.append(Cell(partial(ks, measure, t, law), (i,), t, cfg.n, cfg.policy))
     header = ("measure", "t", "statistic_of", "n", "ks_statistic", "p_value", "passed")
-    return header, rows, checks
+    return header, cells
 
 
 def _exp_convex_order(cfg: ExperimentConfig):
@@ -209,7 +233,7 @@ def _exp_convex_order(cfg: ExperimentConfig):
     (seeds 1-5); at n = 200 (Uniform01) in 5 of 6 seeds, at n = 300 in 3 of
     6 and at n = 500 in 1 of 6; at n = 1000 in none of seeds 1-6. Such a run
     exits 1 even when its battery holds."""
-    ts = _grid(cfg, (0.5, 1.0, 2.0, 4.0, 8.0))
+    ts = cfg.ts or (0.5, 1.0, 2.0, 4.0, 8.0)
     shown = ", ".join(f"{t:g}" for t in ts)
     if any(lo >= hi for lo, hi in zip(ts, ts[1:])):
         raise ConfigError(f"convex-order needs a strictly increasing t grid, not {shown}")
@@ -221,18 +245,15 @@ def _exp_convex_order(cfg: ExperimentConfig):
         if cfg.measure.mean() is None:
             raise ConfigError("convex-order has nothing to check on a base without a mean, whose hinge "
                               f"means are infinite: {cfg.measure.describe()}")
-    rng = RngStream(cfg.seed)
-    # each measure's cells take a block of stream ids, the base its last; a
-    # grid of up to 99 values keeps the 100-wide blocks and so its bytes
-    stride = max(100, len(ts) + 1)
-    rows, checks = [], []
-    for mi, measure in enumerate(targets):
-        base = sample_measure(measure, cfg.n, rng.substream(stride * mi + stride - 1))
+
+    def battery(measure, base_rng, *curve_rngs):
+        base = sample_measure(measure, cfg.n, base_rng)
         curve = [
-            (t, SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng.substream(stride * mi + i)))
-            for i, t in enumerate(ts)
+            (t, SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng))
+            for t, rng in zip(ts, curve_rngs)
         ]
         rep, neg = ST.convex_order_battery(base, curve, confidence=cfg.confidence)
+        rows = []
         for pi in range(len(rep.intensities) - 1):
             for ai, a in enumerate(rep.thresholds):
                 gap = rep.gaps[pi, ai]
@@ -248,71 +269,83 @@ def _exp_convex_order(cfg: ExperimentConfig):
                         bool(gap > slack),
                     )
                 )
-        checks.append(Check(
-            rep.consistent,
-            f"{measure.describe()}: hinge means decrease along t in "
-            f"(0, {shown}); {len(rep.violations)} violations",
-        ))
-        checks.append(Check(
-            not neg.consistent,
-            f"{measure.describe()}: reversed labels flagged with "
-            f"{len(neg.violations)} violations",
-        ))
+        return rows, [
+            Check(
+                rep.consistent,
+                f"{measure.describe()}: hinge means decrease along t in "
+                f"(0, {shown}); {len(rep.violations)} violations",
+            ),
+            Check(
+                not neg.consistent,
+                f"{measure.describe()}: reversed labels flagged with "
+                f"{len(neg.violations)} violations",
+            ),
+        ]
+
+    # each measure's cell takes a block of stream ids, the base its last; a
+    # grid of up to 99 values keeps the 100-wide blocks and so its bytes
+    stride = max(100, len(ts) + 1)
+    cells = []
+    for mi, measure in enumerate(targets):
+        ids = (stride * mi + stride - 1, *range(stride * mi, stride * mi + len(ts)))
+        cells.append(Cell(partial(battery, measure), ids, max(ts), cfg.n, cfg.policy))
     header = ("measure", "t_low", "t_high", "threshold", "gap", "slack", "violated")
-    return header, rows, checks
+    return header, cells
 
 
 def _exp_moments(cfg: ExperimentConfig):
     """Moment recursion vs analytic beta moments, density quadrature, and MC."""
-    ts = _grid(cfg, (0.5, 1.0, 2.0, 4.0, 8.0))
-    rng = RngStream(cfg.seed)
-    rows, checks = [], []
+    ts = cfg.ts or (0.5, 1.0, 2.0, 4.0, 8.0)
     bern = bernoulli(0.5)
+
+    def closed_forms():
+        rows, checks = [], []
+        for t in ts:
+            err = EX.recursion_gap(bern.raw_moments(6), t, Beta(t / 2.0, t / 2.0))
+            good = err < 1e-12
+            rows.append((bern.describe(), t, "recursion_vs_analytic", 6, err, 1e-12, good))
+            checks.append(Check(
+                good, f"Bernoulli(1/2) t={t:g}: recursion vs beta moments, max err {err:.2e}"
+            ))
+        dk = EX.dk_law()
+        ex2 = EX.moment_recursion([0.5, 1.0 / 3.0], 1.0).ex[1]
+        quad2 = EX.law_raw_moment(dk, 2)
+        err = abs(ex2 - 7.0 / 24.0)
+        err_q = abs(ex2 - quad2)
+        good = err < 1e-12 and err_q < 1e-6
+        rows.append(("Uniform01", 1.0, "EX2_vs_density_quadrature", 2, err_q, 1e-6, good))
+        checks.append(Check(
+            good,
+            f"Uniform01 t=1: E(X^2) = {ex2!r} vs 7/24 (err {err:.2e}), "
+            f"vs density quadrature (err {err_q:.2e})",
+        ))
+        return rows, checks
+
+    def variance(measure, sig2, t, rng):
+        x = SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng).values()
+        target = sig2 / (t + 1.0)
+        v = x.var(ddof=1)
+        c = x - x.mean()
+        # plug-in se of v: (m4 - (n-3)/(n-1) v^2)/n is positive for any
+        # sample that is not constant, since m4 >= m2^2 and n^2(n-3) < (n-1)^3
+        n = len(x)
+        se = math.sqrt((np.mean(c**4) - (n - 3) / (n - 1) * v**2) / n)
+        z = (v - target) / se
+        good = abs(z) < 3.0
+        row = (measure.describe(), t, "variance_vs_mc", 2, v, target, good)
+        return [row], [Check(good, f"{measure.describe()} t={t:g}: var {v:.5g} vs {target:.5g} (z={z:+.2f})")]
+
     # each measure's cells take a block of stream ids; a grid of up to 10
     # values keeps the 10-wide blocks and so its bytes
     stride = max(10, len(ts))
-    for t in ts:
-        err = EX.recursion_gap(bern.raw_moments(6), t, Beta(t / 2.0, t / 2.0))
-        good = err < 1e-12
-        rows.append((bern.describe(), t, "recursion_vs_analytic", 6, err, 1e-12, good))
-        checks.append(Check(
-            good, f"Bernoulli(1/2) t={t:g}: recursion vs beta moments, max err {err:.2e}"
-        ))
-    dk = EX.dk_law()
-    ex2 = EX.moment_recursion([0.5, 1.0 / 3.0], 1.0).ex[1]
-    quad2 = EX.law_raw_moment(dk, 2)
-    err = abs(ex2 - 7.0 / 24.0)
-    err_q = abs(ex2 - quad2)
-    good = err < 1e-12 and err_q < 1e-6
-    rows.append(("Uniform01", 1.0, "EX2_vs_density_quadrature", 2, err_q, 1e-6, good))
-    checks.append(Check(
-        good,
-        f"Uniform01 t=1: E(X^2) = {ex2!r} vs 7/24 (err {err:.2e}), "
-        f"vs density quadrature (err {err_q:.2e})",
-    ))
-    for mi, (measure, sig2) in enumerate(
-        [(bern, 0.25), (Uniform01(), 1.0 / 12.0)]
-    ):
-        for i, t in enumerate(ts):
-            smp = SB.sample_dirichlet_mean(
-                measure, t, cfg.n, cfg.policy, rng.substream(stride * mi + i)
-            )
-            x = smp.values()
-            target = sig2 / (t + 1.0)
-            v = x.var(ddof=1)
-            c = x - x.mean()
-            # plug-in se of v: (m4 - (n-3)/(n-1) v^2)/n is positive for any
-            # sample that is not constant, since m4 >= m2^2 and n^2(n-3) < (n-1)^3
-            n = len(x)
-            se = math.sqrt((np.mean(c**4) - (n - 3) / (n - 1) * v**2) / n)
-            z = (v - target) / se
-            good = abs(z) < 3.0
-            rows.append((measure.describe(), t, "variance_vs_mc", 2, v, target, good))
-            checks.append(Check(
-                good, f"{measure.describe()} t={t:g}: var {v:.5g} vs {target:.5g} (z={z:+.2f})"
-            ))
+    cells = [Cell(closed_forms)]
+    for mi, (measure, sig2) in enumerate([(bern, 0.25), (Uniform01(), 1.0 / 12.0)]):
+        cells += [
+            Cell(partial(variance, measure, sig2, t), (stride * mi + i,), t, cfg.n, cfg.policy)
+            for i, t in enumerate(ts)
+        ]
     header = ("measure", "t", "check", "order", "value", "reference", "passed")
-    return header, rows, checks
+    return header, cells
 
 
 def _exp_cr_identity(cfg: ExperimentConfig):
@@ -327,189 +360,211 @@ def _exp_cr_identity(cfg: ExperimentConfig):
             raise ConfigError(f"cr-identity needs a one-dimensional base, not {measure.describe()}")
         _refuse_point_mass("cr-identity", measure)
         # the transform side draws nothing, so a base without transforms, or
-        # with a shape that the beta quadrature cannot take, is refused here,
-        # before any sampling
+        # with a shape that the beta quadrature cannot take, is refused here
         try:
             measure.log_transform(1j)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"cr-identity needs the transforms of its base: {exc}") from None
-    ts = _grid(cfg, (1.0, 2.0))
-    # Fourier points s, then Stieltjes points z; each point has its own substream
+    ts = cfg.ts or (1.0, 2.0)
+    # Fourier points s, then Stieltjes points z, at every t
     points = [{"s": s} for s in (-2.0, -0.7, 0.7, 1.0, 3.0)] + [
         {"z": z} for z in (2j, 1.0 + 1.0j, 0.5 + 0.8j)
     ]
+    cases = [(t, point) for t in ts for point in points]
     # A measure's row fails when any of its k points does, so each point gets
     # the Bonferroni share P(|res|/se > n_se) <= level / k. |res|^2/se^2 is
     # about l1 Z1^2 + l2 Z2^2 with l1 + l2 = 1, and P(l1 Z1^2 + l2 Z2^2 > x)
     # is largest at l1 = 1 for x above 1.54 (Szekely & Bakirov 2003), so at
     # x = n_se^2 (16 at the defaults) 2 Phi(-n_se) bounds it.
-    k = len(ts) * len(points)
+    k = len(cases)
     n_se = -EX.special.ndtri(cfg.level / (2 * k))
-    rng = RngStream(cfg.seed)
-    rows, checks = [], []
-    idx = 0
-    for measure in measures:
-        n_bad = 0
-        for t in ts:
-            for point in points:
-                r = TR.cr_identity_residual(
-                    measure, t, cfg.n, rng.substream(idx).generator(),
-                    policy=cfg.policy, **point,
-                )
-                idx += 1
-                good = r.compatible_with_zero(n_se)
-                n_bad += not good
-                rows.append(
-                    (measure.describe(), r.form, t, r.point.real, r.point.imag,
-                     r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag,
-                     r.residual, r.mc_se, good)
-                )
-        checks.append(Check(
-            n_bad == 0,
-            f"{measure.describe()}: {k} points, {n_bad} outside {n_se:.2f} mc se",
-        ))
+
+    def residuals(measure, *rngs):
+        rows = []
+        for (t, point), rng in zip(cases, rngs):
+            r = TR.cr_identity_residual(measure, t, cfg.n, rng.generator(), policy=cfg.policy, **point)
+            rows.append(
+                (measure.describe(), r.form, t, r.point.real, r.point.imag,
+                 r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag,
+                 r.residual, r.mc_se, r.compatible_with_zero(n_se))
+            )
+        n_bad = sum(not row[-1] for row in rows)
+        return rows, [Check(n_bad == 0, f"{measure.describe()}: {k} points, {n_bad} outside {n_se:.2f} mc se")]
+
+    # each point of each measure has its own stream
+    cells = [
+        Cell(partial(residuals, measure), tuple(range(k * mi, k * mi + k)), max(ts), cfg.n, cfg.policy)
+        for mi, measure in enumerate(measures)
+    ]
     header = (
         "measure", "form", "t", "point_re", "point_im", "lhs_re", "lhs_im",
         "rhs_re", "rhs_im", "residual", "mc_se", "passed",
     )
-    return header, rows, checks
+    return header, cells
 
 
 def _exp_ode_residual(cfg: ExperimentConfig):
     """Cauchy base measures satisfy the derivative identities; others do not."""
-    rows, checks = [], []
-    gen = RngStream(cfg.seed).generator()
     cau = Cauchy1D(0.7, 1.3)
-    worst = 0.0
-    zs = [complex(gen.uniform(-2, 2), gen.uniform(0.3, 3.0)) for _ in range(5)]
-    for z in zs:
-        for n in range(1, 6):
-            res = abs(TR.ode_residual(cau, n, z))
-            worst = max(worst, res)
-            rows.append((cau.describe(), "ode", n, 0, z.real, z.imag, res, 1e-10, "below", res <= 1e-10))
-        for n, m in ((1, 2), (2, 3), (3, 5)):
-            res = abs(TR.power_identity_residual(cau, n, m, z))
-            worst = max(worst, res)
-            rows.append((cau.describe(), "power", n, m, z.real, z.imag, res, 1e-10, "below", res <= 1e-10))
-    checks.append(Check(
-        worst <= 1e-10,
-        f"Cauchy: worst |residual| {worst:.2e} over 5 z, orders to 5, powers to (3,5)",
-    ))
-    for measure in (Beta(0.5, 0.5), bernoulli(0.5)):
-        for z in (1j, 2j):
-            floor = TR.non_cauchy_floor(measure, z)
-            res = abs(TR.ode_residual(measure, 1, z))
-            good = res > floor
-            rows.append((measure.describe(), "ode", 1, 0, z.real, z.imag, res, floor, "above", good))
-            checks.append(Check(
-                good, f"{measure.describe()} z={z}: |residual| {res:.4f} > {floor:g}"
-            ))
+
+    def cauchy(rng):
+        gen = rng.generator()
+        rows = []
+        worst = 0.0
+        zs = [complex(gen.uniform(-2, 2), gen.uniform(0.3, 3.0)) for _ in range(5)]
+        for z in zs:
+            for n in range(1, 6):
+                res = abs(TR.ode_residual(cau, n, z))
+                worst = max(worst, res)
+                rows.append((cau.describe(), "ode", n, 0, z.real, z.imag, res, 1e-10, "below", res <= 1e-10))
+            for n, m in ((1, 2), (2, 3), (3, 5)):
+                res = abs(TR.power_identity_residual(cau, n, m, z))
+                worst = max(worst, res)
+                rows.append((cau.describe(), "power", n, m, z.real, z.imag, res, 1e-10, "below", res <= 1e-10))
+        return rows, [Check(
+            worst <= 1e-10,
+            f"Cauchy: worst |residual| {worst:.2e} over 5 z, orders to 5, powers to (3,5)",
+        )]
+
+    def non_cauchy(measure, z):
+        floor = TR.non_cauchy_floor(measure, z)
+        res = abs(TR.ode_residual(measure, 1, z))
+        good = res > floor
+        row = (measure.describe(), "ode", 1, 0, z.real, z.imag, res, floor, "above", good)
+        return [row], [Check(good, f"{measure.describe()} z={z}: |residual| {res:.4f} > {floor:g}")]
+
+    cells = [Cell(cauchy, (None,))] + [
+        Cell(partial(non_cauchy, measure, z)) for measure in (Beta(0.5, 0.5), bernoulli(0.5)) for z in (1j, 2j)
+    ]
     header = ("measure", "kind", "n", "m", "z_re", "z_im", "abs_residual", "bound", "direction", "passed")
-    return header, rows, checks
+    return header, cells
 
 
 def _exp_cauchy_invariance(cfg: ExperimentConfig):
     """Cauchy laws are fixed points of the curve; radial products commute."""
-    ts = _grid(cfg, (1.0, 10.0), fixed=(1.0,))
-    rng = RngStream(cfg.seed)
-    # the grid's cells take stream ids below k, the fixed cells k, 2k and 3k
+    ts = cfg.ts or (1.0, 10.0)
+
+    def standard_point(t, rng):
+        rep = CY.verify_yamato(t, cfg.n, rng, cfg.level, cfg.policy)
+        row = ("fixed_point_standard", t, rep.statistic, rep.p_value, "pass", rep.passed)
+        return [row], [Check(rep.passed, f"standard Cauchy t={t:g}: {_ks_text(rep)}")]
+
+    def shifted_point(rng):
+        shifted = Cauchy1D(1.0, 2.0)
+        smp = SB.sample_dirichlet_mean(shifted, 1.0, cfg.n, cfg.policy, rng)
+        rep = ST.ks_one_sample(smp, lambda x: EX.cdf(shifted, x), level=cfg.level)
+        row = ("fixed_point_shifted", 1.0, rep.statistic, rep.p_value, "pass", rep.passed)
+        return [row], [Check(rep.passed, f"{shifted.describe()} t=1: {_ks_text(rep)}")]
+
+    def radial_product(radial, rng):
+        rep = CY.verify_mult_invariance(radial, 1.0, cfg.n, rng, cfg.level, cfg.policy)
+        row = (f"radial_product[{radial.describe()}]", 1.0, rep.statistic, rep.p_value, "pass", rep.passed)
+        return [row], [Check(rep.passed, f"radial {radial.describe()} x Cauchy: {_ks_text(rep)}")]
+
+    def control(rng):
+        smp = SB.sample_dirichlet_mean(Uniform01(), 1.0, cfg.n, cfg.policy, rng)
+        rep = ST.ks_one_sample(smp, lambda x: CY.cauchy_cdf(x, 1j), level=cfg.level)
+        flagged = not rep.passed
+        row = ("non_cauchy_control", 1.0, rep.statistic, rep.p_value, "reject", flagged)
+        return [row], [Check(
+            flagged,
+            f"control: Uniform01 mean draws rejected against Cauchy (D={rep.statistic:.5f})",
+        )]
+
+    # the grid's cells take stream ids below k, the t = 1 cells k, 2k and 3k
     # on; a grid of up to 10 values keeps k = 10 and so its bytes
     k = max(10, len(ts))
-    rows, checks = [], []
-    for i, t in enumerate(ts):
-        rep = CY.verify_yamato(t, cfg.n, rng.substream(i), cfg.level, cfg.policy)
-        rows.append(("fixed_point_standard", t, rep.statistic, rep.p_value, "pass", rep.passed))
-        checks.append(Check(rep.passed, f"standard Cauchy t={t:g}: {_ks_text(rep)}"))
-    shifted = Cauchy1D(1.0, 2.0)
-    smp = SB.sample_dirichlet_mean(shifted, 1.0, cfg.n, cfg.policy, rng.substream(k))
-    rep = ST.ks_one_sample(smp, lambda x: EX.cdf(shifted, x), level=cfg.level)
-    rows.append(("fixed_point_shifted", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
-    checks.append(Check(rep.passed, f"{shifted.describe()} t=1: {_ks_text(rep)}"))
-    for j, radial in enumerate((Uniform01(), Beta(2.0, 1.0))):
-        rep = CY.verify_mult_invariance(radial, 1.0, cfg.n, rng.substream(2 * k + j), cfg.level, cfg.policy)
-        rows.append((f"radial_product[{radial.describe()}]", 1.0, rep.statistic, rep.p_value, "pass", rep.passed))
-        checks.append(Check(rep.passed, f"radial {radial.describe()} x Cauchy: {_ks_text(rep)}"))
-    smp = SB.sample_dirichlet_mean(Uniform01(), 1.0, cfg.n, cfg.policy, rng.substream(3 * k))
-    rep = ST.ks_one_sample(smp, lambda x: CY.cauchy_cdf(x, 1j), level=cfg.level)
-    flagged = not rep.passed
-    rows.append(("non_cauchy_control", 1.0, rep.statistic, rep.p_value, "reject", flagged))
-    checks.append(Check(
-        flagged,
-        f"control: Uniform01 mean draws rejected against Cauchy (D={rep.statistic:.5f})",
-    ))
+    cells = [Cell(partial(standard_point, t), (i,), t, cfg.n, cfg.policy) for i, t in enumerate(ts)] + [
+        Cell(shifted_point, (k,), 1.0, cfg.n, cfg.policy),
+        Cell(partial(radial_product, Uniform01()), (2 * k,), 1.0, cfg.n, cfg.policy),
+        Cell(partial(radial_product, Beta(2.0, 1.0)), (2 * k + 1,), 1.0, cfg.n, cfg.policy),
+        Cell(control, (3 * k,), 1.0, cfg.n, cfg.policy),
+    ]
     header = ("check", "t", "ks_statistic", "p_value", "expected", "passed")
-    return header, rows, checks
+    return header, cells
 
 
 def _exp_trefoil(cfg: ExperimentConfig):
     """Median locus of the three-atom planar Cauchy: curve, sampler, medians."""
     spec = CY.trefoil_spectrum()
-    thetas = np.linspace(0.0, 2.0 * np.pi, 361)[:-1]
-    rvals = CY.trefoil_median(thetas)
-    rows = [
-        (th, r, r * math.cos(th), r * math.sin(th))
-        for th, r in zip(thetas, rvals)
-    ]
-    r0 = CY.trefoil_median(0.0)
-    target = -(2.0 / math.pi) * math.log(2.0)
-    per = np.max(np.abs(CY.trefoil_median(thetas + 2.0 * np.pi / 3.0) - rvals))
-    even = np.max(np.abs(CY.trefoil_median(-thetas) - rvals))
-    checks = [
-        Check(
-            abs(r0 - target) <= 1e-12,
-            f"r(0) = {r0!r} vs -(2/pi)ln2 (err {abs(r0 - target):.2e})",
-        ),
-        Check(
-            per <= 1e-12 and even <= 1e-12,
-            f"2pi/3 periodicity (err {per:.2e}) and evenness (err {even:.2e})",
-        ),
-    ]
-    gen = RngStream(cfg.seed).generator()
-    x = CY.draw_spectral_cauchy(spec, cfg.n, gen)
-    directions = (np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.array([0.0, 1.0]))
-    for f, r, diff, se in CY.ecf_gaps(x, spec, directions, (0.5, 1.0, 2.0)):
+
+    def locus():
+        thetas = np.linspace(0.0, 2.0 * np.pi, 361)[:-1]
+        rvals = CY.trefoil_median(thetas)
+        rows = [
+            (th, r, r * math.cos(th), r * math.sin(th))
+            for th, r in zip(thetas, rvals)
+        ]
+        r0 = CY.trefoil_median(0.0)
+        target = -(2.0 / math.pi) * math.log(2.0)
+        per = np.max(np.abs(CY.trefoil_median(thetas + 2.0 * np.pi / 3.0) - rvals))
+        even = np.max(np.abs(CY.trefoil_median(-thetas) - rvals))
+        checks = [
+            Check(
+                abs(r0 - target) <= 1e-12,
+                f"r(0) = {r0!r} vs -(2/pi)ln2 (err {abs(r0 - target):.2e})",
+            ),
+            Check(
+                per <= 1e-12 and even <= 1e-12,
+                f"2pi/3 periodicity (err {per:.2e}) and evenness (err {even:.2e})",
+            ),
+        ]
+        return rows, checks
+
+    def sampled(rng):
+        gen = rng.generator()
+        x = CY.draw_spectral_cauchy(spec, cfg.n, gen)
+        directions = (np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.array([0.0, 1.0]))
+        checks = []
+        for f, r, diff, se in CY.ecf_gaps(x, spec, directions, (0.5, 1.0, 2.0)):
+            checks.append(Check(
+                diff <= 3.0 * se,
+                f"ECF f=({f[0]:g},{f[1]:g}) r={r:g}: |diff| {diff:.5f} <= 3 se {3 * se:.5f}",
+            ))
+        med_n = max(cfg.n, 4 * 10**5)
+        xm = CY.draw_spectral_cauchy(spec, med_n, gen)
+        worst = CY.trefoil_median_gap(xm, np.linspace(0.0, 2.0 * np.pi, 9)[:-1])
         checks.append(Check(
-            diff <= 3.0 * se,
-            f"ECF f=({f[0]:g},{f[1]:g}) r={r:g}: |diff| {diff:.5f} <= 3 se {3 * se:.5f}",
+            worst <= 0.02,
+            f"empirical medians on 8 angles (n={med_n}): worst |err| {worst:.4f} <= 0.02",
         ))
-    med_n = max(cfg.n, 4 * 10**5)
-    xm = CY.draw_spectral_cauchy(spec, med_n, gen)
-    worst = CY.trefoil_median_gap(xm, np.linspace(0.0, 2.0 * np.pi, 9)[:-1])
-    checks.append(Check(
-        worst <= 0.02,
-        f"empirical medians on 8 angles (n={med_n}): worst |err| {worst:.4f} <= 0.02",
-    ))
+        return [], checks
+
     header = ("theta", "r", "x", "y")
-    return header, rows, checks
+    return header, [Cell(locus), Cell(sampled, (None,))]
 
 
 def _exp_beta_identity(cfg: ExperimentConfig):
     """Mixing a symmetric beta toward a lower-parameter one preserves the law."""
-    rng = RngStream(cfg.seed)
-    rows, checks = [], []
-    for i, (a, b) in enumerate(((0.5, 1.5), (1.0, 2.0))):
-        rep = ST.beta_identity_check(a, b, cfg.n, rng.substream(i), level=cfg.level)
+
+    def identity(a, b, rng):
+        rep = ST.beta_identity_check(a, b, cfg.n, rng, level=cfg.level)
         m2_mix, m2_target = ST.beta_identity_second_moments(a, b)
-        rows.append((a, b, 2 * a, b - a, rep.statistic, rep.p_value, m2_mix, m2_target, "pass", rep.passed))
-        checks.append(Check(
+        row = (a, b, 2 * a, b - a, rep.statistic, rep.p_value, m2_mix, m2_target, "pass", rep.passed)
+        return [row], [Check(
             rep.passed,
             f"(a,b)=({a:g},{b:g}) U~beta({2*a:g},{b-a:g}): {_ks_text(rep)}; "
             f"mixture second moment {m2_mix!r} = {m2_target!r}",
-        ))
-    a, b = 0.5, 1.5
-    bad_u = (a, b - a)
-    rep = ST.beta_identity_check(a, b, cfg.n, rng.substream(9), u_params=bad_u, level=cfg.level)
-    m2_bad, m2_target = ST.beta_identity_second_moments(a, b, u_params=bad_u)
-    flagged = (not rep.passed) and abs(m2_bad - m2_target) > 1e-6
-    rows.append((a, b, bad_u[0], bad_u[1], rep.statistic, rep.p_value, m2_bad, m2_target, "reject", flagged))
-    checks.append(Check(
-        flagged,
-        f"control U~beta({bad_u[0]:g},{bad_u[1]:g}): rejected "
-        f"(D={rep.statistic:.5f}, p={rep.p_value:.4g}); second moment "
-        f"{m2_bad!r} vs {m2_target!r}",
-    ))
+        )]
+
+    def control(rng):
+        a, b = 0.5, 1.5
+        bad_u = (a, b - a)
+        rep = ST.beta_identity_check(a, b, cfg.n, rng, u_params=bad_u, level=cfg.level)
+        m2_bad, m2_target = ST.beta_identity_second_moments(a, b, u_params=bad_u)
+        flagged = (not rep.passed) and abs(m2_bad - m2_target) > 1e-6
+        row = (a, b, bad_u[0], bad_u[1], rep.statistic, rep.p_value, m2_bad, m2_target, "reject", flagged)
+        return [row], [Check(
+            flagged,
+            f"control U~beta({bad_u[0]:g},{bad_u[1]:g}): rejected "
+            f"(D={rep.statistic:.5f}, p={rep.p_value:.4g}); second moment "
+            f"{m2_bad!r} vs {m2_target!r}",
+        )]
+
+    cells = [Cell(partial(identity, a, b), (i,)) for i, (a, b) in enumerate(((0.5, 1.5), (1.0, 2.0)))]
+    cells.append(Cell(control, (9,)))
     header = ("a", "b", "u_a", "u_b", "ks_statistic", "p_value", "m2_mixture", "m2_target", "expected", "passed")
-    return header, rows, checks
+    return header, cells
 
 
 def _exp_limits(cfg: ExperimentConfig):
@@ -517,58 +572,72 @@ def _exp_limits(cfg: ExperimentConfig):
     Only the small-t cells read policy.*: the two t = 1000 variance cells
     always run under tail_epsilon(1e-6), at min(n, 3e4) draws, as its
     `policy_notice` tells a config that sets policy.*."""
-    rng = RngStream(cfg.seed)
-    rows, checks = [], []
-    (small_t,) = _grid(cfg, (0.01,))
-    # the t -> 0 end of the curve is the base measure itself
-    for i, measure in enumerate((Uniform01(), Beta(0.5, 0.5))):
-        smp = SB.sample_dirichlet_mean(measure, small_t, cfg.n, cfg.policy, rng.substream(i))
-        rep = ST.ks_one_sample(smp, lambda x: EX.cdf(measure, x), level=cfg.level)
-        rows.append((measure.describe(), small_t, "ks_vs_base", rep.statistic, rep.p_value, rep.passed))
-        checks.append(Check(
-            rep.passed, f"{measure.describe()} t={small_t:g}: KS vs base measure {_ks_text(rep)}"
-        ))
+    (small_t,) = cfg.ts or (0.01,)
     big_t = 1000.0
     n_var = min(cfg.n, 3 * 10**4)
     coarse = SB.TruncationPolicy.tail(1e-6)
-    for i, (measure, sig2) in enumerate(((Uniform01(), 1.0 / 12.0), (Beta(0.5, 0.5), 0.125))):
-        smp = SB.sample_dirichlet_mean(measure, big_t, n_var, coarse, rng.substream(10 + i))
+
+    def base_end(measure, rng):
+        # the t -> 0 end of the curve is the base measure itself
+        smp = SB.sample_dirichlet_mean(measure, small_t, cfg.n, cfg.policy, rng)
+        rep = ST.ks_one_sample(smp, lambda x: EX.cdf(measure, x), level=cfg.level)
+        row = (measure.describe(), small_t, "ks_vs_base", rep.statistic, rep.p_value, rep.passed)
+        return [row], [Check(
+            rep.passed, f"{measure.describe()} t={small_t:g}: KS vs base measure {_ks_text(rep)}"
+        )]
+
+    def mean_end(measure, sig2, rng):
+        smp = SB.sample_dirichlet_mean(measure, big_t, n_var, coarse, rng)
         v = smp.values().var(ddof=1)
         bound = 2.0 * sig2 / big_t
         good = v < bound
-        rows.append((measure.describe(), big_t, "variance_collapse", v, bound, good))
-        checks.append(Check(
+        row = (measure.describe(), big_t, "variance_collapse", v, bound, good)
+        return [row], [Check(
             good, f"{measure.describe()} t={big_t:g}: var {v:.3e} < {bound:.3e} (n={n_var})"
-        ))
+        )]
+
+    cells = [
+        Cell(partial(base_end, measure), (i,), small_t, cfg.n, cfg.policy)
+        for i, measure in enumerate((Uniform01(), Beta(0.5, 0.5)))
+    ]
+    cells += [
+        Cell(partial(mean_end, measure, sig2), (10 + i,), big_t, n_var, coarse)
+        for i, (measure, sig2) in enumerate(((Uniform01(), 1.0 / 12.0), (Beta(0.5, 0.5), 0.125)))
+    ]
     header = ("measure", "t", "check", "statistic", "reference", "passed")
-    return header, rows, checks
+    return header, cells
 
 
 def _exp_james(cfg: ExperimentConfig):
     """Dirichlet-weighted aggregation of independent means matches the summed curve."""
-    # james reads no t: the direct draw at t = 2 is the largest it samples
-    _grid(cfg, (2.0,))
-    rng = RngStream(cfg.seed)
     arc = Beta(0.5, 0.5)
     bern = bernoulli(0.5)
-    rows, checks = [], []
     cases = [
         ("bernoulli(1/2)@1 + bernoulli(1/2)@1", [(1.0, bern), (1.0, bern)], Beta(1.0, 1.0)),
         ("bernoulli(1/2)@2 + bernoulli(1/2)@2", [(2.0, bern), (2.0, bern)], Beta(2.0, 2.0)),
         ("arcsine@1 + arcsine@1", [(1.0, arc), (1.0, arc)], Beta(2.5, 2.5)),
     ]
-    for i, (label, parts, law) in enumerate(cases):
-        smp = SB.sample_james_aggregation(parts, cfg.n, rng.substream(i), policy=cfg.policy)
+
+    def aggregation(label, parts, law, rng):
+        smp = SB.sample_james_aggregation(parts, cfg.n, rng, policy=cfg.policy)
         rep = ST.ks_one_sample(smp, lambda x: EX.cdf(law, x), level=cfg.level)
-        rows.append((label, "one_sample", cfg.n, rep.statistic, rep.p_value, rep.passed))
-        checks.append(Check(rep.passed, f"{label}: {_ks_text(rep)}"))
-    s1 = SB.sample_james_aggregation([(0.5, arc), (1.5, arc)], cfg.n, rng.substream(10), policy=cfg.policy)
-    s2 = SB.sample_dirichlet_mean(arc, 2.0, cfg.n, cfg.policy, rng.substream(11))
-    rep = ST.ks_two_sample(s1, s2, level=cfg.level)
-    rows.append(("arcsine@0.5 + arcsine@1.5 vs direct @2", "two_sample", cfg.n, rep.statistic, rep.p_value, rep.passed))
-    checks.append(Check(rep.passed, f"uneven split vs direct draw: {_ks_text(rep)}"))
+        row = (label, "one_sample", cfg.n, rep.statistic, rep.p_value, rep.passed)
+        return [row], [Check(rep.passed, f"{label}: {_ks_text(rep)}")]
+
+    def uneven(split_rng, direct_rng):
+        s1 = SB.sample_james_aggregation([(0.5, arc), (1.5, arc)], cfg.n, split_rng, policy=cfg.policy)
+        s2 = SB.sample_dirichlet_mean(arc, 2.0, cfg.n, cfg.policy, direct_rng)
+        rep = ST.ks_two_sample(s1, s2, level=cfg.level)
+        row = ("arcsine@0.5 + arcsine@1.5 vs direct @2", "two_sample", cfg.n, rep.statistic, rep.p_value, rep.passed)
+        return [row], [Check(rep.passed, f"uneven split vs direct draw: {_ks_text(rep)}")]
+
+    cells = [
+        Cell(partial(aggregation, label, parts, law), (i,), max(t for t, _ in parts), cfg.n, cfg.policy)
+        for i, (label, parts, law) in enumerate(cases)
+    ]
+    cells.append(Cell(uneven, (10, 11), 2.0, cfg.n, cfg.policy))
     header = ("aggregation", "test", "n", "ks_statistic", "p_value", "passed")
-    return header, rows, checks
+    return header, cells
 
 
 class Experiment(NamedTuple):
@@ -666,7 +735,8 @@ def run(cfg: ExperimentConfig) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the output directory {out}: {exc.strerror}") from None
-    header, rows, checks = EXPERIMENTS[cfg.experiment].run(cfg)
+    header, cells = EXPERIMENTS[cfg.experiment].run(cfg)
+    rows, checks = _run_cells(cfg, cells)
     path = out / f"{cfg.experiment}.csv"
     _write_csv(path, header, rows)
     print(f"experiment {cfg.experiment} (seed={cfg.seed}, n={cfg.n})")

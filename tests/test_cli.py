@@ -445,6 +445,40 @@ def test_the_cells_of_a_long_grid_draw_from_distinct_streams(tmp_path, stream_id
     assert len(stream_ids) == len(set(stream_ids))
 
 
+@pytest.mark.parametrize(
+    "streams", [((0,), (1, 0)), ((3, 3),), ((None,), (None,))], ids=["two_cells", "one_cell", "root"]
+)
+def test_cells_that_share_a_stream_are_refused_before_any_draw(monkeypatch, streams):
+    def no_draw(self):
+        raise AssertionError("a draw started")
+
+    def draw(*rngs):
+        for rng in rngs:
+            rng.generator()
+        return [], []
+
+    monkeypatch.setattr(RngStream, "generator", no_draw)
+    cells = [cli.Cell(draw, ids) for ids in streams]
+    with pytest.raises(ValueError, match="two cells of james share the stream id "):
+        cli._run_cells(ExperimentConfig("james", seed=1), cells)
+
+
+@pytest.mark.parametrize(
+    "experiment, measure",
+    [(name, None) for name in EXPERIMENTS]
+    + [(name, Beta(0.5, 0.5)) for name in ("curve-ks", "convex-order", "cr-identity")],
+    ids=lambda v: "" if v is None else str(v),
+)
+def test_building_the_cells_draws_nothing(monkeypatch, experiment, measure):
+    # every draw takes a generator from an RngStream, so none is made here
+    def no_draw(self):
+        raise AssertionError("a draw started")
+
+    monkeypatch.setattr(RngStream, "generator", no_draw)
+    header, cells = EXPERIMENTS[experiment].run(ExperimentConfig(experiment, seed=1, measure=measure))
+    assert header and cells and all(isinstance(cell, cli.Cell) for cell in cells)
+
+
 def test_convex_order_control_is_flagged_on_a_one_t_grid(tmp_path, capsys):
     # the control reverses the base with the curve, so one t leaves a pair to flag
     assert main(["run", "convex-order", "--seed", "1", "--n", "2000", "--t", "1", "--out", str(tmp_path)]) == 0
@@ -532,7 +566,7 @@ _SAMPLES_POLICY = [name for name, exp in EXPERIMENTS.items() if exp.policy]
     ids=lambda v: "" if v is None else str(v),
 )
 def test_the_stick_bound_sees_the_largest_t_a_run_samples(tmp_path, capsys, monkeypatch, experiment, t, measure):
-    # the t values a small run hands its policy, against the t that a run past
+    # the t values a small run hands any policy, against the t that a run past
     # the bound is refused at: none may be written apart from what is sampled
     policy = SB.TruncationPolicy.tail(1e-2)
     ts = () if t is None else (float(t),)
@@ -540,12 +574,11 @@ def test_the_stick_bound_sees_the_largest_t_a_run_samples(tmp_path, capsys, monk
     columns = SB.TruncationPolicy.columns
 
     def record(self, t):
-        if self is policy:
-            seen.append(t)
+        seen.append(t)
         return columns(self, t)
 
     monkeypatch.setattr(SB.TruncationPolicy, "columns", record)
-    EXPERIMENTS[experiment].run(ExperimentConfig(
+    cli.run(ExperimentConfig(
         experiment, seed=1, n=20, ts=ts, measure=measure, policy=policy, out_dir=str(tmp_path)
     ))
     assert seen
