@@ -59,6 +59,12 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 
+# the most atoms whose draws are indexed by comparison passes: a pass per inner
+# cdf value costs 0.2-0.45 ns a draw, searchsorted's binary search 11-53 ns a
+# draw up to 64 atoms, and the two cross near 128 atoms at 0.5M-2M draws, so
+# this keeps a margin of two (BENCH_22.json)
+_PASS_ATOMS = 64
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -263,7 +269,17 @@ class DiscreteAtoms(GoverningMeasure):
         # p: the index of u is the number of cdf values <= u, so the draws and
         # the stream use are those of choice
         u = gen.random(n)
-        idx = self._cdf.searchsorted(u, side="right")
+        if self._cdf.size > _PASS_ATOMS:
+            idx = self._cdf.searchsorted(u, side="right")
+        else:
+            # counted one inner cdf value at a time; the last is exactly 1,
+            # which u never reaches
+            idx = np.zeros(n, dtype=np.uint8)
+            below = np.empty(n, dtype=bool)
+            for c in self._cdf[:-1]:
+                np.greater_equal(u, c, out=below)
+                idx += below.view(np.uint8)
+            del below
         del u
         return self.points[idx]
 
@@ -335,11 +351,18 @@ class Beta(GoverningMeasure):
     def draw(self, n, gen):
         if self.a == 0.5 and self.b == 0.5:
             # the arcsine law by its inverse cdf sin^2(pi u / 2): one uniform
-            # a draw, where gen.beta rejects (Devroye 1986, IX.7)
+            # a draw, where gen.beta rejects (Devroye 1986, IX.7). It is
+            # evaluated in place as 1 / (1 + 1 / tan^2(pi u / 2)), within 8
+            # ulps of sin^2, because numpy vectorizes float64 tan but runs
+            # sin through scalar libm. u = 0 gives 1 / 0 = inf, and so 0.
             x = gen.random(n)
             x *= np.pi / 2
-            np.sin(x, out=x)
+            np.tan(x, out=x)
             np.square(x, out=x)
+            with np.errstate(divide="ignore"):
+                np.divide(1.0, x, out=x)
+            x += 1.0
+            np.divide(1.0, x, out=x)
             return x[:, None]
         return gen.beta(self.a, self.b, size=n)[:, None]
 

@@ -16,6 +16,7 @@ from dirichlet_curve.measures import (
     ScaledProduct,
     Uniform01,
     UniformCircle,
+    _PASS_ATOMS,
     _rounding_mass,
     bernoulli,
     parse_measure_config,
@@ -354,8 +355,32 @@ def test_arcsine_draws_follow_the_arcsine_law():
     assert rep.p_value > 1e-3
 
 
+class _FixedUniforms:
+    """A stand-in generator whose random(n) returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def test_arcsine_draws_are_sin_squared_within_eight_ulps():
+    # the edges of gen.random's range, powers of two near 0 and 1 and a grid
+    # of 2^20 points; 1 / (1 + 1 / tan^2) is 1 / inf = 0 at u = 0
+    j = np.arange(1.0, 54.0)
+    u = np.concatenate([[0.0, 2**-53, 0.5, 1 - 2**-53], 2**-j, 1 - 2**-j, np.arange(2**20) / 2**20])
+    with np.errstate(all="raise"):
+        x = Beta(0.5, 0.5).draw(u.size, _FixedUniforms(u))[:, 0]
+    ref = np.sin(u * (np.pi / 2)) ** 2
+    assert np.all(np.abs(x - ref) <= 8 * np.spacing(ref))
+    assert x.min() >= 0.0 and x.max() <= 1.0
+    assert np.all(x[u == 0.0] == 0.0)
+
+
 @pytest.mark.parametrize("d", [1, 3])
-@pytest.mark.parametrize("k", [1, 2, 5, 20, 200])
+@pytest.mark.parametrize("k", [1, 2, 5, 20, 200, _PASS_ATOMS, _PASS_ATOMS + 1])
 def test_atom_draws_are_those_of_choice(k, d):
     setup = RngStream(81, k * 10 + d).generator()
     points = setup.normal(size=(k, d))
@@ -371,7 +396,9 @@ def test_atom_draws_are_those_of_choice(k, d):
 @pytest.mark.parametrize(
     "measure",
     [Uniform01(), bernoulli(0.3), DiscreteAtoms(np.arange(12.0), np.full(12, 1 / 12)),
-     Beta(0.5, 0.5), UniformCircle()],
+     Beta(0.5, 0.5), UniformCircle(),
+     pytest.param(DiscreteAtoms(np.arange(_PASS_ATOMS + 1.0), np.full(_PASS_ATOMS + 1, 1 / (_PASS_ATOMS + 1))),
+                  id=f"DiscreteAtoms{_PASS_ATOMS + 1}")],
     ids=lambda m: m.describe(),
 )
 def test_stream_use_of_fixed_use_families(measure):
