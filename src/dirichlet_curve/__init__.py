@@ -10,7 +10,7 @@ alpha and intensity t. Modules:
   recursion, density formulas
 * transforms: Stieltjes/log transforms and identity residuals
 * cauchy: d-dimensional Cauchy laws from spectral measures, invariance checks
-* stats: KS tests, hinge-based convex-order checks, moment inequalities
+* stats: KS tests, hinge-based convex-order checks, the beta identity
 * cli: named, seeded verification experiments emitting CSV
 """
 
@@ -62,6 +62,7 @@ from .exact import (
     dk_density,
     moment_recursion,
     p_q_polynomials,
+    q_certificate,
 )
 from .stats import (
     KSReport,
@@ -70,7 +71,6 @@ from .stats import (
     hinge_curve,
     ks_one_sample,
     ks_two_sample,
-    moment_inequality_check,
 )
 from .transforms import (
     cr_identity_residual,

@@ -40,8 +40,8 @@ from .measures import (
 
 __all__ = ["Check", "Experiment", "ExperimentConfig", "list_experiments", "run", "main"]
 
-# _run_cells refuses a run before any draw when a cell's n draws need more
-# sticks than this on average at its t under its policy: a stick with its
+# _run_cells refuses a run before any draw when a cell's stick series need
+# more sticks in all than this on average under its policy: a stick with its
 # base draw takes about 35-115 ns at t = 1000 and 60-180 ns at t = 10
 # (Uniform01 cheapest, UniformCircle dearest; wall time of stick_mean_draws
 # per mean stick at the default epsilon) on a shared 2-vCPU Xeon, so that
@@ -139,19 +139,19 @@ class Check:
 class Cell(NamedTuple):
     """A piece of a run. `run` takes one RngStream per entry of `streams`, a
     substream id of the run's seed or None for its root stream, and returns
-    the cell's CSV rows and Checks. `t`, `n` and `policy` state the largest
-    t the cell hands a stick series and its draws at that t; a cell without
-    a policy breaks no sticks."""
+    the cell's CSV rows and Checks. `t` holds one t for each stick series of
+    `n` draws under `policy` that the cell runs; a cell without a policy
+    breaks no sticks."""
 
     run: Callable
     streams: tuple = ()
-    t: float = 0.0
+    t: tuple = ()
     n: int = 0
     policy: Optional[SB.TruncationPolicy] = None
 
     def sticks(self) -> float:
-        """About how many sticks the cell's draws at its t need."""
-        return 0.0 if self.policy is None else self.n * self.policy.mean_sticks(self.t)
+        """About how many sticks all of the cell's series need."""
+        return 0.0 if self.policy is None else self.n * sum(map(self.policy.mean_sticks, self.t))
 
 
 def _run_cells(cfg: ExperimentConfig, cells) -> tuple:
@@ -164,8 +164,9 @@ def _run_cells(cfg: ExperimentConfig, cells) -> tuple:
         raise ValueError(f"two cells of {cfg.experiment} share the stream id {shared}")
     worst = max(cells, key=Cell.sticks)
     if worst.sticks() > _STICK_BOUND:
+        series = f"{len(worst.t)} series of " if len(worst.t) > 1 else ""
         raise ConfigError(
-            f"t = {worst.t!r} needs about {worst.sticks():.3g} sticks for n = {worst.n} draws "
+            f"t = {max(worst.t)!r} needs about {worst.sticks():.3g} sticks for {series}n = {worst.n} draws "
             f"under {worst.policy.label()}, more than the bound {_STICK_BOUND:.0e}"
         )
     rng = RngStream(cfg.seed)
@@ -220,7 +221,7 @@ def _exp_curve_ks(cfg: ExperimentConfig):
             raise ConfigError(
                 f"no one-dimensional statistic for the {type(law).__name__} of {measure.describe()} at t={t:g}"
             ) from None
-        cells.append(Cell(partial(ks, measure, t, law), (i,), t, cfg.n, cfg.policy))
+        cells.append(Cell(partial(ks, measure, t, law), (i,), (t,), cfg.n, cfg.policy))
     header = ("measure", "t", "statistic_of", "n", "ks_statistic", "p_value", "passed")
     return header, cells
 
@@ -288,13 +289,14 @@ def _exp_convex_order(cfg: ExperimentConfig):
     cells = []
     for mi, measure in enumerate(targets):
         ids = (stride * mi + stride - 1, *range(stride * mi, stride * mi + len(ts)))
-        cells.append(Cell(partial(battery, measure), ids, max(ts), cfg.n, cfg.policy))
+        cells.append(Cell(partial(battery, measure), ids, ts, cfg.n, cfg.policy))
     header = ("measure", "t_low", "t_high", "threshold", "gap", "slack", "violated")
     return header, cells
 
 
 def _exp_moments(cfg: ExperimentConfig):
-    """Moment recursion vs analytic beta moments, density quadrature, and MC."""
+    """Moment recursion vs analytic beta moments, density quadrature, and MC;
+    the exact Q_k certificate that raw moments do not increase along the curve."""
     ts = cfg.ts or (0.5, 1.0, 2.0, 4.0, 8.0)
     bern = bernoulli(0.5)
 
@@ -321,6 +323,20 @@ def _exp_moments(cfg: ExperimentConfig):
         ))
         return rows, checks
 
+    def certificate(measure):
+        # one row per Q_k, k = 1..5 from 6 raw moments, under the moment order
+        # k + 1 whose fall it certifies; t is blank, for Q_k covers every t
+        values = EX.q_certificate(measure.raw_moments(6))
+        rows = [
+            (measure.describe(), "", "q_certificate", k + 1, v, -1e-9, v >= -1e-9)
+            for k, v in enumerate(values, start=1)
+        ]
+        return rows, [Check(
+            min(values) >= -1e-9,
+            f"{measure.describe()}: smallest scaled coefficient of Q_1..Q_5 {min(values):.3e} >= -1e-9 "
+            "(E(X^k) non-increasing in t, k = 2..6)",
+        )]
+
     def variance(measure, sig2, t, rng):
         x = SB.sample_dirichlet_mean(measure, t, cfg.n, cfg.policy, rng).values()
         target = sig2 / (t + 1.0)
@@ -338,10 +354,11 @@ def _exp_moments(cfg: ExperimentConfig):
     # each measure's cells take a block of stream ids; a grid of up to 10
     # values keeps the 10-wide blocks and so its bytes
     stride = max(10, len(ts))
-    cells = [Cell(closed_forms)]
-    for mi, (measure, sig2) in enumerate([(bern, 0.25), (Uniform01(), 1.0 / 12.0)]):
+    bases = [(bern, 0.25), (Uniform01(), 1.0 / 12.0)]
+    cells = [Cell(closed_forms)] + [Cell(partial(certificate, measure)) for measure, _ in bases]
+    for mi, (measure, sig2) in enumerate(bases):
         cells += [
-            Cell(partial(variance, measure, sig2, t), (stride * mi + i,), t, cfg.n, cfg.policy)
+            Cell(partial(variance, measure, sig2, t), (stride * mi + i,), (t,), cfg.n, cfg.policy)
             for i, t in enumerate(ts)
         ]
     header = ("measure", "t", "check", "order", "value", "reference", "passed")
@@ -393,7 +410,8 @@ def _exp_cr_identity(cfg: ExperimentConfig):
 
     # each point of each measure has its own stream
     cells = [
-        Cell(partial(residuals, measure), tuple(range(k * mi, k * mi + k)), max(ts), cfg.n, cfg.policy)
+        Cell(partial(residuals, measure), tuple(range(k * mi, k * mi + k)), tuple(t for t, _ in cases),
+             cfg.n, cfg.policy)
         for mi, measure in enumerate(measures)
     ]
     header = (
@@ -474,11 +492,12 @@ def _exp_cauchy_invariance(cfg: ExperimentConfig):
     # the grid's cells take stream ids below k, the t = 1 cells k, 2k and 3k
     # on; a grid of up to 10 values keeps k = 10 and so its bytes
     k = max(10, len(ts))
-    cells = [Cell(partial(standard_point, t), (i,), t, cfg.n, cfg.policy) for i, t in enumerate(ts)] + [
-        Cell(shifted_point, (k,), 1.0, cfg.n, cfg.policy),
-        Cell(partial(radial_product, Uniform01()), (2 * k,), 1.0, cfg.n, cfg.policy),
-        Cell(partial(radial_product, Beta(2.0, 1.0)), (2 * k + 1,), 1.0, cfg.n, cfg.policy),
-        Cell(control, (3 * k,), 1.0, cfg.n, cfg.policy),
+    # a radial product breaks two series, the product's and the radial part's
+    cells = [Cell(partial(standard_point, t), (i,), (t,), cfg.n, cfg.policy) for i, t in enumerate(ts)] + [
+        Cell(shifted_point, (k,), (1.0,), cfg.n, cfg.policy),
+        Cell(partial(radial_product, Uniform01()), (2 * k,), (1.0, 1.0), cfg.n, cfg.policy),
+        Cell(partial(radial_product, Beta(2.0, 1.0)), (2 * k + 1,), (1.0, 1.0), cfg.n, cfg.policy),
+        Cell(control, (3 * k,), (1.0,), cfg.n, cfg.policy),
     ]
     header = ("check", "t", "ks_statistic", "p_value", "expected", "passed")
     return header, cells
@@ -597,11 +616,11 @@ def _exp_limits(cfg: ExperimentConfig):
         )]
 
     cells = [
-        Cell(partial(base_end, measure), (i,), small_t, cfg.n, cfg.policy)
+        Cell(partial(base_end, measure), (i,), (small_t,), cfg.n, cfg.policy)
         for i, measure in enumerate((Uniform01(), Beta(0.5, 0.5)))
     ]
     cells += [
-        Cell(partial(mean_end, measure, sig2), (10 + i,), big_t, n_var, coarse)
+        Cell(partial(mean_end, measure, sig2), (10 + i,), (big_t,), n_var, coarse)
         for i, (measure, sig2) in enumerate(((Uniform01(), 1.0 / 12.0), (Beta(0.5, 0.5), 0.125)))
     ]
     header = ("measure", "t", "check", "statistic", "reference", "passed")
@@ -632,10 +651,10 @@ def _exp_james(cfg: ExperimentConfig):
         return [row], [Check(rep.passed, f"uneven split vs direct draw: {_ks_text(rep)}")]
 
     cells = [
-        Cell(partial(aggregation, label, parts, law), (i,), max(t for t, _ in parts), cfg.n, cfg.policy)
+        Cell(partial(aggregation, label, parts, law), (i,), tuple(t for t, _ in parts), cfg.n, cfg.policy)
         for i, (label, parts, law) in enumerate(cases)
     ]
-    cells.append(Cell(uneven, (10, 11), 2.0, cfg.n, cfg.policy))
+    cells.append(Cell(uneven, (10, 11), (0.5, 1.5, 2.0), cfg.n, cfg.policy))
     header = ("aggregation", "test", "n", "ks_statistic", "p_value", "passed")
     return header, cells
 
@@ -673,7 +692,8 @@ EXPERIMENTS = {
     "moments": Experiment(
         _exp_moments,
         "the moment recursion reproduces analytic beta moments, density "
-        "quadrature, and Monte Carlo variances",
+        "quadrature, and Monte Carlo variances; the exact Q_k certificate "
+        "shows raw moments falling along the curve",
         ts=None, policy=True,
     ),
     "cr-identity": Experiment(

@@ -14,7 +14,8 @@ map from draws to the values that a law's `cdf` takes.
 
 The module also holds the raw-moment recursion with its associated
 polynomials, `recursion_gap`, the one check of the recursion against a
-closed-form law, and a quadrature evaluator for the density of the mean at
+closed-form law, `q_certificate`, the exact check that raw moments fall
+along the curve, and a quadrature evaluator for the density of the mean at
 unit intensity built from the sine/log-potential representation.
 
 The package's two scipy names are defined here, `integrate` and `special`:
@@ -46,6 +47,7 @@ __all__ = [
     "recursion_gap",
     "p_q_coefficients",
     "p_q_polynomials",
+    "q_certificate",
     "cr_density",
     "QUAD_TOL",
 ]
@@ -270,15 +272,12 @@ def hinge_mean(law: Law, a) -> np.ndarray:
 class MomentTable:
     """Raw moments of the Dirichlet mean derived from moments of the base measure.
 
-    t: intensity; m: input raw moments m_1..m_n of the base measure;
-    ex: E(X^k) for k = 1..n; p: the polynomial values P_0(t)..P_{n-1}(t)
-    with P_{k-1}(t) = (t+1)_{k-1} E(X^k) / k!.
+    t: intensity; m: input raw moments m_1..m_n of the base measure; ex: E(X^k) for k = 1..n.
     """
 
     t: float
     m: tuple
     ex: tuple
-    p: tuple
 
     def __post_init__(self):
         if not math.isclose(self.ex[0], self.m[0], rel_tol=1e-12, abs_tol=1e-300):
@@ -316,8 +315,7 @@ def moment_recursion(m, t: float) -> MomentTable:
     for k in range(1, n + 1):
         s = sum(poch_t[j] * ex[j] / fact[j] * m[k - j - 1] for j in range(k))
         ex.append(fact[k - 1] / poch_t1[k - 1] * s)
-    p = tuple(poch_t1[k - 1] * ex[k] / fact[k] for k in range(1, n + 1))
-    return MomentTable(t=t, m=tuple(m), ex=tuple(ex[1:]), p=p)
+    return MomentTable(t=t, m=tuple(m), ex=tuple(ex[1:]))
 
 
 def recursion_gap(m, t: float, law: Law) -> float:
@@ -351,8 +349,8 @@ def p_q_coefficients(m):
     P is built by the recursion P_0 = m_1,
         P_k(t) = m_{k+1}/(k+1) + t/(k+1) * sum_{j=0}^{k-1} P_j(t) m_{k-j},
     and Q_k(t) = P_k(t) * d/dt[(1+t)_k] - (1+t)_k * P_k'(t).  Every Q_k
-    coefficient is nonnegative for moments of a law on [0, inf); this is
-    asserted here (up to roundoff) and makes t -> E(X^{k+1}) non-increasing.
+    coefficient is nonnegative for moments of a law on [0, inf), which makes
+    t -> E(X^{k+1}) non-increasing; `q_certificate` reads the signs.
     """
     _check_moment_consistency(m)
     m = [float(v) for v in m]
@@ -365,21 +363,22 @@ def p_q_coefficients(m):
             conv = P[j] * m[k - 1 - j]
             acc[1 : 1 + len(conv)] += conv / (k + 1.0)
         P.append(acc)
-    Q = []
-    rising = np.array([1.0])
+    # np.polynomial loads at its first read, so importing the package does not load it
+    poly = np.polynomial.polynomial
+    Q, rising = [], np.array([1.0])
     for k in range(1, n):
-        rising = np.polynomial.polynomial.polymul(rising, np.array([float(k), 1.0]))
-        d_rising = np.polynomial.polynomial.polyder(rising)
-        d_p = np.polynomial.polynomial.polyder(P[k])
-        q = np.polynomial.polynomial.polysub(
-            np.polynomial.polynomial.polymul(P[k], d_rising),
-            np.polynomial.polynomial.polymul(rising, d_p),
-        )
-        scale = max(1.0, np.abs(q).max())
-        if q.min() < -1e-9 * scale:
-            raise AssertionError(f"negative coefficient in Q_{k}: {q}")
-        Q.append(q)
+        rising = poly.polymul(rising, np.array([float(k), 1.0]))
+        d_rising, d_p = poly.polyder(rising), poly.polyder(P[k])
+        Q.append(poly.polysub(poly.polymul(P[k], d_rising), poly.polymul(rising, d_p)))
     return P, Q
+
+
+def q_certificate(m) -> tuple:
+    """For k = 1..n-1, Q_k's smallest coefficient over max(1, max |coefficient|):
+    at least -1e-9 (roundoff) certifies that t -> E(X^{k+1}) does not increase.
+    A law on [0, inf) passes, and a point mass, whose moments do not move, gives 0."""
+    _, Q = p_q_coefficients(m)
+    return tuple(float(q.min() / max(1.0, np.abs(q).max())) for q in Q)
 
 
 def p_q_polynomials(m, t: float):

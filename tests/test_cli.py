@@ -123,7 +123,7 @@ def test_config_file_takes_measure_rows(tmp_path):
 
 # (experiment, number of verdict lines at the default grids)
 _VERDICTS = [
-    ("curve-ks", 10), ("convex-order", 4), ("moments", 16), ("cr-identity", 3),
+    ("curve-ks", 10), ("convex-order", 4), ("moments", 18), ("cr-identity", 3),
     ("ode-residual", 5), ("cauchy-invariance", 6), ("trefoil", 12),
     ("beta-identity", 3), ("limits", 4), ("james", 4),
 ]
@@ -131,7 +131,7 @@ _VERDICTS = [
 
 def test_verdict_counts_cover_every_experiment():
     assert [name for name, _ in _VERDICTS] == list(EXPERIMENTS)
-    assert sum(count for _, count in _VERDICTS) == 67
+    assert sum(count for _, count in _VERDICTS) == 69
 
 
 @pytest.mark.parametrize("experiment, n_verdicts", _VERDICTS)
@@ -519,12 +519,14 @@ _BETA_BASE = "measure.family = beta\nmeasure.a = 0.5\nmeasure.b = 0.5\n"
         ("moments", "1", "n = 100000000\n" + _TINY_EPS, "t = 1.0 needs about 6.92e+10 sticks for n = 100000000"),
         # the default grid tops out at t = 8
         ("moments", None, "n = 20000000\n" + _TINY_EPS, "t = 8.0 needs about 1.11e+11 sticks for n = 20000000"),
-        # reads no t, samples t = 2
-        ("james", None, "n = 10000000\n" + _TINY_EPS, "t = 2.0 needs about 1.38e+10 sticks for n = 10000000"),
-        # the default grid tops out at t = 8, where 1e8 draws need 2.2e10 sticks
-        ("convex-order", None, "n = 100000000\n", "t = 8.0 needs about 2.22e+10 sticks for n = 100000000"),
-        # its fixed cells sample t = 1 below any grid
-        ("cauchy-invariance", "0.5", "n = 500000000\n", "t = 1.0 needs about 1.43e+10 sticks for n = 500000000"),
+        # reads no t; the uneven split samples t = 0.5 and 1.5, the direct draw t = 2
+        ("james", None, "n = 10000000\n" + _TINY_EPS,
+         "t = 2.0 needs about 2.77e+10 sticks for 3 series of n = 10000000"),
+        # one series at each t of the default grid, which tops out at t = 8
+        ("convex-order", None, "n = 100000000\n", "t = 8.0 needs about 4.33e+10 sticks for 5 series of n = 100000000"),
+        # its fixed cells sample t = 1 below any grid, a radial product twice
+        ("cauchy-invariance", "0.5", "n = 500000000\n",
+         "t = 1.0 needs about 2.86e+10 sticks for 2 series of n = 500000000"),
         # a configured base is sampled at t = 1 only, 2.9e9 sticks, not at
         # the t = 4 of the default bases' grid
         ("curve-ks", None, "n = 100000000\n" + _BETA_BASE, None),
@@ -603,8 +605,21 @@ def test_moments_at_a_tiny_t_ends_in_verdicts(tmp_path, capsys, n):
     out = capsys.readouterr().out.splitlines()
     assert code in (0, 1)
     verdicts = [ln for ln in out if ln.startswith(("  [pass] ", "  [FAIL] "))]
-    assert len(verdicts) == 4
+    assert len(verdicts) == 6
     assert out[-1] == f"moments: {'FAIL' if code else 'PASS'}"
+
+
+def test_moments_runs_the_q_certificate_for_each_base(tmp_path, capsys):
+    # exact rows: one per Q_k, k = 1..5, under the moment order k + 1
+    assert main(["run", "moments", "--seed", "1", "--n", "20", "--out", str(tmp_path)]) in (0, 1)
+    with open(tmp_path / "moments.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["check"] == "q_certificate"]
+    assert [(row["measure"], row["order"]) for row in rows] == [
+        (name, str(k + 1)) for name in ("DiscreteAtoms{(0.0):0.5; (1.0):0.5}", "Uniform01") for k in range(1, 6)
+    ]
+    assert all(row["reference"] == "-1e-09" and row["passed"] == "true" for row in rows)
+    verdicts = [ln for ln in capsys.readouterr().out.splitlines() if "coefficient of Q_1..Q_5" in ln]
+    assert len(verdicts) == 2 and all(ln.startswith("  [pass] ") for ln in verdicts)
 
 
 def test_limits_variance_cells_ignore_the_configured_policy(tmp_path):

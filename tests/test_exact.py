@@ -19,6 +19,7 @@ from dirichlet_curve.exact import (
     law_raw_moment,
     moment_recursion,
     p_q_polynomials,
+    q_certificate,
     recursion_gap,
 )
 from dirichlet_curve.cauchy import trefoil_spectrum
@@ -245,6 +246,17 @@ def test_polynomials_reject_inconsistent_moments():
         p_q_polynomials([0.5, 0.2, 0.1, 0.05], 1.0)
 
 
+@pytest.mark.parametrize("measure", [bernoulli(0.5), Uniform01()], ids=["bernoulli", "uniform"])
+def test_q_certificate_is_positive_for_the_moments_bases(measure):
+    values = q_certificate(raw_moments(measure, 6))
+    assert len(values) == 5 and min(values) > 0.0
+
+
+def test_q_certificate_of_a_point_mass_is_zero():
+    c = 0.3
+    assert q_certificate([c**k for k in range(1, 7)]) == pytest.approx((0.0,) * 5, abs=1e-15)
+
+
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(
     points=st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=2, max_size=5, unique=True),
@@ -256,6 +268,7 @@ def test_q_values_nonnegative_and_moments_decreasing(points, raw_w, t):
     atoms = DiscreteAtoms(points=np.asarray(points)[:, None], weights=w / w.sum())
     m = raw_moments(atoms, 4)
     _, qv = p_q_polynomials(m, t)
+    assert min(q_certificate(m)) >= -1e-9
     assert all(q >= -1e-9 for q in qv)
     lo = moment_recursion(m, t).ex
     hi = moment_recursion(m, t * 1.5).ex

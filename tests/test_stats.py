@@ -30,7 +30,6 @@ from dirichlet_curve.stats import (
     hinge_curve,
     ks_one_sample,
     ks_two_sample,
-    moment_inequality_check,
 )
 from dirichlet_curve.stickbreak import sample_dirichlet_mean
 
@@ -168,28 +167,23 @@ def test_beta_identity_parameter_validation():
         beta_identity_check(1.5, 0.5, 1000, RngStream(105))
 
 
-def test_moment_inequality_square():
-    rep = moment_inequality_check(bernoulli(0.5), 1.0, 2.0, 2 * 10**4, RngStream(106))
-    assert rep.bound_kind == "direct" and rep.satisfied
-    assert abs(rep.lhs - 3.0 / 8.0) < 3 * rep.lhs_se
-    assert abs(rep.rhs - 0.5) < 3 * rep.rhs_se
-
-
-def test_moment_inequality_first_order():
-    rep = moment_inequality_check(bernoulli(0.5), 1.0, 1.0, 2 * 10**4, RngStream(107))
-    assert rep.bound_kind == "direct" and rep.satisfied
-
-
-def test_moment_inequality_fractional():
-    rep = moment_inequality_check(bernoulli(0.5), 1.0, 0.5, 2 * 10**4, RngStream(108))
-    assert rep.bound_kind == "ratio" and rep.satisfied
-    assert rep.bound == pytest.approx(2.0, abs=1e-12)
-    assert rep.lhs / rep.rhs <= 2.0 + 1e-6
-
-
-def test_moment_inequality_validation():
-    with pytest.raises(ValueError):
-        moment_inequality_check(bernoulli(0.5), 1.0, 0.0, 100, RngStream(109))
+@pytest.mark.parametrize("value", [0.0, -1.0, 1.0, 1.5, math.nan])
+@pytest.mark.parametrize(
+    "check", ["ks_one_sample", "ks_two_sample", "beta_identity_check", "hinge_curve", "convex_order_check"]
+)
+def test_a_level_or_confidence_outside_the_unit_interval_is_refused(check, value):
+    # a KS level of 0 or below passes every sample, and a confidence of 1 or
+    # above flags no hinge gap, so both are refused, NaN too
+    smp = sample_measure(Beta(2.0, 2.0), 100, RngStream(110))
+    calls = {
+        "ks_one_sample": lambda: ks_one_sample(smp, lambda x: np.clip(x, 0.0, 1.0), level=value),
+        "ks_two_sample": lambda: ks_two_sample(smp, smp, level=value),
+        "beta_identity_check": lambda: beta_identity_check(0.5, 1.5, 100, RngStream(111), level=value),
+        "hinge_curve": lambda: hinge_curve(smp, confidence=value),
+        "convex_order_check": lambda: convex_order_check([(1.0, smp), (2.0, smp)], confidence=value),
+    }
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\), not "):
+        calls[check]()
 
 
 # reference implementations: hinge_curve and convex_order_check as they were
