@@ -28,7 +28,6 @@ from .measures import (
     UniformCircle,
     bernoulli,
     point_mass,
-    raw_moments,
     sample_measure,
 )
 from .stickbreak import (

@@ -33,6 +33,7 @@ from .measures import (
     UniformCircle,
     BetaPrime,
     bernoulli,
+    _config_number,
     measure_from_config,
     sample_measure,
     split_config,
@@ -40,8 +41,8 @@ from .measures import (
 
 __all__ = ["Check", "Experiment", "ExperimentConfig", "list_experiments", "run", "main"]
 
-# _run_cells refuses a run before any draw when a cell's stick series need
-# more sticks in all than this on average under its policy: a stick with its
+# _run_cells refuses a run before any draw when the stick series of all its
+# cells need more sticks in all than this on average: a stick with its
 # base draw takes about 35-115 ns at t = 1000 and 60-180 ns at t = 10
 # (Uniform01 cheapest, UniformCircle dearest; wall time of stick_mean_draws
 # per mean stick at the default epsilon) on a shared 2-vCPU Xeon, so that
@@ -157,17 +158,23 @@ class Cell(NamedTuple):
 def _run_cells(cfg: ExperimentConfig, cells) -> tuple:
     """The rows and Checks of the cells, run in order on cfg.seed's streams.
     Before the first draw, two cells that share a stream id are refused, and
-    so is a run whose cell needs more than _STICK_BOUND sticks."""
+    so is a run whose cells need more than _STICK_BOUND sticks in all."""
     ids = [s for cell in cells for s in cell.streams]
     if len(set(ids)) < len(ids):
         shared = next(s for s in ids if ids.count(s) > 1)
         raise ValueError(f"two cells of {cfg.experiment} share the stream id {shared}")
-    worst = max(cells, key=Cell.sticks)
-    if worst.sticks() > _STICK_BOUND:
-        series = f"{len(worst.t)} series of " if len(worst.t) > 1 else ""
+    sticks = sum(map(Cell.sticks, cells))
+    if sticks > _STICK_BOUND:
+        # cells may differ in n and policy, as in limits: name the range and each policy
+        broken = [cell for cell in cells if cell.policy is not None]
+        ts = [t for cell in broken for t in cell.t]
+        ns = sorted({cell.n for cell in broken})
+        series = f"{len(ts)} series of " if len(ts) > 1 else ""
+        draws = f"n = {ns[0]}" + (f" to {ns[-1]}" if len(ns) > 1 else "")
+        policies = " and ".join(dict.fromkeys(cell.policy.label() for cell in broken))
         raise ConfigError(
-            f"t = {max(worst.t)!r} needs about {worst.sticks():.3g} sticks for {series}n = {worst.n} draws "
-            f"under {worst.policy.label()}, more than the bound {_STICK_BOUND:.0e}"
+            f"t = {max(ts)!r} needs about {sticks:.3g} sticks for {series}{draws} draws "
+            f"under {policies}, more than the bound {_STICK_BOUND:.0e}"
         )
     rng = RngStream(cfg.seed)
     rows, checks = [], []
@@ -310,7 +317,7 @@ def _exp_moments(cfg: ExperimentConfig):
                 good, f"Bernoulli(1/2) t={t:g}: recursion vs beta moments, max err {err:.2e}"
             ))
         dk = EX.dk_law()
-        ex2 = EX.moment_recursion([0.5, 1.0 / 3.0], 1.0).ex[1]
+        ex2 = EX.moment_recursion(Uniform01().raw_moments(2), 1.0).ex[1]
         quad2 = EX.law_raw_moment(dk, 2)
         err = abs(ex2 - 7.0 / 24.0)
         err_q = abs(ex2 - quad2)
@@ -786,18 +793,21 @@ def _parse_config_file(path: str) -> tuple:
 def _build_config(args) -> ExperimentConfig:
     raw, measure, policy = _parse_config_file(args.config) if args.config else ({}, None, None)
 
-    def value(key, arg=None, default=None):
+    def value(key, arg=None, default=None, kind=None):
         # a config value is taken out of raw even when the command line
-        # overrides it, so that what is left in raw is what nothing reads
-        v = raw.pop(key, default)
-        return v if arg is None else arg
+        # overrides it, so that what is left in raw is what nothing reads;
+        # kind parses a number that the command line has not typed
+        v = raw.pop(key, None)
+        if arg is not None or v is None:
+            return default if arg is None else arg
+        return v if kind is None else _config_number(key, v, kind)
 
     experiment = value("experiment", args.experiment)
-    seed = value("seed", args.seed)
+    seed = value("seed", args.seed, kind=int)
     t_raw = value("t", args.t)
-    n = value("n", args.n, 10**5)
+    n = value("n", args.n, 10**5, int)
     out_dir = value("out", args.out, ".")
-    confidence = value("confidence", args.confidence)
+    confidence = value("confidence", args.confidence, kind=float)
     if raw:
         raise ConfigError(f"config keys that nothing reads: {', '.join(sorted(raw))}")
     if not experiment:
@@ -809,16 +819,16 @@ def _build_config(args) -> ExperimentConfig:
         parts = [p for p in str(t_raw).replace(",", " ").split() if p]
         if not parts:
             raise ConfigError("empty t grid")
-        ts = tuple(float(p) for p in parts)
+        ts = tuple(_config_number("t", p) for p in parts)
     cfg = ExperimentConfig(
         experiment=experiment,
-        seed=int(seed),
-        n=int(n),
+        seed=seed,
+        n=n,
         ts=ts,
         measure=measure,
         policy=policy,
         out_dir=out_dir,
-        confidence=None if confidence is None else float(confidence),
+        confidence=confidence,
     )
     notice = EXPERIMENTS[cfg.experiment].policy_notice
     if policy is not None and notice:

@@ -12,11 +12,13 @@ measure families are defined here: `DirichletLaw`, `RadialCircleLaw` and
 and `hinge_mean` below delegate to those methods. `Law.statistic` is the one
 map from draws to the values that a law's `cdf` takes.
 
-The module also holds the raw-moment recursion with its associated
-polynomials, `recursion_gap`, the one check of the recursion against a
-closed-form law, `q_certificate`, the exact check that raw moments fall
-along the curve, and a quadrature evaluator for the density of the mean at
-unit intensity built from the sine/log-potential representation.
+The module also holds the one recursion for the curve's raw moments, the
+polynomials P_k, which `moment_recursion` evaluates for a base on the line
+and `p_q_coefficients` turns into the Q_k; `recursion_gap`, the one check of
+the recursion against a closed-form law; `q_certificate`, the exact check
+that raw moments fall along the curve; and a quadrature evaluator for the
+density of the mean at unit intensity built from the sine/log-potential
+representation.
 
 The package's two scipy names are defined here, `integrate` and `special`:
 each loads its module at its first attribute read, not at import.
@@ -289,33 +291,39 @@ class MomentTable:
                 raise ValueError("second-moment identity violated")
 
 
+def _p_coefficients(m: list) -> list:
+    """Ascending coefficient arrays of P_0..P_{n-1} for raw moments m_1..m_n:
+    P_0 = m_1 and
+        P_k(t) = m_{k+1}/(k+1) + t/(k+1) * sum_{j=0}^{k-1} P_j(t) m_{k-j}."""
+    P = [np.array([m[0]])]
+    for k in range(1, len(m)):
+        acc = np.zeros(k + 1)
+        acc[0] = m[k] / (k + 1.0)
+        for j in range(k):
+            conv = P[j] * m[k - 1 - j]
+            acc[1 : 1 + len(conv)] += conv / (k + 1.0)
+        P.append(acc)
+    return P
+
+
 def moment_recursion(m, t: float) -> MomentTable:
-    """Raw moments of the Dirichlet mean from raw moments of the base measure.
+    """Raw moments of the Dirichlet mean from raw moments m = (m_1, ..., m_n)
+    of a base measure on the line, from the polynomials P_k above:
 
-    Input m = (m_1, ..., m_n).  With E(X^0) = 1,
+        E(X^(k+1)) = (k+1)! P_k(t) / (t+1)_k,   k = 0..n-1,
 
-        E(X^k) = (k-1)!/(t+1)_{k-1} * sum_{j=0}^{k-1} (t)_j E(X^j)/j! * m_{k-j},
-
-    rising Pochhammer convention (a)_0 = 1, (a)_j = a(a+1)...(a+j-1).
+    rising Pochhammer convention (a)_0 = 1, (a)_k = a(a+1)...(a+k-1).
     """
     _check_intensity(t)
     m = [float(v) for v in m]
-    n = len(m)
-    if n < 1:
+    if not m:
         raise ValueError("need at least one moment")
-    ex = [1.0]
-    # poch_t[j] = (t)_j, poch_t1[j] = (t+1)_j, fact[j] = j!
-    poch_t = [1.0]
-    poch_t1 = [1.0]
-    fact = [1.0]
-    for j in range(1, n + 1):
-        poch_t.append(poch_t[-1] * (t + j - 1.0))
-        poch_t1.append(poch_t1[-1] * (t + j))
-        fact.append(fact[-1] * j)
-    for k in range(1, n + 1):
-        s = sum(poch_t[j] * ex[j] / fact[j] * m[k - j - 1] for j in range(k))
-        ex.append(fact[k - 1] / poch_t1[k - 1] * s)
-    return MomentTable(t=t, m=tuple(m), ex=tuple(ex[1:]))
+    ex, scale = [], 1.0
+    for k, p in enumerate(_p_coefficients(m)):
+        # scale = (k+1)! / (t+1)_k
+        ex.append(scale * float(np.polyval(p[::-1], t)))
+        scale *= (k + 2.0) / (t + k + 1.0)
+    return MomentTable(t=t, m=tuple(m), ex=tuple(ex))
 
 
 def recursion_gap(m, t: float, law: Law) -> float:
@@ -346,27 +354,18 @@ def _check_moment_consistency(m):
 def p_q_coefficients(m):
     """Ascending coefficient arrays of the polynomials P_0..P_{n-1} and Q_1..Q_{n-1}.
 
-    P is built by the recursion P_0 = m_1,
-        P_k(t) = m_{k+1}/(k+1) + t/(k+1) * sum_{j=0}^{k-1} P_j(t) m_{k-j},
-    and Q_k(t) = P_k(t) * d/dt[(1+t)_k] - (1+t)_k * P_k'(t).  Every Q_k
+    P_k(t) = E(X^(k+1)) (t+1)_k / (k+1)!, as in `moment_recursion`, and
+    Q_k(t) = P_k(t) * d/dt[(1+t)_k] - (1+t)_k * P_k'(t).  Every Q_k
     coefficient is nonnegative for moments of a law on [0, inf), which makes
-    t -> E(X^{k+1}) non-increasing; `q_certificate` reads the signs.
+    t -> E(X^{k+1}) non-increasing; `q_certificate` reads the signs. Moments
+    that no law on [0, inf) has are refused.
     """
     _check_moment_consistency(m)
-    m = [float(v) for v in m]
-    n = len(m)
-    P = [np.array([m[0]])]
-    for k in range(1, n):
-        acc = np.zeros(k + 1)
-        acc[0] = m[k] / (k + 1.0)
-        for j in range(k):
-            conv = P[j] * m[k - 1 - j]
-            acc[1 : 1 + len(conv)] += conv / (k + 1.0)
-        P.append(acc)
+    P = _p_coefficients([float(v) for v in m])
     # np.polynomial loads at its first read, so importing the package does not load it
     poly = np.polynomial.polynomial
     Q, rising = [], np.array([1.0])
-    for k in range(1, n):
+    for k in range(1, len(P)):
         rising = poly.polymul(rising, np.array([float(k), 1.0]))
         d_rising, d_p = poly.polyder(rising), poly.polyder(P[k])
         Q.append(poly.polysub(poly.polymul(P[k], d_rising), poly.polymul(rising, d_p)))

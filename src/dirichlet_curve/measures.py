@@ -15,8 +15,8 @@ dataclass fields. `ScaledProduct` composes the methods of
 its factors, and `Uniform01` is `Beta(1, 1)` with its own name and a
 one-uniform draw. Callers use the methods; the module functions add what a
 method does not: the sampling entry points (`draw_measure`, and
-`sample_measure` with its provenance), `raw_moments`, which checks its
-arguments, and the config parsers (`parse_measure_config`, ...).
+`sample_measure` with its provenance) and the config parsers
+(`parse_measure_config`, ...).
 
 A family is also a law on the curve: `GoverningMeasure` derives from
 `exact.Law`, and the one-dimensional families carry its `cdf` (and `Beta`
@@ -51,7 +51,6 @@ __all__ = [
     "bernoulli",
     "point_mass",
     "sample_measure",
-    "raw_moments",
     "parse_measure_config",
     "split_config",
     "measure_from_config",
@@ -191,13 +190,13 @@ class GoverningMeasure(_Integrable, Law):
     default to raising."""
 
     @classmethod
-    def from_config(cls, pairs: dict, rows: dict) -> "GoverningMeasure":
+    def from_config(cls, pairs: dict, rows: dict, prefix: str = "") -> "GoverningMeasure":
         """Build from the key=value pairs and the (prefix, values) rows, by
-        index, of a config, popping each key and row that it reads. The keys
-        are the dataclass fields, as floats; a field without a default is
-        required."""
+        index, of a config, popping each key and row that it reads; an error
+        names a key with `prefix` before it. The keys are the dataclass
+        fields, as floats; a field without a default is required."""
         return cls(**{
-            f.name: float(pairs.pop(f.name))
+            f.name: _config_number(prefix + f.name, pairs.pop(f.name))
             for f in fields(cls)
             if f.init and (f.name in pairs or f.default is MISSING)
         })
@@ -253,7 +252,7 @@ class DiscreteAtoms(GoverningMeasure):
         return self.points.shape[1]
 
     @classmethod
-    def from_config(cls, pairs, rows):
+    def from_config(cls, pairs, rows, prefix=""):
         arr = _atom_rows(rows, "discrete_atoms needs CSV atom rows x1,...,xd,weight")
         return cls(points=arr[:, :-1], weights=arr[:, -1])
 
@@ -462,9 +461,14 @@ class BetaPrime(GoverningMeasure):
         return np.cumprod((self.a + k) / (self.b - 1.0 - k))
 
     def cdf(self, x):
-        # the finite upper clip makes cdf(inf) = 1 rather than betainc at inf/inf
-        xp = np.clip(x, 0.0, np.finfo(float).max)
-        return special.betainc(self.a, self.b, xp / (1.0 + xp))
+        # I_w(a, b) at w = x/(1+x), above x = 1 on its tail side 1 - I_{1-w}(b, a):
+        # w rounds to 1 above about 2^53, and 1 - w = 1/(1+x) to 1 below 2^-53.
+        # scipy's betaincc(1/2, 1/2, v) errs by up to 1e-10 for small v, so the
+        # tail side is 1 - betainc, within 8e-16 of the cdf (mpmath, 9 shapes)
+        x = np.clip(x, 0.0, np.inf)
+        head, tail = np.minimum(x, 1.0), np.maximum(x, 1.0)
+        return np.where(x <= 1.0, special.betainc(self.a, self.b, head / (1.0 + head)),
+                        1.0 - special.betainc(self.b, self.a, 1.0 / (1.0 + tail)))
 
     def curve_law(self, t):
         return BetaPrime(t + 0.5, 0.5) if self.a == 0.5 and self.b == 0.5 else None
@@ -567,14 +571,14 @@ class CauchyRd(GoverningMeasure):
         return self.spectral.dimension
 
     @classmethod
-    def from_config(cls, pairs, rows):
+    def from_config(cls, pairs, rows, prefix=""):
         from .cauchy import SpectralCauchy
 
         arr = _atom_rows(rows, "cauchy_rd needs CSV atom rows s1,...,sd,lambda")
         d = arr.shape[1] - 1
         shift = np.zeros(d)
         if "shift" in pairs:
-            shift = np.asarray([float(t) for t in pairs.pop("shift").split(",")], dtype=float)
+            shift = np.asarray([_config_number(prefix + "shift", t) for t in pairs.pop("shift").split(",")])
         spec = SpectralCauchy(
             dimension=d, shift=shift, directions=arr[:, :-1], intensities=arr[:, -1]
         )
@@ -612,7 +616,7 @@ class ScaledProduct(GoverningMeasure):
         return self.direction.dimension
 
     @classmethod
-    def from_config(cls, pairs, rows):
+    def from_config(cls, pairs, rows, prefix=""):
         # keys `radial.<key>` and rows `radial: <row>` go to the radial factor,
         # likewise for direction; rows without a prefix go to both factors, and
         # a key or a row is read when a factor reads it
@@ -629,7 +633,7 @@ class ScaledProduct(GoverningMeasure):
                 if label.partition(":")[0] in ("", name)
             }
             routed = set(own)
-            measure = _build(sub, own)
+            measure = _build(sub, own, prefix + head)
             pairs.update((head + k, v) for k, v in sub.items())
             return measure, routed - own.keys()
 
@@ -703,20 +707,6 @@ def sample_measure(measure: GoverningMeasure, n: int, rng: RngStream) -> Empiric
 
 
 # ---------------------------------------------------------------------------
-# Analytic summaries
-# ---------------------------------------------------------------------------
-
-
-def raw_moments(measure: GoverningMeasure, n_max: int) -> np.ndarray:
-    """Exact raw moments m_k = E(X^k), k = 1..n_max, for one-dimensional alpha."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if measure.dimension != 1:
-        raise ValueError("raw moments are defined for one-dimensional measures only")
-    return measure.raw_moments(n_max)
-
-
-# ---------------------------------------------------------------------------
 # Plain-text configuration
 # ---------------------------------------------------------------------------
 
@@ -747,6 +737,15 @@ def split_config(text: str) -> tuple[dict, list]:
     return pairs, rows
 
 
+def _config_number(key: str, text: str, kind=float):
+    """The config value `text` of `key` as a float, or an int for kind=int; one
+    that does not parse is an error that names the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key} = {text.strip()!r} is not {'an integer' if kind is int else 'a number'}") from None
+
+
 def parse_measure_config(text: str) -> GoverningMeasure:
     """Build a measure from key=value lines; atoms as CSV rows x1,...,xd,weight.
 
@@ -771,9 +770,9 @@ def _atom_rows(rows: dict, needs: str) -> np.ndarray:
     return arr
 
 
-# the config spelling of each family, and how to build it from (pairs, rows)
+# the config spelling of each family, and how to build it from (pairs, rows, prefix)
 _CONFIG_FAMILIES = {
-    "bernoulli": lambda pairs, rows: bernoulli(float(pairs.pop("p"))),
+    "bernoulli": lambda pairs, rows, prefix: bernoulli(_config_number(prefix + "p", pairs.pop("p"))),
     "discrete_atoms": DiscreteAtoms.from_config,
     "beta": Beta.from_config,
     "uniform01": Uniform01.from_config,
@@ -791,7 +790,7 @@ def measure_from_config(pairs: dict, rows: list, prefix: str = "") -> GoverningM
     A key or a row that the measure does not read is an error, which names
     each key with `prefix` (the config's own, as in `measure.`) before it."""
     pairs, left = dict(pairs), dict(enumerate(rows))
-    measure = _build(pairs, left)
+    measure = _build(pairs, left, prefix)
     if pairs:
         raise ValueError(f"config keys that nothing reads: {', '.join(prefix + k for k in sorted(pairs))}")
     if left:
@@ -802,8 +801,9 @@ def measure_from_config(pairs: dict, rows: list, prefix: str = "") -> GoverningM
     return measure
 
 
-def _build(pairs: dict, rows: dict) -> GoverningMeasure:
-    """The measure of a config's pairs and rows; it pops what it reads from both."""
+def _build(pairs: dict, rows: dict, prefix: str) -> GoverningMeasure:
+    """The measure of a config's pairs and rows; it pops what it reads from
+    both, and an error names a key with `prefix` before it."""
     family = pairs.pop("family", None)
     if family is None:
         raise ValueError("measure config needs a 'family' key")
@@ -812,6 +812,6 @@ def _build(pairs: dict, rows: dict) -> GoverningMeasure:
     if build is None:
         raise ValueError(f"unknown measure family {family!r}")
     try:
-        return build(pairs, rows)
+        return build(pairs, rows, prefix)
     except KeyError as exc:
         raise ValueError(f"{family} measure config needs the key {exc.args[0]!r}") from None

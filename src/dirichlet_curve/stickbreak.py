@@ -44,6 +44,7 @@ from .measures import (
     EmpiricalSample,
     GoverningMeasure,
     RngStream,
+    _config_number,
     draw_measure,
 )
 
@@ -143,7 +144,7 @@ class TruncationPolicy:
         unread = ", ".join(f"policy.{key}" for key in sorted(pairs.keys() - {"epsilon"}))
         if unread:
             raise ValueError(f"config keys that nothing reads: {unread} (policy.epsilon is the one policy key)")
-        return cls.tail(float(pairs["epsilon"]))
+        return cls.tail(_config_number("policy.epsilon", pairs["epsilon"]))
 
 
 DEFAULT_POLICY = TruncationPolicy.tail(1e-12)

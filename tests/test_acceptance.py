@@ -46,7 +46,6 @@ from dirichlet_curve.measures import (
     UniformCircle,
     bernoulli,
     draw_measure,
-    raw_moments,
     sample_measure,
 )
 from dirichlet_curve.stats import (
@@ -206,12 +205,12 @@ def test_criterion_02_sampler_cross_validation(stick_draws):
 
 def test_criterion_03_moment_recursion(stick_draws):
     # Exact check: Bernoulli(1/2) curve moments match Beta(t/2, t/2) to 1e-12.
-    m = raw_moments(bernoulli(0.5), 6)
+    m = bernoulli(0.5).raw_moments(6)
     worst = max(recursion_gap(m, t, Beta(t / 2.0, t / 2.0)) for t in (0.5, 1.0, 2.0, 4.0, 8.0))
     assert worst <= 1e-12, f"worst recursion gap {worst:.3e}"
 
     # Uniform base at t = 1: second moment 7/24 against density quadrature.
-    table = moment_recursion(raw_moments(Uniform01(), 2), 1.0)
+    table = moment_recursion(Uniform01().raw_moments(2), 1.0)
     assert abs(table.ex[1] - 7.0 / 24.0) <= 1e-13
     quad, _ = integrate.quad(lambda x: x * x * dk_density(x), 0.0, 1.0, limit=200)
     assert abs(table.ex[1] - quad) <= 1e-6

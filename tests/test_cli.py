@@ -240,8 +240,8 @@ _MESSAGES = {
                                 "no closed-form law for Beta(a=2.0, b=3.0) at t=1"),
     "out_of_range_measure_parameter": ("curve-ks", "measure.family = bernoulli\nmeasure.p = 1.5\n",
                                        "p must lie in (0, 1)"),
-    "non_numeric_t": ("moments", "t = abc\n", "could not convert string to float: 'abc'"),
-    "non_numeric_policy_epsilon": ("curve-ks", "policy.epsilon = x\n", "could not convert string to float: 'x'"),
+    "non_numeric_t": ("moments", "t = abc\n", "t = 'abc' is not a number"),
+    "non_numeric_policy_epsilon": ("curve-ks", "policy.epsilon = x\n", "policy.epsilon = 'x' is not a number"),
     "bad_confidence": ("moments", "confidence = 0.3\n", "confidence must lie in (0.5, 1)"),
     "tail_handling": ("curve-ks", "policy.epsilon = 1e-12\npolicy.tail_handling = absorb_into_fresh_atom\n",
                       "config keys that nothing reads: policy.tail_handling (policy.epsilon is the one policy key)"),
@@ -299,6 +299,25 @@ _MESSAGES = {
     "convex_order_unsorted_grid": ("convex-order", "t = 2, 1\n",
                                    "convex-order needs a strictly increasing t grid, not 2, 1"),
 }
+# a number that does not parse is named with its key, prefix and all
+_MESSAGES.update({
+    "non_numeric_seed": ("moments", "seed = 1.5\n", "seed = '1.5' is not an integer"),
+    "non_numeric_n": ("moments", "n = 1e3\n", "n = '1e3' is not an integer"),
+    "non_numeric_confidence": ("curve-ks", "confidence = abc\n", "confidence = 'abc' is not a number"),
+    "non_numeric_t_entry": ("moments", "t = 1, x\n", "t = 'x' is not a number"),
+    "non_numeric_measure_a": ("curve-ks", "measure.family = beta\nmeasure.a = x\nmeasure.b = 1\n",
+                              "measure.a = 'x' is not a number"),
+    "non_numeric_measure_p": ("curve-ks", "measure.family = bernoulli\nmeasure.p = x\n",
+                              "measure.p = 'x' is not a number"),
+    "non_numeric_factor_key": (
+        "curve-ks",
+        "measure.family = scaled_product\nmeasure.radial.family = beta\nmeasure.radial.a = x\n"
+        "measure.radial.b = 1\nmeasure.direction.family = cauchy1d\n",
+        "measure.radial.a = 'x' is not a number",
+    ),
+    "non_numeric_cauchy_rd_shift": ("cr-identity", "measure.family = cauchy_rd\nmeasure.shift = 1, y\n1, 0, 1\n",
+                                    "measure.shift = 'y' is not a number"),
+})
 # a missing measure key is named with its family
 _MESSAGES.update({
     f"missing_measure_key_{family}": (
@@ -514,25 +533,29 @@ _BETA_BASE = "measure.family = beta\nmeasure.a = 0.5\nmeasure.b = 0.5\n"
     "experiment, t, lines, refusal",
     [
         # tail_epsilon(1e-12): 1 + 1e9 ln(1e12) a draw
-        ("moments", "1e9", "n = 20\n", "t = 1000000000.0 needs about 5.53e+11 sticks for n = 20"),
+        ("moments", "1e9", "n = 20\n", "t = 1000000000.0 needs about 1.11e+12 sticks for 2 series of n = 20"),
         # 1 + ln(1e300) a draw
-        ("moments", "1", "n = 100000000\n" + _TINY_EPS, "t = 1.0 needs about 6.92e+10 sticks for n = 100000000"),
+        ("moments", "1", "n = 100000000\n" + _TINY_EPS, "t = 1.0 needs about 1.38e+11 sticks for 2 series of n = 100000000"),
         # the default grid tops out at t = 8
-        ("moments", None, "n = 20000000\n" + _TINY_EPS, "t = 8.0 needs about 1.11e+11 sticks for n = 20000000"),
+        ("moments", None, "n = 20000000\n" + _TINY_EPS, "t = 8.0 needs about 4.28e+11 sticks for 10 series of n = 20000000"),
         # reads no t; the uneven split samples t = 0.5 and 1.5, the direct draw t = 2
         ("james", None, "n = 10000000\n" + _TINY_EPS,
-         "t = 2.0 needs about 2.77e+10 sticks for 3 series of n = 10000000"),
+         "t = 2.0 needs about 8.3e+10 sticks for 9 series of n = 10000000"),
         # one series at each t of the default grid, which tops out at t = 8
-        ("convex-order", None, "n = 100000000\n", "t = 8.0 needs about 4.33e+10 sticks for 5 series of n = 100000000"),
+        ("convex-order", None, "n = 100000000\n", "t = 8.0 needs about 8.67e+10 sticks for 10 series of n = 100000000"),
         # its fixed cells sample t = 1 below any grid, a radial product twice
         ("cauchy-invariance", "0.5", "n = 500000000\n",
-         "t = 1.0 needs about 2.86e+10 sticks for 2 series of n = 500000000"),
+         "t = 1.0 needs about 9.33e+10 sticks for 7 series of n = 500000000"),
         # a configured base is sampled at t = 1 only, 2.9e9 sticks, not at
         # the t = 4 of the default bases' grid
         ("curve-ks", None, "n = 100000000\n" + _BETA_BASE, None),
+        # the bound counts the whole run: limits' small-t cells at n under the
+        # policy, its t = 1000 cells at 3e4 draws under tail_epsilon(1e-6)
+        ("limits", None, "n = 4000000000\n",
+         "t = 1000.0 needs about 1.1e+10 sticks for 4 series of n = 30000 to 4000000000"),
     ],
     ids=["tail_epsilon", "tiny_epsilon", "tiny_epsilon-no-t", "james-no-t", "default-grid",
-         "cauchy-invariance-fixed-t", "curve-ks-configured-base"],
+         "cauchy-invariance-fixed-t", "curve-ks-configured-base", "limits-mixed-cells"],
 )
 def test_a_run_past_the_stick_bound_is_refused_before_it_starts(
     tmp_path, capsys, monkeypatch, experiment, t, lines, refusal

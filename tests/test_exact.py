@@ -33,7 +33,6 @@ from dirichlet_curve.measures import (
     UniformCircle,
     bernoulli,
     point_mass,
-    raw_moments,
 )
 
 
@@ -196,32 +195,45 @@ def test_hinge_mean_density_law():
 
 
 def test_recursion_first_and_second_moments():
-    table = moment_recursion(raw_moments(Beta(2.0, 5.0), 3), 1.7)
+    table = moment_recursion(Beta(2.0, 5.0).raw_moments(3), 1.7)
     assert table.ex[0] == table.m[0]
     assert (1.7 + 1.0) * table.ex[1] == pytest.approx(table.m[1] + 1.7 * table.m[0] ** 2)
 
 
-@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0, 8.0, 1e-3, 1e5])
 def test_recursion_matches_bernoulli_curve(t):
-    table = moment_recursion(raw_moments(bernoulli(0.5), 6), t)
+    table = moment_recursion(bernoulli(0.5).raw_moments(6), t)
     assert table.ex[1] == pytest.approx((t + 2.0) / (4.0 * (t + 1.0)), rel=1e-14)
-    assert recursion_gap(raw_moments(bernoulli(0.5), 6), t, curve_of(bernoulli(0.5), t)) < 1e-12
+    assert recursion_gap(bernoulli(0.5).raw_moments(6), t, curve_of(bernoulli(0.5), t)) < 1e-12
 
 
-@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0, 8.0, 1e-3, 1e5])
 def test_recursion_matches_arcsine_curve(t):
-    assert recursion_gap(raw_moments(Beta(0.5, 0.5), 6), t, curve_of(Beta(0.5, 0.5), t)) < 1e-12
+    assert recursion_gap(Beta(0.5, 0.5).raw_moments(6), t, curve_of(Beta(0.5, 0.5), t)) < 1e-12
+
+
+@pytest.mark.parametrize("a, b, p", [(-1.0, 2.0, 0.3), (-3.0, 0.5, 0.8), (-0.2, 0.1, 0.5)])
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0, 1e3, 1e5])
+def test_recursion_takes_a_base_on_the_whole_line(a, b, p, t):
+    # atoms a < 0 < b with weights (1 - p, p): X_t = a + (b - a) B with
+    # B ~ Beta(t p, t (1 - p)), so E(X^k) = sum_j C(k, j) a^(k-j) (b - a)^j E(B^j)
+    atoms = DiscreteAtoms(points=np.array([[a], [b]]), weights=np.array([1.0 - p, p]))
+    eb = np.concatenate([[1.0], Beta(t * p, t * (1.0 - p)).raw_moments(6)])
+    ex = moment_recursion(atoms.raw_moments(6), t).ex
+    for k in range(1, 7):
+        exact = sum(math.comb(k, j) * a ** (k - j) * (b - a) ** j * eb[j] for j in range(k + 1))
+        assert abs(ex[k - 1] - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
 def test_recursion_uniform_second_moment():
-    table = moment_recursion(raw_moments(Uniform01(), 2), 1.0)
+    table = moment_recursion(Uniform01().raw_moments(2), 1.0)
     assert table.ex[1] == pytest.approx(7.0 / 24.0, rel=1e-14)
     quad_val, _ = integrate.quad(lambda x: x**2 * dk_density(x), 0.0, 1.0, limit=200)
     assert abs(table.ex[1] - quad_val) < 1e-6
 
 
 def test_polynomial_values_uniform():
-    pv, qv = p_q_polynomials(raw_moments(Uniform01(), 4), 1.0)
+    pv, qv = p_q_polynomials(Uniform01().raw_moments(4), 1.0)
     assert pv[0] == pytest.approx(0.5)
     assert pv[1] == pytest.approx(7.0 / 24.0, rel=1e-14)
     assert len(pv) == 4 and len(qv) == 3
@@ -235,7 +247,7 @@ def test_polynomial_values_point_mass():
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
 def test_polynomial_values_bernoulli(t):
-    _, qv = p_q_polynomials(raw_moments(bernoulli(0.5), 4), t)
+    _, qv = p_q_polynomials(bernoulli(0.5).raw_moments(4), t)
     assert qv[0] == pytest.approx(1.0 / 8.0, rel=1e-14)
     target = (t + 2.0) ** 2 * (t**2 + 7.0 * t + 11.0) / 64.0
     assert qv[2] == pytest.approx(target, rel=1e-12)
@@ -248,7 +260,7 @@ def test_polynomials_reject_inconsistent_moments():
 
 @pytest.mark.parametrize("measure", [bernoulli(0.5), Uniform01()], ids=["bernoulli", "uniform"])
 def test_q_certificate_is_positive_for_the_moments_bases(measure):
-    values = q_certificate(raw_moments(measure, 6))
+    values = q_certificate(measure.raw_moments(6))
     assert len(values) == 5 and min(values) > 0.0
 
 
@@ -266,7 +278,7 @@ def test_q_certificate_of_a_point_mass_is_zero():
 def test_q_values_nonnegative_and_moments_decreasing(points, raw_w, t):
     w = np.asarray(raw_w[: len(points)])
     atoms = DiscreteAtoms(points=np.asarray(points)[:, None], weights=w / w.sum())
-    m = raw_moments(atoms, 4)
+    m = atoms.raw_moments(4)
     _, qv = p_q_polynomials(m, t)
     assert min(q_certificate(m)) >= -1e-9
     assert all(q >= -1e-9 for q in qv)

@@ -21,7 +21,6 @@ from dirichlet_curve.measures import (
     bernoulli,
     parse_measure_config,
     point_mass,
-    raw_moments,
     sample_measure,
 )
 from dirichlet_curve.stats import ks_one_sample, ks_two_sample
@@ -92,7 +91,7 @@ def test_mean_of():
 
 
 def test_raw_moments_uniform():
-    assert raw_moments(Uniform01(), 4) == pytest.approx([0.5, 1 / 3, 0.25, 0.2])
+    assert Uniform01().raw_moments(4) == pytest.approx([0.5, 1 / 3, 0.25, 0.2])
 
 
 def test_uniform01_inherits_beta_1_1_bit_for_bit():
@@ -107,22 +106,22 @@ def test_uniform01_inherits_beta_1_1_bit_for_bit():
     u = Uniform01()
     assert isinstance(u, Beta) and (u.a, u.b) == (1.0, 1.0)
     assert u.cdf(x).tobytes() == np.clip(x, 0.0, 1.0).tobytes()
-    assert raw_moments(u, 4).tolist() == [1 / 2, 1 / 3, 1 / 4, 1 / 5]
+    assert u.raw_moments(4).tolist() == [1 / 2, 1 / 3, 1 / 4, 1 / 5]
 
 
 def test_raw_moments_arcsine():
-    assert raw_moments(Beta(0.5, 0.5), 2) == pytest.approx([0.5, 0.375])
+    assert Beta(0.5, 0.5).raw_moments(2) == pytest.approx([0.5, 0.375])
 
 
 def test_raw_moments_atoms():
-    assert raw_moments(bernoulli(0.5), 3) == pytest.approx([0.5, 0.5, 0.5])
+    assert bernoulli(0.5).raw_moments(3) == pytest.approx([0.5, 0.5, 0.5])
 
 
 def test_raw_moments_missing():
     with pytest.raises(ValueError):
-        raw_moments(Cauchy1D(0.0, 1.0), 1)
+        Cauchy1D(0.0, 1.0).raw_moments(1)
     with pytest.raises(ValueError):
-        raw_moments(BetaPrime(0.5, 1.5), 2)
+        BetaPrime(0.5, 1.5).raw_moments(2)
 
 
 @pytest.mark.parametrize(
@@ -133,7 +132,7 @@ def test_raw_moments_missing():
 def test_moment_convergence(measure):
     smp = sample_measure(measure, 10**5, RngStream(3))
     x = smp.values()
-    for k, mk in enumerate(raw_moments(measure, 2), start=1):
+    for k, mk in enumerate(measure.raw_moments(2), start=1):
         est = (x**k).mean()
         se = (x**k).std(ddof=1) / np.sqrt(len(x))
         assert abs(est - mk) < 3 * se
@@ -346,6 +345,26 @@ def test_the_rounding_mass_of_a_beta_prime():
     assert _rounding_mass(1e306, 1e306) == 0.0
     assert _rounding_mass(1e306, 1.0) == 1.0
     assert BetaPrime(1.0, 0.1).b == 0.1
+
+
+def test_the_beta_prime_cdf_keeps_both_tails():
+    # x/(1+x) rounds to 1 above about 2^53 and 1/(1+x) below 2^-53, so neither
+    # side alone can hold both tails; closed forms at a = 1 and a = b = 1/2
+    x = np.geomspace(1e-300, 1e300, 601)
+    assert np.abs(BetaPrime(1.0, 0.1).cdf(x) + np.expm1(-0.1 * np.log1p(x))).max() <= 1e-15
+    assert np.abs(BetaPrime(0.5, 0.5).cdf(x) - 2.0 / np.pi * np.arctan(np.sqrt(x))).max() <= 1e-15
+    assert BetaPrime(1.0, 0.1).cdf(1e16) == pytest.approx(0.9748811356849042, rel=1e-15)
+    # past 2^53 the tail is x^-b / (b B(a, b)) up to a relative O(1/x)
+    b_ab = math.gamma(3.5) * math.gamma(0.5) / math.gamma(4.0)
+    assert 1.0 - BetaPrime(3.5, 0.5).cdf(1e16) == pytest.approx(1e-8 / (0.5 * b_ab), rel=1e-6)
+    # below x = 50 the head-side form x/(1+x) keeps its digits too, and the two
+    # forms agree to the rounding of each
+    grid = np.linspace(0.0, 50.0, 5001)
+    for a, b in ((1.0, 0.1), (0.5, 0.5), (3.5, 0.5), (2.0, 3.0)):
+        law = BetaPrime(a, b)
+        assert np.abs(law.cdf(grid) - betainc(a, b, grid / (1.0 + grid))).max() <= 2e-15
+        assert law.cdf(np.inf) == 1.0
+        assert law.cdf(np.array([-np.inf, -1.0, 0.0])).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_arcsine_draws_follow_the_arcsine_law():
