@@ -313,16 +313,27 @@ def moment_recursion(m, t: float) -> MomentTable:
         E(X^(k+1)) = (k+1)! P_k(t) / (t+1)_k,   k = 0..n-1,
 
     rising Pochhammer convention (a)_0 = 1, (a)_k = a(a+1)...(a+k-1).
+
+    Where t^k exceeds 2^64, P_k(t) and (t+1)_k would overflow at large t
+    (from t = 1e100, the fifth moment on), so the k-th term is read as
+    (k+1)! [P_k(t)/t^k] / [(t+1)_k/t^k]: a polynomial in 1/t over a product
+    of factors 1 + j/t, none of which overflows at any t > 1. The direct form
+    stays below that, where it keeps the bytes of the tables it wrote.
     """
     _check_intensity(t)
     m = [float(v) for v in m]
     if not m:
         raise ValueError("need at least one moment")
-    ex, scale = [], 1.0
+    ex, scale, scaled = [], 1.0, 1.0
     for k, p in enumerate(_p_coefficients(m)):
-        # scale = (k+1)! / (t+1)_k
-        ex.append(scale * float(np.polyval(p[::-1], t)))
+        if k * math.log2(t) <= 64.0:
+            # scale = (k+1)! / (t+1)_k
+            ex.append(scale * float(np.polyval(p[::-1], t)))
+        else:
+            # scaled = (k+1)! t^k / (t+1)_k
+            ex.append(scaled * float(np.polyval(p, 1.0 / t)))
         scale *= (k + 2.0) / (t + k + 1.0)
+        scaled *= (k + 2.0) / (1.0 + (k + 1.0) / t)
     return MomentTable(t=t, m=tuple(m), ex=tuple(ex))
 
 

@@ -225,6 +225,17 @@ def test_recursion_takes_a_base_on_the_whole_line(a, b, p, t):
         assert abs(ex[k - 1] - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
+@pytest.mark.parametrize("t", [1e20, 1e61, 1e100, 1e300])
+def test_recursion_is_finite_at_large_t(t):
+    # the curve of Bernoulli(1/2) at t is Beta(t/2, t/2), whose k-th raw
+    # moment is prod_{j<k} (t/2 + j)/(t + j)
+    with np.errstate(all="raise"):
+        ex = moment_recursion(bernoulli(0.5).raw_moments(6), t).ex
+    for k in range(1, 7):
+        exact = math.prod((t / 2.0 + j) / (t + j) for j in range(k))
+        assert ex[k - 1] == pytest.approx(exact, rel=1e-14)
+
+
 def test_recursion_uniform_second_moment():
     table = moment_recursion(Uniform01().raw_moments(2), 1.0)
     assert table.ex[1] == pytest.approx(7.0 / 24.0, rel=1e-14)

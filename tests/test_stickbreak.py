@@ -251,38 +251,28 @@ def test_james_validation():
         sample_james_aggregation([(1.0, Uniform01()), (1.0, UniformCircle())], 100, RngStream(55))
 
 
-def _dense_tree(t, k, m, gen):
-    """Reference weights: every node of every level split, dead or not."""
+def _dense_tree(t, k, m, split):
+    """Reference weights: every node of every level split, dead or not;
+    split(a, n) gives the n beta(a, a) splits of a level in row-major order."""
     w = np.empty((m, 2**k))
     w[:, 0] = 1.0
     for h in range(1, k + 1):
         half = 2 ** (h - 1)
-        a = t / 2.0**h
-        z = gen.beta(a, a, size=(m, half))
+        z = split(t / 2.0**h, m * half).reshape(m, half)
         np.multiply(w[:, :half], z, out=w[:, half : 2 * half])
         w[:, :half] *= 1.0 - z
     return w
 
 
 def _dense_mean_draws(measure, t, k, n, gen, block=512):
+    """An oracle independent of the sampler's split draw: numpy's gen.beta."""
     out = np.empty(n)
     for lo in range(0, n, block):
         m = min(block, n - lo)
-        w = _dense_tree(t, k, m, gen)
+        w = _dense_tree(t, k, m, lambda a, size: gen.beta(a, a, size=size))
         b = draw_measure(measure, m * 2**k, gen).reshape(m, 2**k)
         out[lo : lo + m] = np.einsum("mk,mk->m", w, b)
     return out
-
-
-class _BetaSizes:
-    """A generator that records the size of every beta call it serves."""
-
-    def __init__(self, gen):
-        self.gen, self.sizes = gen, []
-
-    def beta(self, a, b, size):
-        self.sizes.append(size)
-        return self.gen.beta(a, b, size=size)
 
 
 @pytest.mark.parametrize("t, k", [(0.01, 1), (1.0, 1), (1000.0, 1), (1000.0, 3)])
@@ -290,16 +280,24 @@ def test_dyadic_weights_match_dense_tree_where_no_node_dies(t, k):
     # every parent is live here, so the live-node draws consume the stream in
     # the dense tree's row-major order and give the same bytes
     got = dyadic_weight_draws(t, k, 300, RngStream(60).generator())
-    ref = _dense_tree(t, k, 300, RngStream(60).generator())
+    gen = RngStream(60).generator()
+    ref = _dense_tree(t, k, 300, lambda a, n: stickbreak._beta_split(a, n, gen))
     if k > 1:  # no leaf is 0, so no node above one is
         assert np.all(ref != 0)
     assert got.tobytes() == ref.tobytes()
 
 
-def test_dyadic_weights_split_only_live_nodes():
+def test_dyadic_weights_split_only_live_nodes(monkeypatch):
     t, k, m = 0.01, 12, 200
-    gen = _BetaSizes(RngStream(61).generator())
-    w = dyadic_weight_draws(t, k, m, gen)
+    sizes = []
+    real = stickbreak._beta_split
+
+    def split(a, n, gen):
+        sizes.append(n)
+        return real(a, n, gen)
+
+    monkeypatch.setattr(stickbreak, "_beta_split", split)
+    w = dyadic_weight_draws(t, k, m, RngStream(61).generator())
     assert np.all(w >= 0)
     assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
     # node j of level h holds the leaves j + 2^h * i; its children at level
@@ -311,8 +309,88 @@ def test_dyadic_weights_split_only_live_nodes():
         assert np.all(children[:, : 2**h][dead] == 0)
         assert np.all(children[:, 2**h :][dead] == 0)
         # one beta draw per live node of the level above
-        assert gen.sizes[h] == np.count_nonzero(nodes)
-    assert sum(gen.sizes) < 0.05 * m * (2**k - 1)
+        assert sizes[h] == np.count_nonzero(nodes)
+    assert sum(sizes) < 0.05 * m * (2**k - 1)
+
+
+# two-sided normal quantile of the level 0.001 at which the split and leaf
+# tests below reject
+_Z_001 = 3.2905
+
+
+def _johnk_reference(a, n, gen, trials):
+    """The split draw for a <= 1, one trial at a time: per chunk of `trials`
+    slots, each round draws the U of every pending slot and then its V, and
+    the rejected slots go again in order."""
+    z = []
+    for lo in range(0, n, trials):
+        out = [0.0] * min(trials, n - lo)
+        pending = list(range(len(out)))
+        while pending:
+            r = len(pending)
+            uv = 1.0 - gen.random(2 * r)
+            rejected = []
+            for j, slot in enumerate(pending):
+                lx, ly = math.log(uv[j]) / a, math.log(uv[r + j]) / a
+                share = 1.0 / (1.0 + math.exp(min(max(ly - lx, -40.0), 40.0)))
+                if math.exp(max(lx, -700.0)) <= share:
+                    out[slot] = share
+                else:
+                    rejected.append(slot)
+            pending = rejected
+        z += out
+    return np.array([0.0 if v < 2.0**-53 else v for v in z])
+
+
+@pytest.mark.parametrize("a", [1.0, 0.3, 0.01])
+def test_beta_split_follows_the_one_trial_reference(monkeypatch, a):
+    # chunks of 64 slots; the vectorized exp and log may differ from math's
+    # in the last bit, so the shares agree to 1e-13 and the streams exactly
+    monkeypatch.setattr(stickbreak, "_SPLIT_TRIALS", 64)
+    gen, ref_gen = RngStream(104).generator(), RngStream(104).generator()
+    got = stickbreak._beta_split(a, 1000, gen)
+    ref = _johnk_reference(a, 1000, ref_gen, 64)
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+    assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.25])
+def test_beta_split_draws_follow_the_beta_law(a):
+    z = stickbreak._beta_split(a, 10**5, RngStream(100).generator())
+    assert ks_one_sample(z, lambda x: betainc(a, a, np.clip(x, 0.0, 1.0))).p_value > 0.001
+
+
+@pytest.mark.parametrize("a", [0.01, 0.001])
+def test_beta_split_rounds_shares_below_2_53_to_0(a):
+    # a share below 2^-53 is 0 on either side of the split: each atom's count
+    # is binomial with p = I(2^-53; a, a). The draws between 2^-53 and 1/2
+    # follow the conditional law (above 1/2, floats are 2^-53 apart near 1)
+    n, tiny = 10**5, 2.0**-53
+    z = stickbreak._beta_split(a, n, RngStream(101).generator())
+    p = betainc(a, a, tiny)
+    for count in (np.count_nonzero(z == 0.0), np.count_nonzero(z == 1.0)):
+        assert abs(count - n * p) < _Z_001 * math.sqrt(n * p * (1.0 - p))
+    assert z[z != 0.0].min() >= tiny
+    low = z[(z >= tiny) & (z <= 0.5)]
+    cdf = lambda x: (betainc(a, a, np.clip(x, tiny, 0.5)) - p) / (0.5 - p)
+    assert ks_one_sample(low, cdf).p_value > 0.001
+
+
+def test_dyadic_first_and_last_leaves_die_equally_often():
+    # Dirichlet leaves are exchangeable; a tree that rounds only the 1 - Z
+    # share kills leaf 0 far more often than the last leaf. Paired
+    # two-proportion (McNemar) test on the rows where exactly one is 0
+    w = dyadic_weight_draws(1.0, 10, 4096, RngStream(102).generator())
+    first, last = w[:, 0] == 0.0, w[:, -1] == 0.0
+    b, c = np.count_nonzero(first & ~last), np.count_nonzero(last & ~first)
+    assert abs(b - c) < _Z_001 * math.sqrt(b + c)
+
+
+def test_dyadic_weights_hold_no_subnormal():
+    w = dyadic_weight_draws(0.5, 10, 2048, RngStream(103).generator())
+    assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
+    assert w[w != 0.0].min() >= 2.0**-1022
 
 
 def test_dyadic_mean_matches_dense_tree_in_law():
