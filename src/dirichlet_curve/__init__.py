@@ -60,7 +60,6 @@ from .exact import (
     curve_of,
     dk_density,
     moment_recursion,
-    p_q_polynomials,
     q_certificate,
 )
 from .stats import (

@@ -334,13 +334,15 @@ def _exp_moments(cfg: ExperimentConfig):
         # one row per Q_k, k = 1..5 from 6 raw moments, under the moment order
         # k + 1 whose fall it certifies; t is blank, for Q_k covers every t
         values = EX.q_certificate(measure.raw_moments(6))
+        floor = EX.Q_ROUNDOFF
         rows = [
-            (measure.describe(), "", "q_certificate", k + 1, v, -1e-9, v >= -1e-9)
+            (measure.describe(), "", "q_certificate", k + 1, v, floor, v >= floor)
             for k, v in enumerate(values, start=1)
         ]
         return rows, [Check(
-            min(values) >= -1e-9,
-            f"{measure.describe()}: smallest scaled coefficient of Q_1..Q_5 {min(values):.3e} >= -1e-9 "
+            min(values) >= floor,
+            f"{measure.describe()}: smallest scaled coefficient of Q_1..Q_5 {min(values):.3e} "
+            f">= {np.format_float_scientific(floor, trim='-', exp_digits=1)} "
             "(E(X^k) non-increasing in t, k = 2..6)",
         )]
 

@@ -365,6 +365,12 @@ _MESSAGES.update({
         ("beta_prime", "a", "measure.a = 1e-17\nmeasure.b = 1\n"),
     )
 })
+# a shape above 2^-54 but below the floor where the beta quadrature keeps to QUAD_TOL
+_MESSAGES["cr_identity_beta_below_the_shape_floor"] = (
+    "cr-identity", "measure.family = beta\nmeasure.a = 1e-8\nmeasure.b = 1\n",
+    "cr-identity needs the transforms of its base: the beta quadrature keeps to 1e-10 only for a >= 1e-06, "
+    "and a = 1e-08 is below it: at a = 1e-7 it is off by up to 1.2e-9",
+)
 # the curve of a point mass is that point mass: one atom, or atoms at one point
 _MESSAGES.update({
     f"{experiment}_{name}": (

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dirichlet_curve.exact import (
     hinge_mean,
     law_raw_moment,
     moment_recursion,
-    p_q_polynomials,
+    p_q_coefficients,
     q_certificate,
     recursion_gap,
 )
@@ -113,8 +114,8 @@ def test_scalar_cdf_is_a_distribution_function(law, span):
     assert c.shape == x.shape
     assert np.all(np.diff(c) >= 0.0)
     assert c[0] == 0.0 and c[-1] == 1.0
-    for xi in x[1:-1:8]:
-        assert cdf(law, xi) + law.upper_tail(xi) == 1.0
+    for xi, ci in zip(x[1:-1:8], c[1:-1:8]):
+        assert cdf(law, xi) == ci
 
 
 def test_scalar_cdf_point_values():
@@ -172,8 +173,32 @@ def test_density_law_rejects_unnormalized():
         DensityLaw(lambda x: 2.0 * np.ones_like(x), (0.0, 1.0))
 
 
+def test_density_law_rejects_a_density_with_a_jump():
+    # Simpson's quadratic overshoots at a jump, so the cdf would leave [0, 1]
+    with pytest.raises(ValueError, match="gives a decreasing cdf"):
+        DensityLaw(lambda x: np.where(np.abs(x) < 0.3, 1.0 / 0.6, 0.0), (-1.0, 1.0))
+
+
 def test_dk_second_moment():
     assert law_raw_moment(dk_law(), 2) == pytest.approx(7.0 / 24.0, abs=1e-9)
+
+
+def test_dk_raw_moments_match_the_recursion():
+    # the Simpson grid against the exact recursion at t = 1 for the uniform base
+    exact = moment_recursion(Uniform01().raw_moments(6), 1.0).ex
+    assert np.abs(dk_law().raw_moments(6) - exact).max() <= 1e-14
+
+
+def test_density_law_matches_tight_quadrature_at_random_thresholds():
+    law, bound = dk_law(), 2e-10
+    a = np.random.default_rng(26).uniform(0.0, 1.0, 40)
+    tight = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+    below = [integrate.quad(law.density, 0.0, ai, **tight)[0] for ai in a]
+    hinge = [integrate.quad(lambda x: (x - ai) * law.density(x), ai, 1.0, **tight)[0] for ai in a]
+    assert np.abs(cdf(law, a) - below).max() <= bound
+    assert np.abs(hinge_mean(law, a) - hinge).max() <= bound
+    assert np.array_equal(cdf(law, a), [cdf(law, ai) for ai in a])
+    assert np.array_equal(hinge_mean(law, a), [hinge_mean(law, ai) for ai in a])
 
 
 def test_beta_prime_moment_guard():
@@ -236,6 +261,29 @@ def test_recursion_is_finite_at_large_t(t):
         assert ex[k - 1] == pytest.approx(exact, rel=1e-14)
 
 
+def _exact_moments(m, t):
+    """E(X^(k+1)) = (k+1)! P_k(t) / (t+1)_k in rationals, exact for the floats m and t."""
+    m, t = [Fraction(v) for v in m], Fraction(t)
+    P, out, rising = [], [], Fraction(1)
+    for k in range(len(m)):
+        P.append(m[k] / (k + 1) + t / (k + 1) * sum(P[j] * m[k - 1 - j] for j in range(k)))
+        out.append(math.factorial(k + 1) * P[k] / rising)
+        rising *= t + k + 1
+    return out
+
+
+@pytest.mark.parametrize("base", [
+    bernoulli(0.5),
+    Uniform01(),
+    DiscreteAtoms(points=np.array([[-1.0], [2.0]]), weights=np.array([0.7, 0.3])),
+], ids=["bernoulli", "uniform", "atoms"])
+def test_recursion_is_within_8_ulp_of_exact_moments(base):
+    m = base.raw_moments(6)
+    for t in (1e-300, 1e-100, 1e-3, 0.1, 0.5, 0.7, 1.0, 2.0, 3.1, 8.0, 1e3, 1e5, 1e20, 1e61, 1e100):
+        for value, exact in zip(moment_recursion(m, t).ex, _exact_moments(m, t)):
+            assert abs(Fraction(value) - exact) <= 8 * Fraction(math.ulp(float(exact))), (t, value)
+
+
 def test_recursion_uniform_second_moment():
     table = moment_recursion(Uniform01().raw_moments(2), 1.0)
     assert table.ex[1] == pytest.approx(7.0 / 24.0, rel=1e-14)
@@ -243,8 +291,14 @@ def test_recursion_uniform_second_moment():
     assert abs(table.ex[1] - quad_val) < 1e-6
 
 
+def _p_q_values(m, t):
+    """(P_0(t)..P_{n-1}(t)) and (Q_1(t)..Q_{n-1}(t)) from the coefficient arrays."""
+    P, Q = p_q_coefficients(m)
+    return tuple(tuple(float(np.polynomial.polynomial.polyval(t, c)) for c in cs) for cs in (P, Q))
+
+
 def test_polynomial_values_uniform():
-    pv, qv = p_q_polynomials(Uniform01().raw_moments(4), 1.0)
+    pv, qv = _p_q_values(Uniform01().raw_moments(4), 1.0)
     assert pv[0] == pytest.approx(0.5)
     assert pv[1] == pytest.approx(7.0 / 24.0, rel=1e-14)
     assert len(pv) == 4 and len(qv) == 3
@@ -252,13 +306,13 @@ def test_polynomial_values_uniform():
 
 def test_polynomial_values_point_mass():
     c = 0.3
-    _, qv = p_q_polynomials([c, c**2, c**3, c**4], 2.0)
+    _, qv = _p_q_values([c, c**2, c**3, c**4], 2.0)
     assert qv == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
 def test_polynomial_values_bernoulli(t):
-    _, qv = p_q_polynomials(bernoulli(0.5).raw_moments(4), t)
+    _, qv = _p_q_values(bernoulli(0.5).raw_moments(4), t)
     assert qv[0] == pytest.approx(1.0 / 8.0, rel=1e-14)
     target = (t + 2.0) ** 2 * (t**2 + 7.0 * t + 11.0) / 64.0
     assert qv[2] == pytest.approx(target, rel=1e-12)
@@ -266,7 +320,7 @@ def test_polynomial_values_bernoulli(t):
 
 def test_polynomials_reject_inconsistent_moments():
     with pytest.raises(ValueError):
-        p_q_polynomials([0.5, 0.2, 0.1, 0.05], 1.0)
+        _p_q_values([0.5, 0.2, 0.1, 0.05], 1.0)
 
 
 @pytest.mark.parametrize("measure", [bernoulli(0.5), Uniform01()], ids=["bernoulli", "uniform"])
@@ -290,7 +344,7 @@ def test_q_values_nonnegative_and_moments_decreasing(points, raw_w, t):
     w = np.asarray(raw_w[: len(points)])
     atoms = DiscreteAtoms(points=np.asarray(points)[:, None], weights=w / w.sum())
     m = atoms.raw_moments(4)
-    _, qv = p_q_polynomials(m, t)
+    _, qv = _p_q_values(m, t)
     assert min(q_certificate(m)) >= -1e-9
     assert all(q >= -1e-9 for q in qv)
     lo = moment_recursion(m, t).ex

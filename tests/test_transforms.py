@@ -171,6 +171,22 @@ def test_the_beta_quadrature_refuses_a_shape_whose_exponent_rounds_to_minus_one(
         log_transform(alpha, 1j)
 
 
+@pytest.mark.parametrize("alpha, name", [(Beta(1e-8, 1.0), "a"), (Beta(1.0, 1e-8), "b"), (BetaPrime(1e-8, 1.0), "a")])
+def test_the_beta_quadrature_refuses_a_shape_below_its_floor(alpha, name):
+    with pytest.raises(ValueError, match=f"keeps to 1e-10 only for {name} >= 1e-06, and {name} = 1e-08 is below"):
+        log_transform(alpha, 1j)
+
+
+@pytest.mark.parametrize("a", [1e-6, 1e-3, 0.5])
+def test_the_beta_quadrature_keeps_to_quad_tol_down_to_its_floor(a):
+    # by parts against Beta(a, 1), whose cdf is w^a:
+    # g(z) = -log(1 - z) + integral_0^1 w^a / (w - z) dw, with no singular weight
+    z = 1j
+    parts = [integrate.quad(lambda w: part(w**a / (w - z)), 0.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+             for part in (np.real, np.imag)]
+    assert abs(log_transform(Beta(a, 1.0), z) - (-cmath.log(1.0 - z) + complex(*parts))) <= QUAD_TOL
+
+
 def test_power_identity_cauchy():
     alpha = Cauchy1D(0.5, 1.0)
     assert abs(power_identity_residual(alpha, 1, 2, 0.2 + 0.9j)) < 1e-12
