@@ -42,10 +42,11 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from .exact import _check_intensity
 from .measures import (
+    BIT_GENERATOR,
     EmpiricalSample,
     GoverningMeasure,
     RngStream,
@@ -513,9 +514,9 @@ def dyadic_mean_draws(
 
     * one call gen.integers(2^63, size=2) gives two seeds s0 and s1;
     * the first ceil(m/2) rows draw their beta sticks from
-      Generator(Philox(s0)) on the calling thread, through
+      Generator(BIT_GENERATOR(s0)) on the calling thread, through
       `dyadic_weight_draws`, while the last floor(m/2) rows draw theirs from
-      Generator(Philox(s1)) on the worker thread;
+      Generator(BIT_GENERATOR(s1)) on the worker thread;
     * one draw_measure(measure, m 2^k, gen) gives the base points, row by row
       and leaf by leaf.
 
@@ -538,7 +539,7 @@ def dyadic_mean_draws(
         m = min(row_block, n - lo)
         m_own = (m + 1) // 2
         block = out[lo : lo + m]
-        own, other = (Generator(Philox(seed)) for seed in gen.integers(1 << 63, size=2))
+        own, other = (Generator(BIT_GENERATOR(seed)) for seed in gen.integers(1 << 63, size=2))
         w_other = other_rows[: m - m_own]
         w_other.fill(0.0)
         tree = functools.partial(_tree, t, k, other, w_other)

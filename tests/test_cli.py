@@ -651,20 +651,28 @@ def test_moments_runs_the_q_certificate_for_each_base(tmp_path, capsys):
     assert len(verdicts) == 2 and all(ln.startswith("  [pass] ") for ln in verdicts)
 
 
-def test_limits_variance_cells_ignore_the_configured_policy(tmp_path):
-    # the two t = 1000 cells always run under tail_epsilon(1e-6) at min(n, 3e4) draws
-    lines = {}
-    for name, policy in (("default", ""), ("coarse", "policy.epsilon = 0.5\n")):
+def test_limits_variance_cells_ignore_the_configured_policy(tmp_path, monkeypatch):
+    # the two t = 1000 cells always run under tail_epsilon(1e-6) at min(n, 3e4) draws,
+    # and the small-t cells under the configured policy
+    lines, calls = {}, []
+    real = SB.stick_mean_draws
+
+    def stick_mean_draws(measure, t, n, policy, gen):
+        calls.append((t, policy))
+        return real(measure, t, n, policy, gen)
+
+    monkeypatch.setattr(SB, "stick_mean_draws", stick_mean_draws)
+    for name, policy, epsilon in (("default", "", 1e-12), ("coarse", "policy.epsilon = 0.5\n", 0.5)):
         config = tmp_path / f"{name}.cfg"
         config.write_text(f"experiment = limits\nseed = 1\nn = 500\n{policy}")
+        calls.clear()
         assert main(["run", "--config", str(config), "--out", str(tmp_path / name)]) in (0, 1)
         lines[name] = (tmp_path / name / "limits.csv").read_bytes().splitlines()
+        small, big = SB.TruncationPolicy.tail(epsilon), SB.TruncationPolicy.tail(1e-6)
+        assert calls == [(0.01, small), (0.01, small), (1000.0, big), (1000.0, big)]
     variance = {name: [ln for ln in rows if b",variance_collapse," in ln] for name, rows in lines.items()}
     assert len(variance["default"]) == 2
     assert variance["coarse"] == variance["default"]
-    small_t = {name: [ln for ln in rows if b",ks_vs_base," in ln] for name, rows in lines.items()}
-    assert len(small_t["default"]) == 2
-    assert all(a != b for a, b in zip(small_t["default"], small_t["coarse"]))
 
 
 @pytest.mark.parametrize("policy", ["", "policy.epsilon = 0.5\n", "policy.epsilon = 1e-12\n"])

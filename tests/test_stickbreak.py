@@ -18,6 +18,7 @@ from scipy.special import betainc
 from dirichlet_curve import exact, stickbreak
 from dirichlet_curve.cauchy import trefoil_spectrum
 from dirichlet_curve.measures import (
+    BIT_GENERATOR,
     Beta,
     BetaPrime,
     Cauchy1D,
@@ -727,8 +728,8 @@ def test_fixed_point_records_the_contraction_it_reached():
 def _two_half_mean_draws(measure, t, k, n, gen):
     """The dyadic mean's stream, written out on one thread: per row block of
     2^19 leaves, two seeds from gen; the first ceil(m/2) rows' weights from a
-    Philox of the first seed, the last floor(m/2) rows' from a Philox of the
-    second; then one base draw of m 2^k points from gen."""
+    BIT_GENERATOR of the first seed, the last floor(m/2) rows' from a
+    BIT_GENERATOR of the second; then one base draw of m 2^k points from gen."""
     d = measure.dimension
     rows = min(20_000, 2**19 // 2**k)
     out = []
@@ -736,8 +737,8 @@ def _two_half_mean_draws(measure, t, k, n, gen):
         m = min(rows, n - lo)
         seeds = gen.integers(2**63, size=2)
         w = np.concatenate([
-            dyadic_weight_draws(t, k, (m + 1) // 2, np.random.Generator(np.random.Philox(seeds[0]))),
-            dyadic_weight_draws(t, k, m // 2, np.random.Generator(np.random.Philox(seeds[1]))),
+            dyadic_weight_draws(t, k, (m + 1) // 2, np.random.Generator(BIT_GENERATOR(seeds[0]))),
+            dyadic_weight_draws(t, k, m // 2, np.random.Generator(BIT_GENERATOR(seeds[1]))),
         ])
         b = draw_measure(measure, m * 2**k, gen).reshape(m, 2**k, d)
         out.append(np.einsum("mk,mkd->md", w, b))
@@ -796,6 +797,26 @@ def test_dyadic_halves_split_each_row_block(monkeypatch):
         calls.clear()
         dyadic_mean_draws(Uniform01(), 1.0, 10, n, RngStream(92).generator())
         assert calls == [(m, i % 2 == 1) for i, m in enumerate(rows)]
+
+
+def test_every_stream_opens_the_one_bit_generator(monkeypatch):
+    # the RngStream generators and the dyadic halves' are of one named type
+    assert BIT_GENERATOR is np.random.PCG64DXSM
+    streams = [RngStream(5, i) for i in range(3)] + [RngStream(5, 7).substream(k) for k in range(3)]
+    gens = [s.generator() for s in streams]
+    assert all(type(g.bit_generator) is BIT_GENERATOR for g in gens)
+    # distinct stream_ids and substreams give distinct first draws
+    assert len({g.random() for g in gens}) == len(gens)
+    halves = []
+    real = stickbreak._tree
+
+    def tree(t, k, gen, out):
+        halves.append(type(gen.bit_generator))
+        return real(t, k, gen, out)
+
+    monkeypatch.setattr(stickbreak, "_tree", tree)
+    dyadic_mean_draws(Uniform01(), 1.0, 3, 7, RngStream(5).generator())
+    assert halves == [BIT_GENERATOR, BIT_GENERATOR]
 
 
 def test_dyadic_draws_repeat_across_calls_and_user_threads():
