@@ -51,7 +51,6 @@ from .cauchy import (
 )
 from .exact import (
     DensityLaw,
-    DirichletLaw,
     Law,
     MomentTable,
     RadialCircleLaw,

@@ -43,10 +43,11 @@ __all__ = ["Check", "Experiment", "ExperimentConfig", "list_experiments", "run",
 
 # _run_cells refuses a run before any draw when the stick series of all its
 # cells need more sticks in all than this on average: a stick with its
-# base draw takes about 35-115 ns at t = 1000 and 60-180 ns at t = 10
-# (Uniform01 cheapest, UniformCircle dearest; wall time of stick_mean_draws
-# per mean stick at the default epsilon) on a shared 2-vCPU Xeon, so that
-# many take 6 to 30 minutes
+# base draw takes about 14-22 ns at t = 1000 and 25-38 ns at t = 10 for
+# Uniform01, the cheapest, and 46-86 and 85-140 ns for UniformCircle, the
+# dearest (best of 3 wall times of stick_mean_draws per mean stick at the
+# default epsilon, on PCG64DXSM streams) on a shared 2-vCPU Xeon, so that
+# many take 2 to 25 minutes
 _STICK_BOUND = 1e10
 
 
@@ -222,12 +223,6 @@ def _exp_curve_ks(cfg: ExperimentConfig):
         law = EX.curve_of(measure, t)
         if law is None:
             raise ConfigError(f"no closed-form law for {measure.describe()} at t={t:g}")
-        try:
-            law.statistic(np.empty((0, measure.dimension)))
-        except ValueError:
-            raise ConfigError(
-                f"no one-dimensional statistic for the {type(law).__name__} of {measure.describe()} at t={t:g}"
-            ) from None
         cells.append(Cell(partial(ks, measure, t, law), (i,), (t,), cfg.n, cfg.policy))
     header = ("measure", "t", "statistic_of", "n", "ks_statistic", "p_value", "passed")
     return header, cells
@@ -237,10 +232,11 @@ def _exp_convex_order(cfg: ExperimentConfig):
     """Hinge means decrease in t; the base measure dominates the whole curve.
 
     The reversed-label control needs a few hundred draws to be flagged. At
-    the default grid it went unflagged for both bases at n = 20, 50 and 100
-    (seeds 1-5); at n = 200 (Uniform01) in 5 of 6 seeds, at n = 300 in 3 of
-    6 and at n = 500 in 1 of 6; at n = 1000 in none of seeds 1-6. Such a run
-    exits 1 even when its battery holds."""
+    the default grid on PCG64DXSM streams, seeds 1-6, it went unflagged for
+    both bases at n = 20 and 50; at n = 100 for both at seeds 3-6 and for
+    Uniform01 alone at seeds 1-2; for Uniform01 at n = 200 in 4 of 6 seeds
+    (Bernoulli(1/2) in 2 of 6), at n = 300 in 4 of 6 and at n = 500 in 1 of
+    6; at n = 1000 in none. Such a run exits 1 even when its battery holds."""
     ts = cfg.ts or (0.5, 1.0, 2.0, 4.0, 8.0)
     shown = ", ".join(f"{t:g}" for t in ts)
     if any(lo >= hi for lo, hi in zip(ts, ts[1:])):
@@ -389,7 +385,7 @@ def _exp_cr_identity(cfg: ExperimentConfig):
         # with a shape that the beta quadrature cannot take, is refused here
         try:
             measure.log_transform(1j)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"cr-identity needs the transforms of its base: {exc}") from None
     ts = cfg.ts or (1.0, 2.0)
     # Fourier points s, then Stieltjes points z, at every t

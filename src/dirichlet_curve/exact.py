@@ -6,11 +6,12 @@ the measure families, the family is the law: `Beta(t + 1/2, t + 1/2)` for the
 arcsine base, `Beta(t*p, t*(1-p))` for Bernoulli(p), `BetaPrime(t + 1/2, 1/2)`
 for BetaPrime(1/2, 1/2), and the base itself for a one-dimensional Cauchy law
 (the fixed point of the curve) and for a point mass. The laws that are not
-measure families are defined here: `DirichletLaw`, `RadialCircleLaw` and
-`DensityLaw`. All of them derive from `Law`, whose `cdf`, `raw_moments` and
-`hinge_mean` each law overrides where it has them; `cdf`, `law_raw_moment`
-and `hinge_mean` below delegate to those methods. `Law.statistic` is the one
-map from draws to the values that a law's `cdf` takes.
+measure families are defined here: `RadialCircleLaw` and `DensityLaw`. All
+of them derive from `Law`, whose `cdf`, `raw_moments` and `hinge_mean` each
+law overrides where it has them; `cdf`, `law_raw_moment` and `hinge_mean`
+below delegate to those methods. `Law.statistic` is the one map from draws to
+the values that a law's `cdf` takes, and every closed-form law a family
+returns has both, except a point mass in more than one dimension.
 
 The module also holds the one recursion for the curve's raw moments, the
 polynomials P_k, which `moment_recursion` evaluates for a base on the line
@@ -35,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "Law",
-    "DirichletLaw",
     "RadialCircleLaw",
     "DensityLaw",
     "MomentTable",
@@ -121,19 +121,6 @@ class Law:
     def hinge_mean(self, a) -> np.ndarray:
         """E(X - a)_+, vectorized in the threshold a."""
         raise ValueError(f"no hinge means for {type(self).__name__}")
-
-
-@dataclass(frozen=True)
-class DirichletLaw(Law):
-    """Dirichlet law on the simplex with concentration vector alphas."""
-
-    alphas: tuple
-
-    def __post_init__(self):
-        arr = np.asarray(self.alphas, dtype=float)
-        if arr.ndim != 1 or arr.size < 2 or not np.all(arr > 0):
-            raise ValueError("need at least two positive concentration parameters")
-        object.__setattr__(self, "alphas", tuple(arr))
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ spelling (`from_config`), `describe`, `draw`, `mean`, `raw_moments`, its
 closed-form curve law (`curve_law`), and the hooks of the transforms and of
 the unit-intensity density (`integrate`, the Cauchy closed forms,
 `log_potential`). A family without a hook inherits the default of
-`GoverningMeasure`, which raises; the default `from_config` reads the
-dataclass fields. `ScaledProduct` composes the methods of
-its factors, and `Uniform01` is `Beta(1, 1)` with its own name and a
-one-uniform draw. Callers use the methods; the module functions add what a
-method does not: the sampling entry points (`draw_measure`, and
-`sample_measure` with its provenance) and the config parsers
-(`parse_measure_config`, ...).
+`GoverningMeasure`, which raises ValueError; the default `from_config` reads
+the dataclass fields. `ScaledProduct` composes the methods of its factors,
+and `Uniform01` is `Beta(1, 1)` with its own name and a one-uniform draw.
+Callers use the methods; the module functions add what a method does not:
+the sampling entry points (`draw_measure`, and `sample_measure` with its
+provenance) and the config parsers (`parse_measure_config`, ...). The
+samplers return an `EmpiricalSample`, which is draws plus provenance.
 
 A family is also a law on the curve: `GoverningMeasure` derives from
 `exact.Law`, and the one-dimensional families carry its `cdf` (and `Beta`
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-from .exact import DirichletLaw, Law, RadialCircleLaw, beta_log_potential, dk_law, special
+from .exact import Law, RadialCircleLaw, beta_log_potential, dk_law, special
 
 __all__ = [
     "RngStream",
@@ -77,9 +77,11 @@ class RngStream:
     The same pair always reproduces the identical draw sequence; distinct
     stream_ids give statistically independent streams: each seeds a
     `BIT_GENERATOR` from a SeedSequence with its own spawn key, so parallel
-    streams need no coordination. Every operation that takes an
-    RngStream consumes it from the start: pass distinct stream_ids to calls
-    whose outputs must be independent of each other.
+    streams need no coordination. A substream is one more top-level
+    stream_id of the same seed (see `substream`), so explicit ids and
+    substreams share one id space. Every operation that takes an RngStream
+    consumes it from the start: pass distinct stream_ids to calls whose
+    outputs must be independent of each other.
     """
 
     seed: int
@@ -92,36 +94,17 @@ class RngStream:
         return Generator(BIT_GENERATOR(self.seed_sequence()))
 
     def substream(self, k: int) -> "RngStream":
-        """Derived stream for internal fan-out; distinct k give independent streams."""
+        """Derived stream for internal fan-out: the top-level stream_id
+        (stream_id * 0x9E3779B97F4A7C15 + k + 1) mod 2^63 of the same seed.
+        Distinct k give distinct ids, and so independent streams, but a root
+        stream's substream(k) is RngStream(seed, k + 1) itself:
+        RngStream(7).substream(0) == RngStream(7, 1)."""
         mixed = (self.stream_id * 0x9E3779B97F4A7C15 + k + 1) % (1 << 63)
         return RngStream(self.seed, mixed)
 
 
-class _Integrable:
-    """The transforms of a one-dimensional measure, computed by its `integrate`
-    hook; `transforms` validates the points and documents the formulas."""
-
-    def integrate(self, f) -> complex:
-        """integral of f(w) alpha(dw)."""
-        raise TypeError(f"no transform integration for {type(self).__name__}")
-
-    def stieltjes(self, z: complex) -> complex:
-        return self.integrate(lambda w: 1.0 / (w - z))
-
-    def stieltjes_derivative(self, k: int, z: complex) -> complex:
-        return math.factorial(k) * self.integrate(lambda w: (w - z) ** (-(k + 1.0)))
-
-    def log_transform(self, z: complex) -> complex:
-        return -self.integrate(lambda w: np.log(w - z))
-
-    def log_fourier_mean(self, s: float) -> complex:
-        """integral of log(1 - i s x) alpha(dx); the argument of the log has real
-        part 1, so the principal branch is unambiguous."""
-        return self.integrate(lambda x: np.log(1.0 - 1j * s * x))
-
-
 @dataclass(frozen=True)
-class EmpiricalSample(_Integrable):
+class EmpiricalSample:
     """A batch of i.i.d. draws from some law: an (n, d) matrix plus provenance."""
 
     dimension: int
@@ -170,12 +153,6 @@ class EmpiricalSample(_Integrable):
             raise ValueError("values() requires a one-dimensional sample")
         return self.draws[:, 0]
 
-    def integrate(self, f) -> complex:
-        """The average of f over the draws."""
-        if self.dimension != 1:
-            raise ValueError("transforms are one-dimensional")
-        return complex(np.mean(f(self.values())))
-
     def to_csv(self, path) -> None:
         """One draw per row, d columns; provenance in '#' header comments."""
         with open(path, "w", newline="\n") as fh:
@@ -190,10 +167,12 @@ class EmpiricalSample(_Integrable):
 # ---------------------------------------------------------------------------
 
 
-class GoverningMeasure(_Integrable, Law):
+class GoverningMeasure(Law):
     """Base of the eight families, which all define `dimension`, `describe()`,
     `draw(n, gen)` and `mean()`; the optional hooks below and those of `Law`
-    default to raising."""
+    default to raising ValueError. The transforms of a one-dimensional
+    family are computed by its `integrate` hook, unless it has closed forms;
+    `transforms` validates the points and documents the formulas."""
 
     @classmethod
     def from_config(cls, pairs: dict, rows: dict, prefix: str = "") -> "GoverningMeasure":
@@ -208,7 +187,8 @@ class GoverningMeasure(_Integrable, Law):
         })
 
     def curve_law(self, t: float):
-        """Closed-form law of the Dirichlet mean at intensity t, or None."""
+        """Closed-form law of the Dirichlet mean at intensity t, or None: a law
+        whose `statistic` and `cdf` take this family's draws, or a point mass."""
         return None
 
     @property
@@ -219,7 +199,25 @@ class GoverningMeasure(_Integrable, Law):
 
     def log_potential(self, x: float) -> float:
         """-integral of log|x - w| alpha(dw), for one-dimensional alpha."""
-        raise TypeError(f"no log potential for {type(self).__name__}")
+        raise ValueError(f"no log potential for {type(self).__name__}")
+
+    def integrate(self, f) -> complex:
+        """integral of f(w) alpha(dw)."""
+        raise ValueError(f"no transform integration for {type(self).__name__}")
+
+    def stieltjes(self, z: complex) -> complex:
+        return self.integrate(lambda w: 1.0 / (w - z))
+
+    def stieltjes_derivative(self, k: int, z: complex) -> complex:
+        return math.factorial(k) * self.integrate(lambda w: (w - z) ** (-(k + 1.0)))
+
+    def log_transform(self, z: complex) -> complex:
+        return -self.integrate(lambda w: np.log(w - z))
+
+    def log_fourier_mean(self, s: float) -> complex:
+        """integral of log(1 - i s x) alpha(dx); the argument of the log has real
+        part 1, so the principal branch is unambiguous."""
+        return self.integrate(lambda x: np.log(1.0 - 1j * s * x))
 
 
 @dataclass(frozen=True)
@@ -316,12 +314,6 @@ class DiscreteAtoms(GoverningMeasure):
         if d == 1 and k == 2 and set(vals.tolist()) == {0.0, 1.0}:
             p = float(self.weights[vals == 1.0][0])
             return Beta(t * p, t * (1.0 - p))
-        # atoms at distinct standard basis vectors: atom i is e_basis[i] of R^k
-        basis = np.argmax(self.points, axis=1)
-        if np.array_equal(self.points[np.argsort(basis)], np.eye(k)):
-            alphas = np.empty(k)
-            alphas[basis] = t * self.weights
-            return DirichletLaw(tuple(alphas))
         return None
 
     def integrate(self, f):

@@ -82,7 +82,7 @@ def stieltjes(alpha, z) -> complex:
     """y(z) = integral of alpha(dw) / (w - z), Im z > 0.
 
     Closed form for Cauchy and atomic measures, weighted quadrature for
-    beta-type densities, plain average for empirical samples.
+    beta-type densities; a family without transforms raises ValueError.
     """
     return alpha.stieltjes(_as_upper(z))
 

@@ -267,8 +267,7 @@ _MESSAGES = {
         "cr-identity needs the transforms of its base: no transform integration for ScaledProduct",
     ),
     "curve_ks_basis_atoms": ("curve-ks", "measure.family = discrete_atoms\n1, 0, 0.5\n0, 1, 0.5\n",
-                             "no one-dimensional statistic for the DirichletLaw of "
-                             "DiscreteAtoms{(1.0,0.0):0.5; (0.0,1.0):0.5} at t=1"),
+                             "no closed-form law for DiscreteAtoms{(1.0,0.0):0.5; (0.0,1.0):0.5} at t=1"),
     # every measure key and row is read or refused
     "measure_key": ("curve-ks", "measure.family = beta\nmeasure.a = 0.5\nmeasure.b = 0.5\nmeasure.scale = 7\n0.3, 1\n",
                     "config keys that nothing reads: measure.scale"),

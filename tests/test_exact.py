@@ -9,7 +9,7 @@ from scipy import integrate
 
 from dirichlet_curve.exact import (
     DensityLaw,
-    DirichletLaw,
+    Law,
     RadialCircleLaw,
     cdf,
     cr_density,
@@ -30,6 +30,7 @@ from dirichlet_curve.measures import (
     Cauchy1D,
     CauchyRd,
     DiscreteAtoms,
+    ScaledProduct,
     Uniform01,
     UniformCircle,
     bernoulli,
@@ -70,12 +71,47 @@ def test_curve_of_other_families():
 
 
 def test_curve_of_standard_basis():
+    # the Dirichlet law of basis atoms has no one-dimensional statistic, so
+    # no law is returned for it
     atoms = DiscreteAtoms(
         points=np.array([[1.0, 0.0], [0.0, 1.0]]), weights=np.array([0.3, 0.7])
     )
-    law = curve_of(atoms, 2.0)
-    assert isinstance(law, DirichletLaw)
-    assert law.alphas == pytest.approx((0.6, 1.4))
+    assert curve_of(atoms, 2.0) is None
+
+
+# one base of each family and shape, with the closed forms in every branch
+_CURVE_BASES = [
+    bernoulli(0.3),
+    DiscreteAtoms(points=np.array([-1.0, 0.5, 2.0]), weights=np.array([0.2, 0.3, 0.5])),
+    DiscreteAtoms(points=np.array([[1.0, 0.0], [0.0, 1.0]]), weights=np.array([0.5, 0.5])),
+    Beta(0.5, 0.5),
+    Beta(2.0, 3.0),
+    Uniform01(),
+    BetaPrime(0.5, 0.5),
+    Cauchy1D(),
+    UniformCircle(),
+    CauchyRd(trefoil_spectrum()),
+    ScaledProduct(Uniform01(), Cauchy1D()),
+]
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("measure", _CURVE_BASES, ids=lambda m: m.describe()[:30])
+def test_every_curve_law_is_one_a_check_can_read(measure, t):
+    # curve_law is None or a law whose statistic takes the family's draws and
+    # whose cdf takes that statistic. A point mass in d > 1 is the one
+    # exception: it returns itself, and curve-ks' _refuse_point_mass refuses
+    # it before it reads a law (test_curve_of_point_mass_is_the_point_mass)
+    law = measure.curve_law(t)
+    if law is None:
+        return
+    empty = np.empty((0, measure.dimension))
+    draws = measure.draw(5, np.random.default_rng(0))
+    for sample in (empty, draws):
+        _, values = law.statistic(sample)
+        c = np.asarray(law.cdf(values), dtype=float)
+        assert c.shape == (sample.shape[0],)
+        assert np.all(np.isfinite(c)) and np.all((0.0 <= c) & (c <= 1.0))
 
 
 @pytest.mark.parametrize("t", [0.01, 1.0, 10.0, 1000.0])
@@ -84,11 +120,12 @@ def test_curve_of_cauchy_is_its_fixed_point(t):
         assert curve_of(Cauchy1D(loc, scale), t) == Cauchy1D(loc, scale)
 
 
-@pytest.mark.parametrize("x", [-1.5, 0.0, 0.25])
+@pytest.mark.parametrize("x", [-1.5, 0.0, 0.25, [0.25, 0.5]])
 def test_curve_of_point_mass_is_the_point_mass(x):
+    mass = point_mass(x)
     at_one_point = DiscreteAtoms(points=np.array([x, x]), weights=np.array([0.5, 0.5]))
     for t in (0.01, 1.0, 1000.0):
-        assert curve_of(point_mass(x), t) == point_mass(x)
+        assert curve_of(mass, t) is mass
         assert curve_of(at_one_point, t) is at_one_point
 
 
@@ -147,7 +184,7 @@ def test_cdf_radial_and_cauchy():
     assert cdf(Cauchy1D(0.0, 1.0), 1.0) == pytest.approx(0.75)
     assert np.array_equal(cdf(point_mass(np.array([0.5])), np.array([0.4, 0.6])), [0.0, 1.0])
     with pytest.raises(ValueError):
-        cdf(DirichletLaw((1.0, 2.0)), 0.5)
+        cdf(Law(), 0.5)
 
 
 def test_statistic_is_what_the_cdf_takes():
@@ -156,7 +193,7 @@ def test_statistic_is_what_the_cdf_takes():
     assert name == "|X|^2" and np.allclose(values, [1.0, 0.09])
     name, values = Beta(2.0, 2.0).statistic(draws[:, :1])
     assert name == "X" and np.array_equal(values, [0.6, 0.3])
-    for law, cols in ((Beta(2.0, 2.0), 2), (RadialCircleLaw(2.0), 1), (DirichletLaw((1.0, 2.0)), 2)):
+    for law, cols in ((Beta(2.0, 2.0), 2), (RadialCircleLaw(2.0), 1), (Law(), 2)):
         with pytest.raises(ValueError, match=f"of {cols}-column draws"):
             law.statistic(np.empty((0, cols)))
 

@@ -1,10 +1,14 @@
 """The public names: every module's `__all__` and every name the package
 imports resolve, so a stale entry for a deleted function fails here and not
-first in a user's `from ... import *`; and every module uses what it imports."""
+first in a user's `from ... import *`; every module uses what it imports; and
+every class name that README.md or a module docstring quotes resolves, so a
+deleted class cannot stay documented."""
 
 import ast
+import builtins
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,35 @@ def test_every_module_level_import_is_used(name):
     # and each exempted site of this module is still an unused import, so the
     # exemptions go when the benchmark stops expecting them or the code uses them
     assert {site for site in _PATCHED_SITES if site.startswith(f"{name}.")} <= unused
+
+
+# a CamelCase word: a capital, then letters and digits with at least one
+# lower-case letter, not part of a longer word, so P_k, Q_k, X_t and PCG64DXSM
+# are not names of this kind; one followed by a space and a lower-case letter
+# is prose inside a formula, as "Dirichlet random" in `t -> law of the mean ...`
+_CAMEL = re.compile(r"(?<!\w)[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*(?!\w)(?! [a-z])")
+
+
+def _backticked_camel_names(text: str) -> set:
+    """The CamelCase words inside the `...` spans of text, fenced code blocks left out."""
+    text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+    return {word for span in re.findall(r"`([^`]+)`", text) for word in _CAMEL.findall(span)}
+
+
+def _docs() -> dict:
+    """README.md and the docstring of the package and of each module, by file name."""
+    paths = [Path(dirichlet_curve.__file__).with_name(f"{m}.py") for m in ["__init__", *_MODULES]]
+    texts = {"README.md": (Path(__file__).parents[1] / "README.md").read_text()}
+    texts.update((path.name, ast.get_docstring(ast.parse(path.read_text())) or "") for path in paths)
+    return texts
+
+
+_DOCS = _docs()
+
+
+@pytest.mark.parametrize("where, text", _DOCS.items(), ids=list(_DOCS))
+def test_every_documented_class_name_resolves(where, text):
+    bound = set(dir(builtins)) | set(dir(dirichlet_curve))
+    for name in _MODULES:
+        bound |= set(dir(importlib.import_module(f"dirichlet_curve.{name}")))
+    assert sorted(_backticked_camel_names(text) - bound) == []

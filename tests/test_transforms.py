@@ -15,8 +15,8 @@ from dirichlet_curve.measures import (
     Beta,
     BetaPrime,
     Cauchy1D,
-    EmpiricalSample,
     RngStream,
+    ScaledProduct,
     Uniform01,
     bernoulli,
     point_mass,
@@ -77,11 +77,12 @@ def test_stieltjes_tail_decay():
         assert abs(r * stieltjes(alpha, r * 1j) - 1j) < 1e-2
 
 
-def test_stieltjes_empirical_sample():
-    smp = EmpiricalSample(1, np.array([0.1, 0.5, 0.9]), {})
-    z = 1j
-    expected = np.mean([1.0 / (w - z) for w in (0.1, 0.5, 0.9)])
-    assert stieltjes(smp, z) == pytest.approx(expected)
+def test_a_family_without_transforms_raises_value_error():
+    product = ScaledProduct(Uniform01(), Cauchy1D())
+    with pytest.raises(ValueError, match="no transform integration for ScaledProduct"):
+        stieltjes(product, 1j)
+    with pytest.raises(ValueError, match="no log potential for ScaledProduct"):
+        product.log_potential(0.5)
 
 
 def test_derivative_matches_finite_differences():
