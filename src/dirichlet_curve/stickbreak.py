@@ -21,11 +21,13 @@ Three routes are implemented:
   for a <= 1, and by gen.beta above. A share below 2^-53 rounds to 0 on
   either side of a split, which moves at most 2^-53 of the parent's weight
   to its sibling: no mass is made or lost, and the mean of a base on
-  [lo, hi] moves by at most k 2^-53 (hi - lo). Each row block is split
-  into two row halves whose trees grow at once, one on the calling thread
-  and one on the worker, each from a generator seeded from the caller's;
-  the base points stay on the calling thread. The draws do not depend on
-  the threads, but they are not those of a one-generator tree.
+  [lo, hi] moves by at most k 2^-53 (hi - lo). A level's work is its live
+  nodes: the tree walks their positions, not every parent slot, a walk that
+  replaced a mask over all slots and drew the same bytes. Each row block is
+  split into two row halves whose trees grow at once, one on the calling
+  thread and one on the worker, each from a generator seeded from the
+  caller's; the base points stay on the calling thread. The draws do not
+  depend on the threads, but they are not those of a one-generator tree.
 
 `sample_james_aggregation` combines curves: with (Y_j) ~ Dirichlet(t_0..t_J)
 independent of X_j ~ mu(t_j alpha_j), the sum of Y_j X_j has law
@@ -434,7 +436,8 @@ def _beta_split(a: float, n: int, gen: Generator) -> np.ndarray:
             np.divide(lxy, a, out=lxy)
             lx, ly = lxy[:r], lxy[r:]
             np.subtract(ly, lx, out=zr)
-            np.clip(zr, -_SHARE_CAP, _SHARE_CAP, out=zr)
+            np.maximum(zr, -_SHARE_CAP, out=zr)
+            np.minimum(zr, _SHARE_CAP, out=zr)
             np.exp(zr, out=zr)
             np.add(zr, 1.0, out=zr)
             np.divide(1.0, zr, out=zr)
@@ -456,27 +459,50 @@ def _beta_split(a: float, n: int, gen: Generator) -> np.ndarray:
 
 
 def _tree(t: float, k: int, gen: Generator, w: np.ndarray) -> np.ndarray:
-    """Draw the dyadic weights of `dyadic_weight_draws` into w, zeros of shape
-    (m, 2^k), and return it. Level h draws the beta(t/2^h, t/2^h) splits of
-    its live nodes in one `_beta_split` call, in row-major order: Jöhnk's
-    rejection, two uniforms a trial, at t/2^h <= 1 and gen.beta above. A
-    share below 2^-53 is 0 on both sides, so a split moves at most 2^-53 of
-    its parent's weight to its sibling; a node whose weight is 0 is not split.
-    It calls only gen and numpy on its own arrays, so it may run on the
-    worker thread with a generator of its own."""
+    """Draw the dyadic weights of `dyadic_weight_draws` into w, C-contiguous
+    zeros of shape (m, 2^k), and return it. Level h draws the
+    beta(t/2^h, t/2^h) splits of its live nodes in one `_beta_split` call,
+    in row-major order: Jöhnk's rejection, two uniforms a trial, at
+    t/2^h <= 1 and gen.beta above. A share below 2^-53 is 0 on both sides,
+    so a split moves at most 2^-53 of its parent's weight to its sibling; a
+    node whose weight is 0 is not split.
+
+    A level's work is its live nodes. It holds their flat positions in w,
+    sorted, which is row-major order, and never scans all m 2^(h-1) parent
+    slots. A parent at position i puts its Z share at i + 2^(h-1) and keeps
+    its (1 - Z) share at i. The next level's positions are the nonzero highs
+    and lows, two sorted runs merged by one sort. The parents are gathered
+    once for each share, the second time into the first's buffer, so a
+    level holds two floats and one position a live node. Positions are
+    intp, which numpy indexes with as they are; it casts any other integer
+    index at every gather and scatter, which costs more time than a
+    narrower list saves. It calls only gen and numpy on its own arrays, so
+    it may run on the worker thread with a generator of its own."""
     w[:, 0] = 1.0
+    flat = w.reshape(-1)
+    idx = np.arange(0, flat.size, w.shape[1], dtype=np.intp)
     for h in range(1, k + 1):
         half = 2 ** (h - 1)
-        a = t / 2.0**h
-        parents = w[:, :half]
-        live = parents != 0.0
-        p = parents[live]
-        z = _beta_split(a, p.size, gen)
-        # child index = parent + 2^(h-1) * bit, so bit 0 keeps the low block
-        w[:, half : 2 * half][live] = p * z
-        np.subtract(1.0, z, out=z)
+        z = _beta_split(t / 2.0**h, idx.size, gen)
+        # child index = parent + 2^(h-1) * bit, so bit 0 keeps the parent's slot
+        p = flat[idx]
         p *= z
-        parents[live] = p
+        idx += half
+        flat[idx] = p
+        if h < k:
+            highs = idx[p != 0.0]
+        idx -= half
+        np.subtract(1.0, z, out=z)
+        # the parents again, into p's buffer: "clip" never clips a valid
+        # position, and "raise" would gather into a scratch copy first
+        np.take(flat, idx, out=p, mode="clip")
+        z *= p
+        del p
+        flat[idx] = z
+        if h < k:
+            idx = np.concatenate((idx[z != 0.0], highs))
+            del z, highs
+            idx.sort(kind="stable")
     return w
 
 
@@ -497,7 +523,10 @@ def dyadic_weight_draws(t: float, k: int, m: int, gen: Generator) -> np.ndarray:
     below 2^-53k (none is subnormal for k <= 19). A node of weight 0 is not
     split: both its children are 0 whatever Z is, so its stick is not drawn.
     At small shapes most nodes die this way: at k = 10, 2.8%, 5.6% and 10.8%
-    of leaves are live at t = 0.5, 1 and 2.
+    of leaves are live at t = 0.5, 1 and 2. A level's work is set by its
+    live nodes: the tree walks their positions, not every parent slot (see
+    `_tree`). That walk once was a mask over every slot; the walk changed,
+    and the draws did not.
     """
     _check_dyadic(t, k)
     return _tree(t, k, gen, np.zeros((m, 2**k)))

@@ -45,6 +45,13 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _assert_peak_below(peak: int, arrays: float, one_array: int) -> None:
+    """Assert peak < arrays * one_array; a failure reads both in arrays."""
+    assert peak < arrays * one_array, (
+        f"peak {peak / one_array:.2f} arrays against a bound of {arrays} (one array is {one_array} bytes)"
+    )
+
+
 def _same_draws_and_state(new, old, seed):
     g_new, g_old = RngStream(seed).generator(), RngStream(seed).generator()
     a, b = new(g_new), old(g_old)
@@ -149,6 +156,7 @@ def test_spectral_draws_past_one_block_are_drawn_block_by_block(spec):
 # a block's uniforms, exponentials and scratch array take 3 * 8 * 2^18 bytes
 # (6 MB); the output of 1e5 planar draws another 1.6 MB
 _SPECTRAL_PEAK_BOUND = 16 * 2**20
+_SPECTRAL_ARRAY = 8 * _SPECTRAL_BLOCK
 
 
 @pytest.mark.parametrize("n", [10**4, 10**5])
@@ -156,7 +164,7 @@ def test_spectral_draw_peak_does_not_grow_with_n_times_atoms(n):
     # 720 atoms: one (n, J) temporary alone was 0.58 GB at n = 1e5
     gen = RngStream(83).generator()
     peak = _traced_peak(lambda: draw_spectral_cauchy(uniform_spectrum(), n, gen))
-    assert peak < _SPECTRAL_PEAK_BOUND
+    _assert_peak_below(peak, _SPECTRAL_PEAK_BOUND / _SPECTRAL_ARRAY, _SPECTRAL_ARRAY)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +203,7 @@ def test_stick_block_peaks_below_its_bound(measure, scratch, t, policy):
     gen = RngStream(84).generator()
     stick_mean_draws(measure, t, 10, policy, gen)
     peak = _traced_peak(lambda: stick_mean_draws(measure, t, a, policy, gen))
-    assert peak < (1.5 + measure.dimension + scratch) * one_array
+    _assert_peak_below(peak, 1.5 + measure.dimension + scratch, one_array)
 
 
 # three stick calls at t = 1000 in a fresh interpreter, whose malloc
@@ -244,16 +252,17 @@ def test_stick_blocks_do_not_fault_their_memory_in_again():
 def test_dyadic_block_peaks_below_its_bound(measure, scratch, t, n):
     # A row block of 512 rows at k = 10 holds its weights (one array of
     # 512 x 1024 floats, half of it the worker's), its (2^19, d) base draws
-    # and the base draw's own scratch; one array more covers the trees'
-    # masks, sticks and products, at most 3/4 of an array for both halves at
-    # t = 1000, where no node dies. Two blocks alive at once, the previous
-    # block's weights and draws kept into the next, exceed it: a uniform
-    # base then peaked at 4.6 arrays and the circle at 6.0.
+    # and the base draw's own scratch; one array more covers the trees' live
+    # positions, sticks and products: two floats and one position a live
+    # node, 3/4 of an array a half at the last level of t = 1000, where no
+    # node dies. Two blocks alive at once, the previous block's weights and
+    # draws kept into the next, exceed it: a uniform base then peaked at 4.6
+    # arrays and the circle at 6.0.
     one_array = 512 * 1024 * 8
     gen = RngStream(85).generator()
     dyadic_mean_draws(measure, t, 10, 10, gen)
     peak = _traced_peak(lambda: dyadic_mean_draws(measure, t, 10, n, gen))
-    assert peak < (2 + measure.dimension + scratch) * one_array
+    _assert_peak_below(peak, 2 + measure.dimension + scratch, one_array)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_minflt")

@@ -265,6 +265,24 @@ def _dense_tree(t, k, m, split):
     return w
 
 
+def _mask_tree(t, k, m, gen):
+    """Reference weights: the live-node tree as a boolean mask over all the
+    parent slots of a level, gathered and scattered through strided views."""
+    w = np.zeros((m, 2**k))
+    w[:, 0] = 1.0
+    for h in range(1, k + 1):
+        half = 2 ** (h - 1)
+        parents = w[:, :half]
+        live = parents != 0.0
+        p = parents[live]
+        z = stickbreak._beta_split(t / 2.0**h, p.size, gen)
+        w[:, half : 2 * half][live] = p * z
+        np.subtract(1.0, z, out=z)
+        p *= z
+        parents[live] = p
+    return w
+
+
 def _dense_mean_draws(measure, t, k, n, gen, block=512):
     """An oracle independent of the sampler's split draw: numpy's gen.beta."""
     out = np.empty(n)
@@ -286,6 +304,21 @@ def test_dyadic_weights_match_dense_tree_where_no_node_dies(t, k):
     if k > 1:  # no leaf is 0, so no node above one is
         assert np.all(ref != 0)
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("t", [0.01, 0.5, 1.0, 2.0, 10.0, 1000.0])
+@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("m", [1, 7, 300])
+def test_dyadic_weights_match_the_mask_tree_where_nodes_die(t, k, m):
+    # the live positions walk the live nodes in the mask's row-major order,
+    # so both draw the same splits and leave the generator in the same state
+    gen, ref_gen = RngStream(66).generator(), RngStream(66).generator()
+    got = dyadic_weight_draws(t, k, m, gen)
+    ref = _mask_tree(t, k, m, ref_gen)
+    assert got.tobytes() == ref.tobytes()
+    assert gen.random() == ref_gen.random()
+    if t <= 2.0 and k == 10 and m == 300:  # most leaves of these trees are dead
+        assert np.count_nonzero(ref) < 0.2 * ref.size
 
 
 def test_dyadic_weights_split_only_live_nodes(monkeypatch):
