@@ -32,13 +32,11 @@ from .measures import (
 )
 from .stickbreak import (
     DEFAULT_POLICY,
-    StickBreakWeights,
     TruncationPolicy,
     sample_dirichlet_mean,
     sample_fixed_point,
     sample_james_aggregation,
     sample_mean_dyadic,
-    stick_break_weights,
 )
 
 from .cauchy import (

@@ -277,6 +277,14 @@ class MomentTable:
                 raise ValueError("second-moment identity violated")
 
 
+def _moment_list(m) -> list:
+    """The raw moments m as a list of floats; an empty m is refused."""
+    m = [float(v) for v in m]
+    if not m:
+        raise ValueError("need at least one moment")
+    return m
+
+
 def _p_coefficients(m: list) -> list:
     """Ascending coefficient arrays of P_0..P_{n-1} for raw moments m_1..m_n:
     P_0 = m_1 and
@@ -306,9 +314,7 @@ def moment_recursion(m, t: float) -> MomentTable:
     over a product of factors t/s + j/s, none of which overflows at any t.
     """
     _check_intensity(t)
-    m = [float(v) for v in m]
-    if not m:
-        raise ValueError("need at least one moment")
+    m = _moment_list(m)
     s = max(t, 1.0)
     x, y = t / s, 1.0 / s
     ex, scaled = [], 1.0
@@ -331,9 +337,8 @@ def recursion_gap(m, t: float, law: Law) -> float:
     return max(abs(ex[k - 1] - law_raw_moment(law, k)) for k in range(1, len(ex) + 1))
 
 
-def _check_moment_consistency(m):
+def _check_moment_consistency(m: list):
     """Reject moment vectors that cannot come from a probability on [0, inf)."""
-    m = [float(v) for v in m]
     full = [1.0] + m
     tol = 1e-12 * max(1.0, max(abs(v) for v in full))
     if m[0] < -tol:
@@ -357,8 +362,9 @@ def p_q_coefficients(m):
     t -> E(X^{k+1}) non-increasing; `q_certificate` reads the signs. Moments
     that no law on [0, inf) has are refused.
     """
+    m = _moment_list(m)
     _check_moment_consistency(m)
-    P = _p_coefficients([float(v) for v in m])
+    P = _p_coefficients(m)
     # np.polynomial loads at its first read, so importing the package does not load it
     poly = np.polynomial.polynomial
     Q, rising = [], np.array([1.0])

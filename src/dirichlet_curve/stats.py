@@ -55,10 +55,6 @@ class KSReport:
     level: float
     passed: bool
 
-    def __str__(self):
-        size = f"n={self.n}" if self.m is None else f"n={self.n},m={self.m}"
-        return f"KS D={self.statistic:.5f} ({size}) p={self.p_value:.4g} passed={self.passed}"
-
 
 def _values_1d(sample) -> np.ndarray:
     if isinstance(sample, EmpiricalSample):

@@ -22,11 +22,10 @@ Three routes are implemented:
   either side of a split, which moves at most 2^-53 of the parent's weight
   to its sibling: no mass is made or lost, and the mean of a base on
   [lo, hi] moves by at most k 2^-53 (hi - lo). A level's work is its live
-  nodes: the tree walks their positions, not every parent slot, a walk that
-  replaced a mask over all slots and drew the same bytes. Each row block is
-  split into two row halves whose trees grow at once, one on the calling
-  thread and one on the worker, each from a generator seeded from the
-  caller's; the base points stay on the calling thread. The draws do not
+  nodes: the tree walks their positions, not every parent slot. Each row
+  block is split into two row halves whose trees grow at once, one on the
+  calling thread and one on the worker, each from a generator seeded from
+  the caller's; the base points stay on the calling thread. The draws do not
   depend on the threads, but they are not those of a one-generator tree.
 
 `sample_james_aggregation` combines curves: with (Y_j) ~ Dirichlet(t_0..t_J)
@@ -39,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
@@ -57,10 +57,8 @@ from .measures import (
 )
 
 __all__ = [
-    "StickBreakWeights",
     "TruncationPolicy",
     "DEFAULT_POLICY",
-    "stick_break_weights",
     "sample_dirichlet_mean",
     "sample_fixed_point",
     "default_fixed_point_depth",
@@ -68,7 +66,6 @@ __all__ = [
     "sample_james_aggregation",
 ]
 
-_SUM_TOL = 1e-12
 # column block for vectorized stick generation; rows are chunked separately
 _COL_BLOCK = 256
 _ROW_BLOCK = 20_000
@@ -86,23 +83,11 @@ _TINY_SHARE = 2.0**-53
 # normal float
 _SHARE_CAP = 40.0
 _EXP_CAP = 700.0
-
-
-@dataclass(frozen=True)
-class StickBreakWeights:
-    """Finite stick-breaking prefix: weights W_1..W_N plus the leftover tail mass."""
-
-    t: float
-    weights: np.ndarray
-    tail: float
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or self.tail < 0:
-            raise ValueError("weights and tail must be nonnegative")
-        if abs(w.sum() + self.tail - 1.0) > _SUM_TOL:
-            raise ValueError("weights plus tail must sum to 1")
-        object.__setattr__(self, "weights", w)
+# the smallest split shape: log(1 - U) of a 53-bit uniform is at least
+# -53 ln 2, so the split's log(1 - U)/a stays finite from a = 53 ln 2 / DBL_MAX
+# (about 2.04e-307) up; below it both logs overflow to -inf, their difference
+# is NaN, and the trials are rejected almost always
+_SPLIT_FLOOR = 53.0 * math.log(2.0) / sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -189,33 +174,38 @@ def _submit(fn):
 
 
 def _weight_step(u: np.ndarray, tail: np.ndarray, t: float, eps: float):
-    """The step that turns the uniforms u, shape (a, cols), of series whose tail
-    masses are `tail` into the weights of their next cols sticks, in place.
+    """The step of `stick_mean_draws` that turns the uniforms u, shape
+    (a, cols), of series whose tail masses are `tail` into the weights of
+    their next cols sticks, in place.
 
     A series stops at its first tail mass below eps; its weights past the stop
-    are 0. The step returns each series' tail mass after its last kept stick,
-    and an array whose entry for a stopped series is its stop column. It calls
-    only numpy on its own arrays, so it may run on another thread; its scratch
-    arrays, one chunk of rows each, are made here, on the calling thread.
+    are 0. The step returns each series' tail mass after its last kept stick.
+    It calls only numpy on its own arrays, so it may run on another thread;
+    its scratch arrays, one chunk of rows each, are made here, on the calling
+    thread.
     """
     a, cols = u.shape
     rows = max(1, _CHUNK // cols)
     new_tail = np.empty(a)
-    stop = np.empty(a, np.intp)
-    tails = np.empty(min(rows, a) * cols)
+    stop = np.empty(min(rows, a), np.intp)
+    tails = np.empty(stop.size * cols)
     below = np.empty(tails.size, bool)
 
     def step():
         np.log(u, out=u)
-        np.divide(u, t, out=u)  # log(1 - Y), Y ~ beta(1, t) by inverse CDF
-        np.cumsum(u, axis=1, out=u)
+        # log(1 - Y), Y ~ beta(1, t) by inverse CDF, and its running sums; at
+        # t below about 1e-307 they overflow to -inf, the exact limit, whose
+        # exp is a tail mass of 0 (errstate holds for this thread alone)
+        with np.errstate(over="ignore"):
+            np.divide(u, t, out=u)
+            np.cumsum(u, axis=1, out=u)
         np.exp(u, out=u)
         # chunk by chunk, with contiguous operands only: numpy buffers a
         # broadcast or strided 2-D operand, and buffers allocated here would
         # grow a second malloc arena
         for lo in range(0, a, rows):
             chunk = slice(lo, lo + rows)
-            v, v_tail, v_stop = u[chunk], new_tail[chunk], stop[chunk]
+            v, v_tail = u[chunk], new_tail[chunk]
             v_tails = tails[: v.size].reshape(v.shape)
             np.copyto(v_tails, tail[chunk, None])
             np.multiply(v, v_tails, out=v)  # the tail masses
@@ -228,7 +218,7 @@ def _weight_step(u: np.ndarray, tail: np.ndarray, t: float, eps: float):
             if v_tail.min() < eps:
                 # tails never increase along a row, so a row stops in this
                 # block exactly when its last tail is below eps
-                v_below = below[: v.size].reshape(v.shape)
+                v_below, v_stop = below[: v.size].reshape(v.shape), stop[: len(v)]
                 np.less(v_tails, eps, out=v_below)
                 np.argmax(v_below, axis=1, out=v_stop)
                 hit = np.flatnonzero(v_below[:, -1])
@@ -236,70 +226,9 @@ def _weight_step(u: np.ndarray, tail: np.ndarray, t: float, eps: float):
                 # a weight after a tail below eps is past its row's stop
                 np.copyto(flat[1:], 0.0, where=v_below.reshape(-1)[:-1])
             np.subtract(tail[chunk], v_tails[:, 0], out=v[:, 0])
-        return new_tail, stop
+        return new_tail
 
     return step
-
-
-def stick_break_weights(
-    t: float, policy: TruncationPolicy, rng: RngStream
-) -> StickBreakWeights:
-    """One draw of the truncated stick-breaking weight sequence."""
-    _check_intensity(t)
-    gen = rng.generator()
-    eps, block = policy.epsilon, policy.columns(t)
-    weights, tail = [], np.ones(1)
-    while True:
-        w = gen.random((1, block))
-        tail, stop = _weight_step(w, tail, t, eps)()
-        stopped = tail[0] < eps
-        weights.append(w[0, : stop[0] + 1 if stopped else block])
-        if stopped:
-            return StickBreakWeights(t=t, weights=np.concatenate(weights), tail=float(tail[0]))
-
-
-def _stick_mean_block(
-    measure: GoverningMeasure,
-    t: float,
-    m: int,
-    policy: TruncationPolicy,
-    gen: Generator,
-) -> np.ndarray:
-    """m draws of the truncated series sum W_n B_n, vectorized over rows; a row
-    stops at its first tail mass below epsilon.
-
-    The worker thread turns each block's uniforms into weights while this
-    thread draws the block's base points. Every generator call stays on this
-    thread, in the order of a serial run, so the draws do not depend on the
-    threads."""
-    d = measure.dimension
-    eps, block = policy.epsilon, policy.columns(t)
-    acc = np.zeros((m, d))
-    tail = np.ones(m)
-    active = np.arange(m)
-    # one uniforms buffer for every block: a fresh one, freed each block, let
-    # malloc give its pages back and fault them in again for the next
-    buf = np.empty((m, block))
-    while active.size:
-        a = active.size
-        w = gen.random(out=buf[:a])
-        step = _weight_step(w, tail[active], t, eps)
-        weights = _submit(step)
-        b = draw_measure(measure, a * block, gen).reshape(a, block, d)
-        # a step that the worker has not started yet runs here instead
-        new_tail, _ = step() if weights.cancel() else weights.result()
-        acc[active] += np.einsum("ak,akd->ad", w, b)
-        # free this block's draws and step scratch before the next block
-        del b, step
-        stopped = new_tail < eps
-        finished = active[stopped]
-        if finished.size:
-            t_fin = new_tail[stopped]
-            extra = draw_measure(measure, finished.size, gen)
-            acc[finished] += t_fin[:, None] * extra
-        tail[active] = new_tail
-        active = active[~stopped]
-    return acc
 
 
 def stick_mean_draws(
@@ -309,13 +238,43 @@ def stick_mean_draws(
     policy: TruncationPolicy,
     gen: Generator,
 ) -> np.ndarray:
-    """n draws of the stick-breaking mean as an (n, d) array (open-generator core)."""
+    """n draws of the truncated series sum W_n B_n as an (n, d) array
+    (open-generator core); a series stops at its first tail mass below
+    epsilon and puts that mass on one fresh base draw.
+
+    Rows run in blocks of 20,000, and a block's series run in blocks of
+    columns, each accumulated into the block's rows of the output. The worker
+    thread turns a column block's uniforms into weights while this thread
+    draws the block's base points. Every generator call stays on this thread,
+    in the order of a serial run, so the draws do not depend on the threads."""
     _check_intensity(t)
     d = measure.dimension
-    out = np.empty((n, d))
+    eps, block = policy.epsilon, policy.columns(t)
+    out = np.zeros((n, d))
+    # one uniforms buffer for every block: a fresh one, freed each block, let
+    # malloc give its pages back and fault them in again for the next
+    buf = np.empty((min(n, _ROW_BLOCK), block))
     for lo in range(0, n, _ROW_BLOCK):
-        m = min(_ROW_BLOCK, n - lo)
-        out[lo : lo + m] = _stick_mean_block(measure, t, m, policy, gen)
+        acc = out[lo : lo + _ROW_BLOCK]
+        tail = np.ones(len(acc))
+        active = np.arange(len(acc))
+        while active.size:
+            a = active.size
+            w = gen.random(out=buf[:a])
+            step = _weight_step(w, tail[active], t, eps)
+            weights = _submit(step)
+            b = draw_measure(measure, a * block, gen).reshape(a, block, d)
+            # a step that the worker has not started yet runs here instead
+            new_tail = step() if weights.cancel() else weights.result()
+            acc[active] += np.einsum("ak,akd->ad", w, b)
+            # free this block's draws and step scratch before the next block
+            del b, step
+            stopped = new_tail < eps
+            finished = active[stopped]
+            if finished.size:
+                acc[finished] += new_tail[stopped, None] * draw_measure(measure, finished.size, gen)
+            tail[active] = new_tail
+            active = active[~stopped]
     return out
 
 
@@ -399,6 +358,11 @@ def _check_dyadic(t: float, k: int) -> None:
     _check_intensity(t)
     if k < 1:
         raise ValueError("k must be at least 1")
+    if math.ldexp(t, -k) < _SPLIT_FLOOR:
+        raise ValueError(
+            f"the dyadic splits need t/2^k at least {_SPLIT_FLOOR!r}, not t = {t!r} at k = {k}: "
+            "below it their logs overflow"
+        )
 
 
 def _beta_split(a: float, n: int, gen: Generator) -> np.ndarray:
@@ -525,8 +489,8 @@ def dyadic_weight_draws(t: float, k: int, m: int, gen: Generator) -> np.ndarray:
     At small shapes most nodes die this way: at k = 10, 2.8%, 5.6% and 10.8%
     of leaves are live at t = 0.5, 1 and 2. A level's work is set by its
     live nodes: the tree walks their positions, not every parent slot (see
-    `_tree`). That walk once was a mask over every slot; the walk changed,
-    and the draws did not.
+    `_tree`). A t with t/2^k below `_SPLIT_FLOOR`, about 2.04e-307, is
+    refused: the split's logs would overflow there.
     """
     _check_dyadic(t, k)
     return _tree(t, k, gen, np.zeros((m, 2**k)))

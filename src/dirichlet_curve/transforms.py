@@ -128,13 +128,6 @@ class CRResidual:
     def compatible_with_zero(self, n_se: float = 3.0) -> bool:
         return self.residual <= n_se * self.mc_se
 
-    def __str__(self):
-        tag = "s" if self.form == "fourier" else "z"
-        return (
-            f"identity[{self.form}] t={self.t:g} {tag}={self.point:g}: "
-            f"|LHS-RHS|={self.residual:.3e} (mc se {self.mc_se:.3e}, n={self.mc_n})"
-        )
-
 
 def cr_identity_residual(
     alpha,

@@ -360,6 +360,12 @@ def test_polynomials_reject_inconsistent_moments():
         _p_q_values([0.5, 0.2, 0.1, 0.05], 1.0)
 
 
+def test_every_moment_reader_refuses_an_empty_vector():
+    for call in (lambda: moment_recursion([], 1.0), lambda: p_q_coefficients([]), lambda: q_certificate([])):
+        with pytest.raises(ValueError, match="need at least one moment"):
+            call()
+
+
 @pytest.mark.parametrize("measure", [bernoulli(0.5), Uniform01()], ids=["bernoulli", "uniform"])
 def test_q_certificate_is_positive_for_the_moments_bases(measure):
     values = q_certificate(measure.raw_moments(6))

@@ -1,8 +1,9 @@
 """The public names: every module's `__all__` and every name the package
 imports resolve, so a stale entry for a deleted function fails here and not
-first in a user's `from ... import *`; every module uses what it imports; and
+first in a user's `from ... import *`; every module uses what it imports;
 every class name that README.md or a module docstring quotes resolves, so a
-deleted class cannot stay documented."""
+deleted class cannot stay documented; and every public name has a reader
+outside the tests, so a function that only its tests call fails here."""
 
 import ast
 import builtins
@@ -98,3 +99,33 @@ def test_every_documented_class_name_resolves(where, text):
     for name in _MODULES:
         bound |= set(dir(importlib.import_module(f"dirichlet_curve.{name}")))
     assert sorted(_backticked_camel_names(text) - bound) == []
+
+
+def _src_loads() -> set:
+    """The names that the package's modules load, as a name or an attribute,
+    outside the top-level definition that binds the name itself."""
+    loads = set()
+    for name in _MODULES:
+        tree = ast.parse(Path(dirichlet_curve.__file__).with_name(f"{name}.py").read_text())
+        for stmt in tree.body:
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            loads |= names - {getattr(stmt, "name", None)}
+    return loads
+
+
+def _readers() -> str:
+    """README.md and the benchmark's files outside its tests."""
+    root = Path(__file__).parents[1]
+    bench = sorted(p for p in (root / "perfbench").rglob("*") if p.is_file() and "tests" not in p.parts)
+    return "\n".join(p.read_text() for p in [root / "README.md", *bench] if p.suffix in (".md", ".py", ".json"))
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_public_name_has_a_reader(name):
+    # a public name that only its tests read is dead code with a test; the
+    # package's own re-exports in __init__ are imports, not loads
+    loads, readers = _src_loads(), _readers()
+    module = importlib.import_module(f"dirichlet_curve.{name}")
+    unread = [n for n in module.__all__ if n not in loads and not re.search(rf"\b{re.escape(n)}\b", readers)]
+    assert unread == []

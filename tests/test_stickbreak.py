@@ -41,7 +41,6 @@ from dirichlet_curve.stickbreak import (
     sample_fixed_point,
     sample_james_aggregation,
     sample_mean_dyadic,
-    stick_break_weights,
 )
 
 ARCSINE_CDF = lambda x: betainc(0.5, 0.5, np.clip(x, 0.0, 1.0))
@@ -57,15 +56,30 @@ def test_policy_validation():
     assert TruncationPolicy.tail(1e-3).mode == "tail_epsilon"
 
 
+def _one_series(t, policy, rng):
+    """The kept weights and the last tail mass of one stick series, drawn by
+    `stick_mean_draws`' weight step from rng's generator one column block at a
+    time. In the block where the series stops, its last kept weight is the
+    last nonzero one: it is T_{stop-1} - T_stop > 0, and every later weight is 0."""
+    gen = rng.generator()
+    eps, block = policy.epsilon, policy.columns(t)
+    weights, tail = [], np.ones(1)
+    while tail[0] >= eps:
+        w = gen.random((1, block))
+        tail = stickbreak._weight_step(w, tail, t, eps)()
+        weights.append(w[0] if tail[0] >= eps else w[0, : np.flatnonzero(w[0])[-1] + 1])
+    return np.concatenate(weights), float(tail[0])
+
+
 def test_single_stick_is_uniform():
     # at t = 1 a series goes on past its first stick with probability 1 - epsilon
     policy = TruncationPolicy.tail(1.0 - 1e-9)
     w1 = np.empty(2000)
     for i in range(w1.shape[0]):
-        sbw = stick_break_weights(1.0, policy, RngStream(11, i))
-        assert sbw.weights.shape == (1,)
-        assert sbw.tail == pytest.approx(1.0 - sbw.weights[0], abs=1e-15)
-        w1[i] = sbw.weights[0]
+        weights, tail = _one_series(1.0, policy, RngStream(11, i))
+        assert weights.shape == (1,)
+        assert tail == pytest.approx(1.0 - weights[0], abs=1e-15)
+        w1[i] = weights[0]
     rep = ks_one_sample(w1, lambda x: x)
     assert rep.p_value > 0.001
 
@@ -75,9 +89,9 @@ def test_tail_epsilon_stopping():
     lengths = np.empty(1000)
     tails = np.empty(1000)
     for i in range(1000):
-        sbw = stick_break_weights(2.0, policy, RngStream(12, i))
-        lengths[i] = sbw.weights.shape[0]
-        tails[i] = sbw.tail
+        weights, tails[i] = _one_series(2.0, policy, RngStream(12, i))
+        lengths[i] = weights.shape[0]
+        assert abs(weights.sum() + tails[i] - 1.0) < 1e-12
     assert tails.max() < 1e-12
     assert tails.mean() < 1e-12
     # stopping time concentrates near t*log(1/eps) sticks
@@ -90,12 +104,22 @@ def test_tail_epsilon_stopping():
     epsilon=st.floats(min_value=1e-15, max_value=0.999),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_weights_telescope(t, epsilon, seed):
-    # up to about 1700 sticks, in up to 7 blocks
-    sbw = stick_break_weights(t, TruncationPolicy.tail(epsilon), RngStream(seed))
-    assert sbw.weights.size >= 1
-    assert np.all(sbw.weights >= 0) and 0 <= sbw.tail < epsilon
-    assert abs(sbw.weights.sum() + sbw.tail - 1.0) < 1e-12
+def test_stick_kernel_matches_the_reference_at_any_t_epsilon_and_seed(t, epsilon, seed):
+    # up to about 1700 sticks a series, in up to 7 column blocks
+    policy = TruncationPolicy.tail(epsilon)
+    gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
+    got = stickbreak.stick_mean_draws(Uniform01(), t, 5, policy, gen)
+    ref = _reference_stick_mean_block(Uniform01(), t, 5, policy, ref_gen)
+    assert got.tobytes() == ref.tobytes()
+    assert gen.random() == ref_gen.random()
+
+
+def test_stick_kernel_at_a_subnormal_t_gives_the_base():
+    # log(1 - Y)/t overflows to -inf, the exact limit: every series stops at
+    # its first stick, whose weight is 1, and no RuntimeWarning is raised
+    x = stickbreak.stick_mean_draws(Uniform01(), 1e-320, 2000, TruncationPolicy.tail(1e-12), RngStream(27).generator())
+    assert np.isfinite(x).all()
+    assert ks_one_sample(x, lambda v: np.clip(v, 0.0, 1.0)).p_value > 0.001
 
 
 def test_mean_draws_bernoulli_arcsine():
@@ -492,20 +516,6 @@ def _reference_stick_mean_block(measure, t, m, policy, gen):
     return acc
 
 
-def _reference_weights(t, policy, gen):
-    """Reference stick_break_weights, written with fresh arrays."""
-    eps, weights, tail = policy.epsilon, [], 1.0
-    block = max(8, min(256, int(2 + 1.5 * t * math.log(1.0 / eps))))
-    while tail >= eps:
-        tails = tail * np.exp(np.cumsum(np.log(gen.random(block)) / t))
-        w = np.concatenate([[tail], tails[:-1]]) - tails
-        below = np.nonzero(tails < eps)[0]
-        stop = below[0] if below.size else block - 1
-        weights.append(w[: stop + 1])
-        tail = float(tails[stop])
-    return np.concatenate(weights), tail
-
-
 # near one stick (epsilon close to 1), rows that stop mid-block, and rows that
 # run past one block (at t = 120, about 830 sticks at 1e-3 and 3300 at 1e-12)
 _KERNEL_POLICIES = [TruncationPolicy.tail(eps) for eps in (0.999, 0.9, 0.5, 0.1, 1e-6, 1e-12, 1e-3)]
@@ -525,16 +535,6 @@ def test_stick_kernel_matches_the_reference(measure, policy):
         ref = _reference_stick_mean_block(measure, t, 150, policy, ref_gen)
         assert got.tobytes() == ref.tobytes()
         assert gen.random() == ref_gen.random()
-
-
-@pytest.mark.parametrize("policy", _KERNEL_POLICIES, ids=TruncationPolicy.label)
-def test_stick_break_weights_match_the_reference(policy):
-    for t in (0.3, 7.0, 120.0):
-        for i in range(4):
-            got = stick_break_weights(t, policy, RngStream(71, i))
-            ref_w, ref_tail = _reference_weights(t, policy, RngStream(71, i).generator())
-            assert got.weights.tobytes() == ref_w.tobytes()
-            assert got.tail == ref_tail
 
 
 def test_policy_columns():
@@ -570,7 +570,6 @@ def test_intensity_must_be_positive_and_finite(t):
     calls = [
         lambda: stickbreak.stick_mean_draws(Uniform01(), t, 10, TruncationPolicy.tail(0.5), gen),
         lambda: stickbreak.stick_mean_draws(Uniform01(), t, 10, TruncationPolicy.tail(1e-6), gen),
-        lambda: stick_break_weights(t, TruncationPolicy.tail(0.5), RngStream(72)),
         lambda: stickbreak.fixed_point_draws(Uniform01(), t, 10, 5, gen),
         lambda: dyadic_weight_draws(t, 3, 10, gen),
         lambda: dyadic_mean_draws(Uniform01(), t, 3, 10, gen),
@@ -590,7 +589,7 @@ def test_policy_mean_sticks(t):
     assert TruncationPolicy.tail((t / (t + 1.0)) ** 5).mean_sticks(t) == pytest.approx(1.0 + 5.0 * t * math.log1p(1.0 / t))
     assert TruncationPolicy.tail((t / (t + 1.0)) ** 5).mean_sticks(t) < 6.0
     policy = TruncationPolicy.tail(1e-3)
-    counts = np.array([stick_break_weights(t, policy, RngStream(72, i)).weights.size for i in range(400)])
+    counts = np.array([_one_series(t, policy, RngStream(72, i))[0].size for i in range(400)])
     se = counts.std(ddof=1) / np.sqrt(counts.size)
     assert abs(counts.mean() - policy.mean_sticks(t)) < 4 * se
 
@@ -914,6 +913,36 @@ def test_bad_dyadic_arguments_raise_before_anything_is_submitted(monkeypatch, t,
     message = "k must be at least 1" if k < 1 else "t must be positive and finite"
     with pytest.raises(ValueError, match=message):
         dyadic_mean_draws(Uniform01(), t, k, 10, gen)
+    assert submitted == []
+    assert gen.random() == RngStream(98).generator().random()
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_dyadic_splits_at_the_shape_floor_stay_finite(k):
+    # the smallest shape t/2^k = _SPLIT_FLOOR: the split's logs reach -DBL_MAX
+    # and no further, and under pytest a RuntimeWarning would fail this test
+    t = stickbreak._SPLIT_FLOOR * 2.0**k
+    w = dyadic_weight_draws(t, k, 400, RngStream(99).generator())
+    assert np.isfinite(w).all()
+    assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.isfinite(dyadic_mean_draws(Uniform01(), t, k, 50, RngStream(99).generator())).all()
+
+
+@pytest.mark.parametrize("t, k", [(1e-315, 1), (math.nextafter(stickbreak._SPLIT_FLOOR * 8.0, 0.0), 3), (1.0, 1100)])
+def test_dyadic_shapes_below_the_floor_raise_before_anything_is_submitted(monkeypatch, t, k):
+    # below the floor the split's logs overflow and its trials are rejected
+    # almost always: at t = 1e-315, k = 1 the sampler never returned
+    submitted = []
+    monkeypatch.setattr(stickbreak, "_submit", submitted.append)
+    gen = RngStream(98).generator()
+    message = f"the dyadic splits need t/2^k at least {stickbreak._SPLIT_FLOOR!r}, not t = {t!r} at k = {k}"
+    for call in (
+        lambda: dyadic_mean_draws(Uniform01(), t, k, 10, gen),
+        lambda: dyadic_weight_draws(t, k, 10, gen),
+        lambda: sample_mean_dyadic(Uniform01(), t, k, 10, RngStream(98)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
     assert submitted == []
     assert gen.random() == RngStream(98).generator().random()
 
