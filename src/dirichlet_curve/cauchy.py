@@ -147,26 +147,31 @@ def standard_skewed_stable(gen: Generator, size) -> np.ndarray:
     Chambers-Mallows-Stuck at stability index 1, skewness 1:
     with V uniform on (-pi/2, pi/2) and W standard exponential,
     Z = (2/pi)[(pi/2 + V) tan V - log( (pi/2) W cos V / (pi/2 + V) )].
-    The arithmetic runs in place on the two draws and one scratch array.
+    cos V is 1 / sqrt(1 + tan^2 V) on (-pi/2, pi/2), so numpy's vectorized
+    tan gives both, where cos would run through scalar libm. The arithmetic
+    runs in place on the two draws and one scratch array.
     """
     half_pi = np.pi / 2.0
     v = gen.random(size)
     v -= 0.5
     v *= np.pi
     w = gen.standard_exponential(size)
-    # w <- log((pi/2) W cos V / (pi/2 + V)), with s holding cos V, then pi/2 + V
-    s = np.cos(v)
+    # w <- (pi/2) W / (pi/2 + V), with s holding pi/2 + V
+    s = v + half_pi
     w *= half_pi
-    w *= s
-    np.add(v, half_pi, out=s)
     w /= s
-    np.log(w, out=w)
-    # v <- (2/pi)[(pi/2 + V) tan V - w]
+    # s <- (pi/2 + V) tan V, then v <- sqrt(1 + tan^2 V) = 1 / cos V
     np.tan(v, out=v)
-    v *= s
-    v -= w
-    v *= 2.0 / np.pi
-    return v
+    s *= v
+    np.square(v, out=v)
+    v += 1.0
+    np.sqrt(v, out=v)
+    # s <- (2/pi)[s - log(w cos V)]
+    w /= v
+    np.log(w, out=w)
+    s -= w
+    s *= 2.0 / np.pi
+    return s
 
 
 def draw_spectral_cauchy(spec: SpectralCauchy, n: int, gen: Generator) -> np.ndarray:
@@ -261,5 +266,5 @@ def verify_mult_invariance(
     scaled = ScaledProduct(radial=radial, direction=Cauchy1D(0.0, 1.0))
     lhs = stick_mean_draws(scaled, t, n, policy, gen)
     x = stick_mean_draws(radial, t, n, policy, gen)
-    c = gen.standard_cauchy(n)[:, None]
+    c = Cauchy1D(0.0, 1.0).draw(n, gen)
     return ks_two_sample(lhs, c * x, level=level)

@@ -278,10 +278,14 @@ class MomentTable:
 
 
 def _moment_list(m) -> list:
-    """The raw moments m as a list of floats; an empty m is refused."""
+    """The raw moments m as a list of floats; an empty m is refused, and so is
+    a moment that is not finite, by its order."""
     m = [float(v) for v in m]
     if not m:
         raise ValueError("need at least one moment")
+    for k, v in enumerate(m, 1):
+        if not math.isfinite(v):
+            raise ValueError(f"raw moment {k} is {v!r}: a moment must be finite")
     return m
 
 

@@ -26,7 +26,7 @@ from .exact import special
 # draw_measure and stick_mean_draws are unused here, but perfbench's
 # test_every_import_site_is_patched expects this module to bind both as sites
 # its tracer patches; keep them until the benchmark revision (ROADMAP item 7)
-from .measures import EmpiricalSample, RngStream, draw_measure
+from .measures import Beta, EmpiricalSample, RngStream, draw_measure
 from .stickbreak import stick_mean_draws
 
 __all__ = [
@@ -301,11 +301,13 @@ def beta_identity_check(
     _check_level("level", level)
     u1, u2 = _mixing_params(a, b, u_params)
     gen = rng.generator()
-    xb = gen.beta(b, b, size=n)
-    xa = gen.beta(a, a, size=n)
-    u = gen.beta(u1, u2, size=n)
+
+    def beta(p, q):
+        return Beta(p, q).draw(n, gen)[:, 0]
+
+    xb, xa, u = beta(b, b), beta(a, a), beta(u1, u2)
     mix = (1.0 - u) * xb + u * xa
-    fresh = gen.beta(b, b, size=n)
+    fresh = beta(b, b)
     return ks_two_sample(mix, fresh, level=level)
 
 

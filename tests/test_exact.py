@@ -366,6 +366,19 @@ def test_every_moment_reader_refuses_an_empty_vector():
             call()
 
 
+@pytest.mark.parametrize("points, order", [([[1e200], [0.0]], 2), ([[1e60], [0.0]], 6), ([[1e200], [-1e200]], 2)],
+                         ids=["1e200", "1e60", "pm_1e200"])
+def test_moments_past_the_float_range_are_refused_by_order(points, order):
+    # the second moment of 1e200 and the sixth of 1e60 exceed the largest
+    # float; raw_moments returns them as inf (nan where signs meet) without a
+    # warning, and each moment reader refuses them, naming the first order
+    m = DiscreteAtoms(points, [0.5, 0.5]).raw_moments(6)
+    assert np.isfinite(m[: order - 1]).all() and not np.isfinite(m[order - 1])
+    for call in (lambda: moment_recursion(m, 1.0), lambda: p_q_coefficients(m), lambda: q_certificate(m)):
+        with pytest.raises(ValueError, match=f"raw moment {order} is"):
+            call()
+
+
 @pytest.mark.parametrize("measure", [bernoulli(0.5), Uniform01()], ids=["bernoulli", "uniform"])
 def test_q_certificate_is_positive_for_the_moments_bases(measure):
     values = q_certificate(measure.raw_moments(6))

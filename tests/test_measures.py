@@ -105,6 +105,7 @@ def test_uniform01_inherits_beta_1_1_bit_for_bit():
     x = np.concatenate([x, RngStream(8).generator().random(10**5)])
     u = Uniform01()
     assert isinstance(u, Beta) and (u.a, u.b) == (1.0, 1.0)
+    assert Uniform01.draw is Beta.draw
     assert u.cdf(x).tobytes() == np.clip(x, 0.0, 1.0).tobytes()
     assert u.raw_moments(4).tolist() == [1 / 2, 1 / 3, 1 / 4, 1 / 5]
 
@@ -174,17 +175,6 @@ def test_parse_measure_config_errors():
         parse_measure_config("family=does_not_exist")
     with pytest.raises(ValueError):
         parse_measure_config("a=0.5")
-
-
-def test_sample_csv_roundtrip(tmp_path):
-    smp = sample_measure(Uniform01(), 50, RngStream(7))
-    path = tmp_path / "draws.csv"
-    smp.to_csv(path)
-    lines = path.read_text().splitlines()
-    headers = [ln for ln in lines if ln.startswith("#")]
-    assert any("measure=" in h for h in headers)
-    data = np.array([float(v) for v in lines if not v.startswith("#")])
-    assert np.array_equal(data, smp.values())
 
 
 from dirichlet_curve.measures import CauchyRd  # noqa: E402
@@ -398,6 +388,49 @@ def test_arcsine_draws_are_sin_squared_within_eight_ulps():
     assert np.all(x[u == 0.0] == 0.0)
 
 
+# the draws by a tangent of one uniform: Cauchy1D, BetaPrime(1/2, 1/2), the
+# circle, and the arcsine and uniform shapes of Beta
+_TANGENT_DRAWS = [Cauchy1D(1.5, 2.5), BetaPrime(0.5, 0.5), UniformCircle(), Beta(1.0, 1.0), Beta(0.5, 0.5)]
+
+
+@pytest.mark.parametrize("measure", _TANGENT_DRAWS, ids=lambda m: m.describe())
+def test_tangent_draws_are_finite_at_the_edge_uniforms(measure):
+    # 0, 1/2 and 1 - 2^-53, the largest value of gen.random: the tangents
+    # meet their poles at -pi/2, pi/2 and pi only within rounding, and stay
+    # below 2e16 there; a RuntimeWarning fails the test
+    u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+    x = measure.draw(u.size, _FixedUniforms(u))
+    assert x.shape == (u.size, measure.dimension) and np.isfinite(x).all()
+
+
+# one seeded KS test of each tangent draw against the cdf of its law. Each
+# draw is an inverse cdf of the same uniforms, so where its formula is right,
+# the cdf gives the uniforms back and all four read one statistic (p = 0.467)
+_KS_SEED, _KS_N, _KS_LEVEL = 131, 10**5, 1e-3
+
+
+def _circle_turn(x):
+    """The angle of each point of the circle, in turns: uniform on [0, 1)."""
+    return np.arctan2(x[:, 1], x[:, 0]) / (2.0 * np.pi) % 1.0
+
+
+@pytest.mark.parametrize(
+    "measure, statistic, law",
+    [
+        (Cauchy1D(1.5, 2.5), None, Cauchy1D(1.5, 2.5)),
+        (BetaPrime(0.5, 0.5), None, BetaPrime(0.5, 0.5)),
+        (Beta(1.0, 1.0), None, Beta(1.0, 1.0)),
+        (UniformCircle(), _circle_turn, Uniform01()),
+    ],
+    ids=["cauchy", "beta_prime_half", "beta_1_1", "circle_angle"],
+)
+def test_tangent_draws_follow_their_law(measure, statistic, law):
+    x = measure.draw(_KS_N, RngStream(_KS_SEED).generator())
+    values = x[:, 0] if statistic is None else statistic(x)
+    rep = ks_one_sample(values, law.cdf, level=_KS_LEVEL)
+    assert rep.passed, rep
+
+
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("k", [1, 2, 5, 20, 200, _PASS_ATOMS, _PASS_ATOMS + 1])
 def test_atom_draws_are_those_of_choice(k, d):
@@ -415,7 +448,7 @@ def test_atom_draws_are_those_of_choice(k, d):
 @pytest.mark.parametrize(
     "measure",
     [Uniform01(), bernoulli(0.3), DiscreteAtoms(np.arange(12.0), np.full(12, 1 / 12)),
-     Beta(0.5, 0.5), UniformCircle(),
+     *_TANGENT_DRAWS,
      pytest.param(DiscreteAtoms(np.arange(_PASS_ATOMS + 1.0), np.full(_PASS_ATOMS + 1, 1 / (_PASS_ATOMS + 1))),
                   id=f"DiscreteAtoms{_PASS_ATOMS + 1}")],
     ids=lambda m: m.describe(),
