@@ -149,7 +149,9 @@ def standard_skewed_stable(gen: Generator, size) -> np.ndarray:
     Z = (2/pi)[(pi/2 + V) tan V - log( (pi/2) W cos V / (pi/2 + V) )].
     cos V is 1 / sqrt(1 + tan^2 V) on (-pi/2, pi/2), so numpy's vectorized
     tan gives both, where cos would run through scalar libm. The arithmetic
-    runs in place on the two draws and one scratch array.
+    runs in place on the two draws and one scratch array. A uniform of
+    exactly 0 gives V = -pi/2, where Z takes its limit
+    (2/pi)(-1 - log((pi/2) W)).
     """
     half_pi = np.pi / 2.0
     v = gen.random(size)
@@ -158,8 +160,12 @@ def standard_skewed_stable(gen: Generator, size) -> np.ndarray:
     w = gen.standard_exponential(size)
     # w <- (pi/2) W / (pi/2 + V), with s holding pi/2 + V
     s = v + half_pi
+    edge = None if s.all() else s == 0.0
+    if edge is not None:
+        limit = (2.0 / np.pi) * (-1.0 - np.log(half_pi * w[edge]))
     w *= half_pi
-    w /= s
+    with np.errstate(divide="ignore"):
+        w /= s
     # s <- (pi/2 + V) tan V, then v <- sqrt(1 + tan^2 V) = 1 / cos V
     np.tan(v, out=v)
     s *= v
@@ -171,6 +177,8 @@ def standard_skewed_stable(gen: Generator, size) -> np.ndarray:
     np.log(w, out=w)
     s -= w
     s *= 2.0 / np.pi
+    if edge is not None:
+        s[edge] = limit
     return s
 
 

@@ -54,9 +54,13 @@ __all__ = [
     "Q_ROUNDOFF",
 ]
 
-# The epsabs and epsrel of each adaptive integrate.quad call behind the
-# transforms and cr_density: a target per call, not a bound on the total
-# error of a transform built from several calls.
+# The target of every quadrature in the package. A Beta transform's
+# Gauss–Jacobi rule doubles its nodes until two successive sums agree within
+# max(QUAD_TOL, QUAD_TOL |I|), which is its stated error. Each adaptive
+# integrate.quad call, behind the BetaPrime transforms, cr_density and the
+# Beta transforms the rule does not serve, takes it as epsabs and epsrel: a
+# target per call, not a bound on the total error of a transform built from
+# several calls.
 QUAD_TOL = 1e-10
 
 # The smallest scaled Q_k coefficient that q_certificate reads as roundoff
@@ -66,7 +70,8 @@ Q_ROUNDOFF = -1e-9
 # The smallest beta-type shape whose quadrature keeps to QUAD_TOL. Against a
 # 30-digit oracle, log_transform(i), stieltjes(i), y''(2i) and the log
 # potential of Beta(s, 1), Beta(1, s) and BetaPrime(s, 1) are off by at most
-# 6.6e-11 at s = 1e-6 and by up to 1.2e-9 at s = 1e-7.
+# 6.6e-11 at s = 1e-6 and by up to 1.2e-9 at s = 1e-7. A Beta shape below
+# 0.1 takes adaptive quad (transforms._JACOBI_SHAPE_FLOOR).
 _SHAPE_FLOOR = 1e-6
 
 
@@ -146,13 +151,36 @@ class RadialCircleLaw(Law):
         return 1.0 - (1.0 - u) ** self.t
 
 
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson's rule of y on an odd number of points h apart:
+    scipy.integrate.simpson(y, dx=h), with its arithmetic."""
+    return np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (h / 3.0)
+
+
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """The Simpson integrals of y from its first point to each point, h apart,
+    along the last axis: scipy.integrate.cumulative_simpson(y, dx=h,
+    initial=0.0), with its arithmetic. Each interval takes the quadratic
+    through it and the next point; the last takes the previous point."""
+    f1, f2, f3 = y[..., :-2], y[..., 1:-1], y[..., 2:]
+    ahead = h / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)  # over [x_i, x_i+1]
+    behind = h / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)  # over [x_i+1, x_i+2]
+    parts = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
+    parts[..., :-1:2] = ahead[..., ::2]
+    parts[..., 1::2] = behind[..., ::2]
+    parts[..., -1] = behind[..., -1]
+    out = np.zeros(y.shape)
+    np.cumsum(parts, axis=-1, out=out[..., 1:])
+    return out
+
+
 class DensityLaw(Law):
     """Law on an interval given by a density function f.
 
-    The density must integrate to 1 over the support within 1e-8, which
-    adaptive quadrature checks at construction. Every other integral is read
-    off one Simpson grid of 65537 points with step h, built at construction
-    and divided by its total mass, so that the cdf ends at 1:
+    Every integral is read off one Simpson grid of 65537 points with step h,
+    built at construction. The grid's Simpson total of f must be 1 within
+    1e-8, and every integral is divided by it, so that the cdf ends at 1; for
+    a smooth f it is off by at most (hi - lo) h^4 max|f''''| / 180. Then:
     - `cdf` and `hinge_mean` interpolate cumulative Simpson integrals of f
       and x f linearly, which is off by at most h^2/8 max|f'| between nodes;
     - `raw_moments` is Simpson's rule of x^k f, off by O(h^4) for a smooth f.
@@ -160,7 +188,7 @@ class DensityLaw(Law):
     and the hinge means within 5e-11; the raw moments are within 2e-15 of
     the exact `moment_recursion`. The density must be continuous: a jump
     makes the grid's cdf decrease, and a density whose grid does that is
-    refused.
+    refused, before its total is read.
     """
 
     _GRID_SIZE = 65537
@@ -169,27 +197,27 @@ class DensityLaw(Law):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise ValueError("empty support interval")
-        total, _ = integrate.quad(density, lo, hi, limit=200)
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"density integrates to {total!r}, not 1")
         self.density = density
         self.support = (lo, hi)
         self._x = np.linspace(lo, hi, self._GRID_SIZE)
         self._h = (hi - lo) / (self._GRID_SIZE - 1)
         f = np.asarray(density(self._x), dtype=float)
         # the cumulative integrals of f and of x f, each over the grid's mass
-        cum = integrate.cumulative_simpson(np.stack([f, self._x * f]), dx=self._h, initial=0.0)
-        self._f = f / cum[0, -1]
-        self._cdf, self._partial_mean = cum / cum[0, -1]
+        cum = _cumulative_simpson(np.stack([f, self._x * f]), self._h)
+        total = float(cum[0, -1])
+        self._f = f / total
+        self._cdf, self._partial_mean = cum / total
         if np.any(np.diff(self._cdf) < 0.0):
             raise ValueError("the Simpson grid of this density gives a decreasing cdf, as a jump in f does; "
                              "DensityLaw needs a continuous density")
+        if abs(total - 1.0) > 1e-8:
+            raise ValueError(f"density integrates to {total!r} on its Simpson grid, not 1")
 
     def cdf(self, x):
         return np.interp(x, self._x, self._cdf)
 
     def raw_moments(self, n_max):
-        return np.array([integrate.simpson(self._x**k * self._f, dx=self._h) for k in range(1, n_max + 1)])
+        return np.array([_simpson(self._x**k * self._f, self._h) for k in range(1, n_max + 1)])
 
     def hinge_mean(self, a):
         # E(X - a)_+ = int_a^hi x f - a (1 - F(a)), with both integrals off the grid

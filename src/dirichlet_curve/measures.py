@@ -194,7 +194,9 @@ class GoverningMeasure(Law):
         raise ValueError(f"no log potential for {type(self).__name__}")
 
     def integrate(self, f) -> complex:
-        """integral of f(w) alpha(dw)."""
+        """integral of f(w) alpha(dw). f is vectorized: it takes an array of
+        nodes, a Gauss–Jacobi rule's or the atoms, and an adaptive quadrature
+        calls it on floats."""
         raise ValueError(f"no transform integration for {type(self).__name__}")
 
     def stieltjes(self, z: complex) -> complex:
@@ -314,8 +316,7 @@ class DiscreteAtoms(GoverningMeasure):
     def integrate(self, f):
         if self.dimension != 1:
             raise ValueError("transforms are one-dimensional")
-        vals = np.array([f(w) for w in self.points[:, 0]])
-        return complex(np.dot(self.weights, vals))
+        return complex(np.dot(self.weights, f(self.points[:, 0])))
 
     def log_potential(self, x):
         vals = self._line()

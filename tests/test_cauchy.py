@@ -9,6 +9,7 @@ from dirichlet_curve.cauchy import (
     SpectralCauchy,
     cauchy_cdf,
     ecf_gaps,
+    standard_skewed_stable,
     trefoil_median,
     trefoil_spectrum,
     uniform_spectrum,
@@ -113,6 +114,35 @@ def test_sampler_characteristic_function():
     assert len(gaps) == 3
     for _, _, gap, se in gaps:
         assert gap <= 3.0 * se
+
+
+class _FixedUniforms:
+    """A generator whose uniforms are given; its exponentials are a seeded
+    generator's."""
+
+    def __init__(self, uniforms, seed):
+        self.uniforms, self.gen = np.asarray(uniforms, dtype=float), RngStream(seed).generator()
+
+    def random(self, size):
+        assert size == self.uniforms.shape
+        return self.uniforms.copy()
+
+    def standard_exponential(self, size):
+        return self.gen.standard_exponential(size)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_zero_uniform_gives_the_skewed_stable_draw_its_limit():
+    # V = -pi/2 makes pi/2 + V zero: Z takes its limit (2/pi)(-1 - log((pi/2) W))
+    w = RngStream(75).generator().standard_exponential(4)
+    z = standard_skewed_stable(_FixedUniforms(np.zeros(4), 75), (4,))
+    assert np.array_equal(z, (2.0 / np.pi) * (-1.0 - np.log(np.pi / 2.0 * w)))
+    # the other slots of a block keep the draws they have without a zero
+    u = np.array([0.25, 0.0, 0.5, 0.0, 0.9])
+    mixed = standard_skewed_stable(_FixedUniforms(u, 76), (5,))
+    plain = standard_skewed_stable(_FixedUniforms(np.where(u == 0.0, 0.5, u), 76), (5,))
+    assert np.isfinite(mixed).all()
+    assert np.array_equal(mixed[u != 0.0], plain[u != 0.0])
 
 
 def test_trefoil_median_values():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from dirichlet_curve import exact
 from dirichlet_curve.exact import (
     DensityLaw,
     Law,
@@ -214,6 +215,18 @@ def test_density_law_rejects_a_density_with_a_jump():
     # Simpson's quadratic overshoots at a jump, so the cdf would leave [0, 1]
     with pytest.raises(ValueError, match="gives a decreasing cdf"):
         DensityLaw(lambda x: np.where(np.abs(x) < 0.3, 1.0 / 0.6, 0.0), (-1.0, 1.0))
+
+
+def test_the_density_law_sums_its_grid_with_the_arithmetic_of_scipys_simpson_rules():
+    # scipy.integrate is the reference: DensityLaw reproduces its two Simpson
+    # sums in numpy, bit for bit, on dk_law's grid and on random odd grids
+    law = dk_law()
+    grid = np.stack([dk_density(law._x), law._x * dk_density(law._x)])
+    ys = [(grid, law._h)] + [(np.random.default_rng(n).standard_normal((2, n)), 0.37) for n in (3, 5, 101)]
+    for y, h in ys:
+        assert np.array_equal(exact._cumulative_simpson(y, h), integrate.cumulative_simpson(y, dx=h, initial=0.0))
+        for row in y:
+            assert exact._simpson(row, h) == integrate.simpson(row, dx=h)
 
 
 def test_dk_second_moment():

@@ -11,6 +11,7 @@ from scipy.stats import norm
 
 import dirichlet_curve
 
+from dirichlet_curve.cli import EXPERIMENTS
 from dirichlet_curve.exact import hinge_mean
 from dirichlet_curve.measures import (
     Beta,
@@ -311,20 +312,21 @@ def test_complex_mean_se_matches_the_cosine_sine_form():
         assert complex_mean_se(np.exp(1j * r * proj)) == old
 
 
-# scipy subpackages that no run of curve-ks loads; scipy.integrate pulls in
-# the other three
+# scipy subpackages that no experiment loads; scipy.integrate pulls in the
+# other three
 _LEFT_OUT = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 _SAMPLERS = ("sample_dirichlet_mean", "sample_fixed_point", "sample_mean_dyadic")
 
 
 @pytest.mark.parametrize(
     "prefixes, run",
-    [(("scipy",), run) for run in ("",) + _SAMPLERS] + [(_LEFT_OUT, "curve-ks")],
-    ids=["import", *_SAMPLERS, "after_curve_ks"],
+    [(("scipy",), run) for run in ("",) + _SAMPLERS] + [(_LEFT_OUT, name) for name in EXPERIMENTS],
+    ids=["import", *_SAMPLERS, *(f"after_{name.replace('-', '_')}" for name in EXPERIMENTS)],
 )
 def test_importing_the_package_leaves_scipy_stats_out(tmp_path, prefixes, run):
-    # the package and its samplers load no scipy module; curve-ks checks its
-    # laws through Beta cdfs and kolmogorov, so a run of it integrates nothing
+    # the package and its samplers load no scipy module; the experiments check
+    # their laws through scipy.special alone: Beta cdfs, kolmogorov, and the
+    # Gauss–Jacobi rules of the Beta transforms
     src = Path(dirichlet_curve.__file__).resolve().parents[1]
     probe = (
         "import sys\n"
@@ -343,4 +345,4 @@ def test_importing_the_package_leaves_scipy_stats_out(tmp_path, prefixes, run):
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.splitlines()[-1] == "[]"
-    assert (tmp_path / "curve-ks.csv").exists() == (run == "curve-ks")
+    assert (tmp_path / f"{run}.csv").exists() == (run in EXPERIMENTS)

@@ -2,8 +2,10 @@ import cmath
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -15,6 +17,7 @@ from dirichlet_curve.measures import (
     Beta,
     BetaPrime,
     Cauchy1D,
+    DiscreteAtoms,
     RngStream,
     ScaledProduct,
     Uniform01,
@@ -106,6 +109,20 @@ def test_log_transform_atoms():
     assert log_transform(bernoulli(0.5), 1j) == pytest.approx(expected)
 
 
+def test_atom_transforms_take_the_sum_over_the_atoms_one_by_one():
+    # the hooks are called once on the array of atoms; the per-atom loop is
+    # the reference, bit for bit
+    alpha = DiscreteAtoms(np.array([[-1.3], [0.0], [0.4], [2.5]]), np.array([0.1, 0.2, 0.3, 0.4]))
+    z, s = 0.3 + 0.7j, -0.7
+    for f, value in (
+        (lambda w: 1.0 / (w - z), stieltjes(alpha, z)),
+        (lambda w: (w - z) ** -3.0, stieltjes_derivative(alpha, 2, z) / 2.0),
+        (lambda w: -np.log(w - z), log_transform(alpha, z)),
+        (lambda w: np.log(1.0 - 1j * s * w), alpha.log_fourier_mean(s)),
+    ):
+        assert value == complex(np.dot(alpha.weights, np.array([f(w) for w in alpha.points[:, 0]])))
+
+
 def test_log_transform_cauchy():
     alpha = Cauchy1D(1.0, 2.0)
     z = 0.3 + 0.8j
@@ -188,6 +205,58 @@ def test_the_beta_quadrature_keeps_to_quad_tol_down_to_its_floor(a):
     assert abs(log_transform(Beta(a, 1.0), z) - (-cmath.log(1.0 - z) + complex(*parts))) <= QUAD_TOL
 
 
+def _beta_oracle(a, b, f):
+    """E f(W) for W ~ beta(a, b), to 30 digits: tanh-sinh on each half of (0, 1)."""
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        total = mpmath.quad(lambda w: w ** (a - 1) * (1 - w) ** (b - 1) * f(w), [0, 0.5, 1])
+        return complex(total / mpmath.beta(a, b))
+
+
+class _NoQuad:
+    def __getattr__(self, name):
+        raise AssertionError(f"integrate.{name} read at a point the Gauss–Jacobi rule should meet")
+
+
+# cr-identity's Stieltjes points and ode-residual's z = i and 2i; then
+# cr-identity's Fourier points
+_ZS = (2j, 1.0 + 1.0j, 0.5 + 0.8j, 1j)
+_SS = (-2.0, -0.7, 0.7, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("alpha", [Beta(0.5, 0.5), Beta(2.0, 3.0), Beta(0.3, 0.7)], ids=repr)
+def test_the_gauss_jacobi_rule_meets_quad_tol_against_a_30_digit_oracle(monkeypatch, alpha):
+    # Beta(0.3, 0.7)'s exponents sum to -1, where roots_jacobi would warn; no
+    # warning may escape, and no point of the experiments falls back to quad
+    monkeypatch.setattr(transforms, "integrate", _NoQuad())
+    a, b = alpha.a, alpha.b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cases = [(log_transform(alpha, z), lambda w, z=z: -mpmath.log(w - z)) for z in _ZS]
+        cases += [(stieltjes_derivative(alpha, k, z), lambda w, z=z, k=k: math.factorial(k) * (w - z) ** -(k + 1))
+                  for z in _ZS for k in (0, 1)]
+        cases += [(alpha.log_fourier_mean(s), lambda w, s=s: mpmath.log(1 - 1j * s * w)) for s in _SS]
+    for value, f in cases:
+        exact = _beta_oracle(a, b, f)
+        assert abs(value - exact) <= max(QUAD_TOL, QUAD_TOL * abs(exact))
+
+
+@pytest.mark.parametrize("a, b", [(0.1, 0.3), (1.0, 0.1), (0.1, 10.0)])
+def test_the_largest_gauss_jacobi_rule_at_the_shape_floor_keeps_well_below_quad_tol(a, b):
+    # the rule's own error, against the same rule at 30 digits, leaves room
+    # under QUAD_TOL for the doubling test's estimate of the rest
+    nodes, weights = transforms._jacobi_rule(transforms._JACOBI_SIZES[-1], a, b)
+    with mpmath.workdps(30):
+        xs, ws = mpmath.gauss_quadrature(len(nodes), "jacobi", mpmath.mpf(b) - 1, mpmath.mpf(a) - 1)
+        xs, ws = [(1 + x) / 2 for x in xs], [w / mpmath.fsum(ws) for w in ws]
+    for z in (0.5 + 1j, 0.3 + 0.1j, 1.0 + 0.05j, 0.02j):
+        for f, mf in ((lambda w: np.log(w - z), lambda w: mpmath.log(w - z)),
+                      (lambda w: (w - z) ** -2.0, lambda w: (w - z) ** -2)):
+            with mpmath.workdps(30):
+                exact = complex(mpmath.fsum(w * mf(x) for x, w in zip(xs, ws)))
+            assert abs(complex(weights @ f(nodes)) - exact) <= QUAD_TOL / 3.0 * max(1.0, abs(exact))
+
+
 def test_power_identity_cauchy():
     alpha = Cauchy1D(0.5, 1.0)
     assert abs(power_identity_residual(alpha, 1, 2, 0.2 + 0.9j)) < 1e-12
@@ -206,6 +275,10 @@ def test_power_identity_order_validation():
         power_identity_residual(Cauchy1D(0.0, 1.0), 0, 1, 1j)
 
 
+# a point where the Beta transforms fall back to adaptive quadrature
+_FALLBACK = 0.5 + 0.01j
+
+
 def test_quad_tol_reaches_every_quadrature(monkeypatch):
     quad, tols = integrate.quad, []
 
@@ -214,7 +287,9 @@ def test_quad_tol_reaches_every_quadrature(monkeypatch):
         return quad(*args, **kwargs)
 
     monkeypatch.setattr(integrate, "quad", recording_quad)
-    stieltjes(Beta(2.0, 3.0), 1.0 + 1j)
+    # 0.01 from the real axis, where no Gauss–Jacobi rule of up to 64 nodes
+    # meets QUAD_TOL, so the Beta transform falls back to quad
+    stieltjes(Beta(2.0, 3.0), _FALLBACK)
     log_transform(BetaPrime(0.5, 1.5), 0.5 + 1j)
     cr_density(Beta(0.5, 0.5), 0.3)
     # real and imaginary parts: 2 calls on (0, 1), 4 split at 1; then 2 for the
@@ -233,8 +308,23 @@ def test_transforms_read_their_quadrature_from_one_name(monkeypatch):
             return integrate.quad(*args, **kwargs)
 
     monkeypatch.setattr(transforms, "integrate", CountingIntegrate())
-    Beta(2.0, 3.0).log_transform(1j)
+    Beta(2.0, 3.0).log_transform(_FALLBACK)
     # the real and the imaginary part, each on (0, 1)
+    assert calls == [(0.0, 1.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("alpha", [Beta(0.05, 2.0), Beta(2.0, 0.05)], ids=repr)
+def test_a_beta_shape_below_the_rule_floor_takes_quad(monkeypatch, alpha):
+    # roots_jacobi's rules lose digits as a shape nears 0, so such a base
+    # takes quad at every point, at 1i too
+    quad, calls = integrate.quad, []
+
+    def recording_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", recording_quad)
+    log_transform(alpha, 1j)
     assert calls == [(0.0, 1.0), (0.0, 1.0)]
 
 
@@ -250,12 +340,12 @@ if mode == "eager":
     __import__(module)
 import numpy as np
 from dirichlet_curve import exact
-from dirichlet_curve.measures import Beta
+from dirichlet_curve.measures import Beta, BetaPrime
 from dirichlet_curve.stats import ks_two_sample
 assert (mode == "eager") == (module in sys.modules)
 calls = {
     "scipy.integrate": {
-        "log_transform": lambda: Beta(2.0, 3.0).log_transform(0.3 + 0.5j),
+        "log_transform": lambda: BetaPrime(2.0, 3.0).log_transform(0.3 + 0.5j),
         "cr_density": lambda: complex(exact.cr_density(Beta(0.5, 0.5), 0.3)),
     },
     "scipy.special": {
