@@ -17,12 +17,11 @@ The module also holds the one recursion for the curve's raw moments, the
 polynomials P_k, which `moment_recursion` evaluates for a base on the line
 and `p_q_coefficients` turns into the Q_k; `recursion_gap`, the one check of
 the recursion against a closed-form law; `q_certificate`, the exact check
-that raw moments fall along the curve; and a quadrature evaluator for the
-density of the mean at unit intensity built from the sine/log-potential
-representation.
+that raw moments fall along the curve; and `cr_density`, the density of the
+mean at unit intensity from the sine/log-potential representation.
 
-The package's two scipy names are defined here, `integrate` and `special`:
-each loads its module at its first attribute read, not at import.
+The package's `special` is defined here, and `_Deferred`, which loads a scipy
+module at its first attribute read, not at import.
 """
 
 from __future__ import annotations
@@ -50,29 +49,12 @@ __all__ = [
     "p_q_coefficients",
     "q_certificate",
     "cr_density",
-    "QUAD_TOL",
     "Q_ROUNDOFF",
 ]
-
-# The target of every quadrature in the package. A Beta transform's
-# Gauss–Jacobi rule doubles its nodes until two successive sums agree within
-# max(QUAD_TOL, QUAD_TOL |I|), which is its stated error. Each adaptive
-# integrate.quad call, behind the BetaPrime transforms, cr_density and the
-# Beta transforms the rule does not serve, takes it as epsabs and epsrel: a
-# target per call, not a bound on the total error of a transform built from
-# several calls.
-QUAD_TOL = 1e-10
 
 # The smallest scaled Q_k coefficient that q_certificate reads as roundoff
 # of a nonnegative one, and so as a pass.
 Q_ROUNDOFF = -1e-9
-
-# The smallest beta-type shape whose quadrature keeps to QUAD_TOL. Against a
-# 30-digit oracle, log_transform(i), stieltjes(i), y''(2i) and the log
-# potential of Beta(s, 1), Beta(1, s) and BetaPrime(s, 1) are off by at most
-# 6.6e-11 at s = 1e-6 and by up to 1.2e-9 at s = 1e-7. A Beta shape below
-# 0.1 takes adaptive quad (transforms._JACOBI_SHAPE_FLOOR).
-_SHAPE_FLOOR = 1e-6
 
 
 class _Deferred:
@@ -88,9 +70,6 @@ class _Deferred:
         return getattr(importlib.import_module(self._module_name), name)
 
 
-# every scipy function in the package is read from one of these two names;
-# scipy.integrate also loads scipy.optimize, linalg and sparse
-integrate = _Deferred("scipy.integrate")
 special = _Deferred("scipy.special")
 
 
@@ -415,49 +394,15 @@ def q_certificate(m) -> tuple:
     return tuple(float(q.min() / max(1.0, np.abs(q).max())) for q in Q)
 
 
-def _quad_exponent(name: str, shape: float) -> float:
-    """shape - 1, the exponent of a beta-type quadrature weight. quad needs it
-    above -1, and a shape below 2^-54 (about 5.6e-17) rounds it to -1; below
-    _SHAPE_FLOOR it keeps to QUAD_TOL no longer."""
-    if shape - 1.0 <= -1.0:
-        raise ValueError(f"the beta quadrature needs {name} - 1 above -1, which {name} = {shape!r} rounds "
-                         f"to -1; {name} must be at least about 5.6e-17")
-    if shape < _SHAPE_FLOOR:
-        raise ValueError(f"the beta quadrature keeps to {QUAD_TOL:g} only for {name} >= {_SHAPE_FLOOR:g}, "
-                         f"and {name} = {shape!r} is below it: at {name} = 1e-7 it is off by up to 1.2e-9")
-    return shape - 1.0
-
-
-def beta_log_potential(a: float, b: float, x: float) -> float:
-    """-integral of log|x - w| beta(a, b)(dw) with singularity-aware quadrature.
-
-    The algebraic endpoint factors and the log factor at w = x are folded into
-    quadrature weight functions, so the remaining integrand passed to the
-    integrator is smooth.
-    """
-    norm = math.exp(-special.betaln(a, b))
-    opts = dict(epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-    total = 0.0
-    if x > 0.0:
-        # integral over [0, x]: weight w^(a-1) * log(x - w)
-        total += integrate.quad(lambda w: norm * (1.0 - w) ** (b - 1.0), 0.0, x,
-                                weight="alg-logb", wvar=(_quad_exponent("a", a), 0.0), **opts)[0]
-    if x < 1.0:
-        # integral over [x, 1]: weight (1 - w)^(b-1) * log(w - x)
-        total += integrate.quad(lambda w: norm * w ** (a - 1.0), x, 1.0,
-                                weight="alg-loga", wvar=(0.0, _quad_exponent("b", b)), **opts)[0]
-    return -total
-
-
 def cr_density(alpha, x: float) -> float:
     """Density of the Dirichlet mean at unit intensity, via the sine/potential form.
 
     f(x) = (1/pi) * sin(pi * alpha((x, inf))) * exp(g(x)) with
     g(x) = -integral of log|x - w| alpha(dw).  Valid at unit intensity only,
     for x interior to the support of the mean's law, with alpha continuous
-    near x (atoms exactly at x make the potential diverge).  For beta-type
-    alpha, g comes from adaptive quadrature at QUAD_TOL per call, which is
-    not a bound on the error of f(x).
+    near x (atoms exactly at x make the potential diverge).  For a Beta
+    alpha, g is `transforms.beta_log_potential`, adaptive quadrature at
+    `transforms.QUAD_TOL` per call, which is not a bound on the error of f(x).
     """
     g = alpha.log_potential(float(x))
     tail = 1.0 - float(alpha.cdf(float(x)))

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-from .exact import Law, RadialCircleLaw, beta_log_potential, dk_law, special
+from .exact import Law, RadialCircleLaw, dk_law, special
 
 __all__ = [
     "RngStream",
@@ -390,6 +390,8 @@ class Beta(GoverningMeasure):
         return beta_integral(self.a, self.b, f)
 
     def log_potential(self, x):
+        from .transforms import beta_log_potential
+
         return beta_log_potential(self.a, self.b, x)
 
 

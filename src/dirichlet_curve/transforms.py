@@ -6,15 +6,15 @@ integration variables w, the difference w - z then lies strictly in the lower
 half-plane, so principal-branch logarithms and non-integer powers of (w - z)
 never cross the negative-real cut.
 
-A Beta transform with both shapes at least 0.1 is one Gauss–Jacobi sum of
-16, 32 or 64 nodes, doubled until two successive sums agree within
-`exact.QUAD_TOL`, absolute or relative: the sum's stated error. A point near
-the real axis that 64 nodes do not meet, a smaller shape and every BetaPrime
-transform (whose map onto (0, 1) puts a log singularity at 1) take adaptive
-`integrate.quad` at QUAD_TOL, a target per call. The experiments' points sit
-0.33 or more from the axis, where the rules meet them. `integrate` and
-`special` are `exact.integrate` and `exact.special`, the package's one
-deferral: each loads its scipy module at its first call.
+Every integral against a beta or beta prime density is here: the Beta and
+BetaPrime transforms, and the Beta log potential that `exact.cr_density`
+reads. A Beta transform with both shapes at least 0.1 is one Gauss–Jacobi sum
+of 16, 32 or 64 nodes, doubled until two successive sums agree within
+`QUAD_TOL`, absolute or relative: the sum's stated error. A point near the
+real axis that 64 nodes do not meet, a smaller shape, every BetaPrime
+transform (whose map onto (0, 1) puts a log singularity at 1) and the log
+potential take adaptive `integrate.quad` at QUAD_TOL, a target per call. The
+experiments' points sit 0.33 or more from the axis, where the rules meet them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator
 
-from .exact import QUAD_TOL, _quad_exponent, integrate, special
+from .exact import _Deferred, special
 from .measures import Beta
 from .stats import complex_mean_se
 from .stickbreak import DEFAULT_POLICY, TruncationPolicy, stick_mean_draws
@@ -41,6 +41,7 @@ __all__ = [
     "ode_residual",
     "power_identity_residual",
     "non_cauchy_floor",
+    "QUAD_TOL",
 ]
 
 
@@ -53,11 +54,52 @@ def _as_upper(z) -> complex:
     return z
 
 
-def _quad_complex(f, lo, hi, **kw) -> complex:
-    kw.update(epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-    re, _ = integrate.quad(lambda w: f(w).real, lo, hi, **kw)
-    im, _ = integrate.quad(lambda w: f(w).imag, lo, hi, **kw)
-    return complex(re, im)
+# The target of every quadrature in the package. A Beta transform's
+# Gauss–Jacobi rule doubles its nodes until two successive sums agree within
+# max(QUAD_TOL, QUAD_TOL |I|), which is its stated error. Each integrate.quad
+# call takes it as epsabs and epsrel: a target per call, not a bound on the
+# total error of a transform built from several calls.
+QUAD_TOL = 1e-10
+
+# The smallest beta-type shape whose quadrature keeps to QUAD_TOL. Against a
+# 30-digit oracle, log_transform(i), stieltjes(i), y''(2i) and the log
+# potential of Beta(s, 1), Beta(1, s) and BetaPrime(s, 1) are off by at most
+# 6.6e-11 at s = 1e-6 and by up to 1.2e-9 at s = 1e-7.
+_SHAPE_FLOOR = 1e-6
+
+# scipy.integrate also loads scipy.optimize, linalg and sparse
+integrate = _Deferred("scipy.integrate")
+
+
+def _beta_norm(a: float, b: float) -> float:
+    """1/B(a, b), for shapes whose weights w^(a-1) and (1-w)^(b-1) quad takes
+    at QUAD_TOL: it needs each exponent above -1, which a shape below 2^-54
+    rounds to -1, and below _SHAPE_FLOOR it misses QUAD_TOL."""
+    for name, shape in (("a", a), ("b", b)):
+        if shape - 1.0 <= -1.0:
+            raise ValueError(f"the beta quadrature needs {name} - 1 above -1, which {name} = {shape!r} rounds "
+                             f"to -1; {name} must be at least about 5.6e-17")
+        if shape < _SHAPE_FLOOR:
+            raise ValueError(f"the beta quadrature keeps to {QUAD_TOL:g} only for {name} >= {_SHAPE_FLOOR:g}, "
+                             f"and {name} = {shape!r} is below it: at {name} = 1e-7 it is off by up to 1.2e-9")
+    try:
+        return math.exp(-special.betaln(a, b))
+    except OverflowError:
+        raise ValueError(f"the beta quadrature needs 1/B(a, b), which overflows at a = {a!r}, b = {b!r}") from None
+
+
+def _quad(a: float, b: float, f, lo: float, hi: float, **weight) -> float:
+    """integrate.quad of f on (lo, hi) at QUAD_TOL, for a law of shapes a and
+    b. A value that is not finite, as quad gives for Beta(2000, 1/2), raises."""
+    value = integrate.quad(f, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200, **weight)[0]
+    if not math.isfinite(value):
+        raise ValueError(f"the beta quadrature gives {value!r} at a = {a!r}, b = {b!r}")
+    return value
+
+
+def _quad_complex(a: float, b: float, f, lo: float, hi: float, **weight) -> complex:
+    return complex(_quad(a, b, lambda w: f(w).real, lo, hi, **weight),
+                   _quad(a, b, lambda w: f(w).imag, lo, hi, **weight))
 
 
 # The node counts of the Gauss–Jacobi rules, and the smallest shape they
@@ -98,7 +140,6 @@ def beta_integral(a: float, b: float, f) -> complex:
     point that no pair meets, and a shape below _JACOBI_SHAPE_FLOOR, take
     adaptive quad, with the algebraic endpoint factors w^(a-1) (1-w)^(b-1) as
     its weight."""
-    wvar = (_quad_exponent("a", a), _quad_exponent("b", b))
     if min(a, b) >= _JACOBI_SHAPE_FLOOR:
         last = None
         for n in _JACOBI_SIZES:
@@ -109,24 +150,42 @@ def beta_integral(a: float, b: float, f) -> complex:
             if last is not None and abs(value - last) <= max(QUAD_TOL, QUAD_TOL * abs(value)):
                 return value
             last = value
-    norm = math.exp(-special.betaln(a, b))
-    return _quad_complex(lambda w: norm * f(w), 0.0, 1.0, weight="alg", wvar=wvar)
+    norm = _beta_norm(a, b)
+    return _quad_complex(a, b, lambda w: norm * f(w), 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0))
 
 
 def beta_prime_integral(a: float, b: float, f) -> complex:
     """integral of f(w) against the beta prime(a, b) density, split at w = 1 so
     the possible algebraic singularity at 0 sits in a quadrature weight."""
-    wvar = (_quad_exponent("a", a), 0.0)
-    norm = math.exp(-special.betaln(a, b))
+    norm = _beta_norm(a, b)
 
     def head(w):
         return norm * (1.0 + w) ** (-(a + b)) * f(w)
 
     def tail(w):
-        return norm * w ** (a - 1.0) * (1.0 + w) ** (-(a + b)) * f(w)
+        # w^(a-1) (1+w)^-(a+b), whose first factor alone overflows for a large a
+        return norm * (w / (1.0 + w)) ** (a - 1.0) * (1.0 + w) ** (-(b + 1.0)) * f(w)
 
-    val = _quad_complex(head, 0.0, 1.0, weight="alg", wvar=wvar)
-    return val + _quad_complex(tail, 1.0, np.inf)
+    val = _quad_complex(a, b, head, 0.0, 1.0, weight="alg", wvar=(a - 1.0, 0.0))
+    return val + _quad_complex(a, b, tail, 1.0, np.inf)
+
+
+def beta_log_potential(a: float, b: float, x: float) -> float:
+    """-integral of log|x - w| beta(a, b)(dw) with singularity-aware quadrature.
+
+    The algebraic endpoint factors and the log factor at w = x are folded into
+    quadrature weight functions, so the remaining integrand passed to the
+    integrator is smooth.
+    """
+    norm = _beta_norm(a, b)
+    total = 0.0
+    if x > 0.0:
+        # integral over [0, x]: weight w^(a-1) * log(x - w)
+        total += _quad(a, b, lambda w: norm * (1.0 - w) ** (b - 1.0), 0.0, x, weight="alg-logb", wvar=(a - 1.0, 0.0))
+    if x < 1.0:
+        # integral over [x, 1]: weight (1 - w)^(b-1) * log(w - x)
+        total += _quad(a, b, lambda w: norm * w ** (a - 1.0), x, 1.0, weight="alg-loga", wvar=(0.0, b - 1.0))
+    return -total
 
 
 def stieltjes(alpha, z) -> complex:

@@ -1,11 +1,13 @@
 import argparse
 import csv
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from scipy.integrate import IntegrationWarning
 from scipy.special import ndtri
 
 import dirichlet_curve
@@ -395,6 +397,35 @@ def test_a_config_that_a_run_cannot_serve_is_named_before_any_draw(tmp_path, cap
     assert _run_lines(tmp_path, f"experiment = {experiment}\nseed = 1\nn = 50\n{lines}") == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+def test_cr_identity_refuses_a_beta_whose_quadrature_is_not_finite(tmp_path, capsys, monkeypatch):
+    # past the Gauss–Jacobi rules, quad's weight w^1999 gives nan at 1i, which
+    # the transform check names before any draw
+    def no_draw(self):
+        raise AssertionError("a draw started")
+
+    monkeypatch.setattr(RngStream, "generator", no_draw)
+    text = "experiment = cr-identity\nseed = 1\nn = 200\nmeasure.family = beta\nmeasure.a = 2000\nmeasure.b = 0.5\n"
+    with pytest.warns(IntegrationWarning):
+        assert _run_lines(tmp_path, text) == 2
+    assert capsys.readouterr().err == ("config error: cr-identity needs the transforms of its base: "
+                                       "the beta quadrature gives nan at a = 2000.0, b = 0.5\n")
+    assert not (tmp_path / "cr-identity.csv").exists()
+
+
+@pytest.mark.parametrize("a, b", [(50, 0.5), (200, 2)])
+def test_cr_identity_on_a_beta_prime_with_a_large_shape_has_a_finite_rhs(tmp_path, capsys, a, b):
+    # in the quadrature's tail w^(a-1) alone overflows, which would give rhs 0.0
+    # in every row at (50, 0.5) and an OverflowError at (200, 2)
+    text = f"experiment = cr-identity\nseed = 1\nn = 2000\nmeasure.family = beta_prime\nmeasure.a = {a}\nmeasure.b = {b}\n"
+    assert _run_lines(tmp_path, text) == 0
+    assert f"[pass] BetaPrime(a={a:.1f}, b={b:.1f}): 16 points, 0 outside" in capsys.readouterr().out
+    with open(tmp_path / "cr-identity.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 16
+    assert all(math.isfinite(float(row[part])) and float(row[part]) != 0.0
+               for row in rows for part in ("rhs_re", "rhs_im"))
 
 
 @pytest.mark.parametrize(

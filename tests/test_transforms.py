@@ -12,7 +12,7 @@ from scipy import integrate
 
 import dirichlet_curve
 from dirichlet_curve import transforms
-from dirichlet_curve.exact import QUAD_TOL, cr_density
+from dirichlet_curve.exact import cr_density
 from dirichlet_curve.measures import (
     Beta,
     BetaPrime,
@@ -25,6 +25,7 @@ from dirichlet_curve.measures import (
     point_mass,
 )
 from dirichlet_curve.transforms import (
+    QUAD_TOL,
     cr_identity_residual,
     log_transform,
     non_cauchy_floor,
@@ -311,6 +312,12 @@ def test_transforms_read_their_quadrature_from_one_name(monkeypatch):
     Beta(2.0, 3.0).log_transform(_FALLBACK)
     # the real and the imaginary part, each on (0, 1)
     assert calls == [(0.0, 1.0), (0.0, 1.0)]
+    # a BetaPrime transform: each part on (0, 1), then on (1, inf)
+    BetaPrime(0.5, 1.5).log_transform(0.5 + 1j)
+    assert calls[2:] == [(0.0, 1.0), (0.0, 1.0), (1.0, np.inf), (1.0, np.inf)]
+    # the unit-intensity density: the log potential on each side of x
+    cr_density(Beta(0.5, 0.5), 0.3)
+    assert calls[6:] == [(0.0, 0.3), (0.3, 1.0)]
 
 
 @pytest.mark.parametrize("alpha", [Beta(0.05, 2.0), Beta(2.0, 0.05)], ids=repr)
@@ -326,6 +333,49 @@ def test_a_beta_shape_below_the_rule_floor_takes_quad(monkeypatch, alpha):
     monkeypatch.setattr(integrate, "quad", recording_quad)
     log_transform(alpha, 1j)
     assert calls == [(0.0, 1.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("alpha", [Beta(1000.0, 1000.0), Beta(600.0, 600.0)], ids=repr)
+def test_the_beta_quadrature_refuses_shapes_whose_1_over_beta_overflows(alpha):
+    # 64 Gauss–Jacobi nodes do not meet QUAD_TOL this near the axis, and quad
+    # needs 1/B(a, b), past the float range for these shapes
+    with pytest.raises(ValueError, match=rf"needs 1/B\(a, b\), which overflows at a = {alpha.a}, b = {alpha.b}$"):
+        log_transform(alpha, _FALLBACK)
+    with pytest.raises(ValueError, match="overflows"):
+        cr_density(alpha, 0.5)
+
+
+def test_the_beta_quadrature_refuses_a_value_that_is_not_finite():
+    # a + b is past the Gauss–Jacobi rules, and quad's weight w^1999 (1-w)^(-1/2)
+    # gives nan, with a warning on the way
+    with pytest.warns(integrate.IntegrationWarning), pytest.raises(
+        ValueError, match=r"the beta quadrature gives nan at a = 2000.0, b = 0.5$"
+    ):
+        log_transform(Beta(2000.0, 0.5), 1j)
+
+
+@pytest.mark.parametrize("a, b", [(50.0, 0.5), (200.0, 2.0)])
+@pytest.mark.parametrize("z", [1j, 1.0 + 1.0j])
+def test_beta_prime_transforms_of_a_large_shape_meet_quad_tol(a, b, z):
+    # against U = W/(1+W) ~ beta(a, b): W - z = (U - z(1-U))/(1-U), and
+    # E log(1-U) = psi(b) - psi(a+b); in the tail, w^(a-1) alone overflows from about a = 50
+    shift = complex(mpmath.digamma(b) - mpmath.digamma(a + b))
+    cases = [
+        (log_transform(BetaPrime(a, b), z), _beta_oracle(a, b, lambda u: -mpmath.log(u - z * (1 - u))) + shift),
+        (stieltjes(BetaPrime(a, b), z), _beta_oracle(a, b, lambda u: (1 - u) / (u - z * (1 - u)))),
+    ]
+    for value, exact in cases:
+        assert abs(value - exact) <= max(QUAD_TOL, QUAD_TOL * abs(exact))
+
+
+def test_a_quad_fallback_that_warns_still_meets_its_stated_target():
+    # QUADPACK flags roundoff against the absolute target, twice, but the
+    # value is within max(QUAD_TOL, QUAD_TOL |I|) of the oracle (|I| is about
+    # 238, the error about 4.4e-9)
+    with pytest.warns(integrate.IntegrationWarning, match="roundoff error"):
+        value = stieltjes_derivative(Beta(2.0, 3.0), 3, _FALLBACK)
+    exact = _beta_oracle(2.0, 3.0, lambda w: 6 * (w - _FALLBACK) ** -4)
+    assert abs(value - exact) <= max(QUAD_TOL, QUAD_TOL * abs(exact))
 
 
 # two threads whose first reads of one deferred scipy name start together, in
